@@ -109,6 +109,17 @@ def reactor_spec(p):
         T = float(np.atleast_1d(y)[0])
         return np.array([p.h_coef * (p.Ts - T)])
 
+    def eval_batch(Y, U):
+        T = Y[:, 0]
+        r1, r2 = rate1(T), rate2(T)
+        A = np.zeros((T.size, 2, 2))
+        A[:, 0, 0] = -r1
+        A[:, 1, 0] = r1
+        A[:, 1, 1] = -r2
+        C = np.stack([p.J1 * r1, p.J2 * r2], axis=1)[:, :, None]
+        f = (p.h_coef * (p.Ts - T))[:, None]
+        return A, np.zeros((T.size, 2)), C, f
+
     def in_domain(x, y):
         T = float(np.atleast_1d(y)[0])
         return (0.0 < x[0] < p.c1_bar and 0.0 < x[1] < p.c2_bar
@@ -120,8 +131,8 @@ def reactor_spec(p):
         eval_b=lambda y, u: np.zeros(2),
         eval_C=eval_C,
         eval_f=eval_f,
+        eval_batch=eval_batch,
         in_domain=in_domain,
-        in_output_domain=lambda y: p.Tmin < float(np.atleast_1d(y)[0]) < p.Tmax,
     )
 
 
@@ -302,6 +313,13 @@ def freq_spec(relaxed_domain=False):
     def eval_A(y, u):
         return np.array([[0.0, float(np.atleast_1d(y)[0])], [0.0, 0.0]])
 
+    def eval_batch(Y, U):
+        N = Y.shape[0]
+        A = np.zeros((N, 2, 2))
+        A[:, 0, 1] = Y[:, 0]
+        C = np.broadcast_to(np.array([[1.0], [0.0]]), (N, 2, 1))
+        return A, np.zeros((N, 2)), C, np.zeros((N, 1))
+
     def in_domain(x, y):
         yv = float(np.atleast_1d(y)[0])
         if yv * yv + x[0] * x[0] <= 0.0:
@@ -314,6 +332,7 @@ def freq_spec(relaxed_domain=False):
         eval_b=lambda y, u: np.zeros(2),
         eval_C=lambda y: np.array([[1.0], [0.0]]),
         eval_f=lambda y, u: np.zeros(1),
+        eval_batch=eval_batch,
         in_domain=in_domain,
     )
 

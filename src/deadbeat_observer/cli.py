@@ -73,12 +73,19 @@ def build_scalar_spec(sys_cfg):
     g = float(sys_cfg.get("input_gain", 0.0))
     c0 = float(sys_cfg.get("c0", 1.0))
     c1 = float(sys_cfg.get("c1", 0.0))
+
+    def eval_batch(Y, U):
+        N = Y.shape[0]
+        return (np.full((N, 1, 1), a0), np.zeros((N, 1)),
+                (c0 + c1 * Y[:, :1])[:, :, None], f0 + g * U[:, :1])
+
     return SystemSpec(
         n=1, k=1, m=1,
         eval_A=lambda y, u: np.array([[a0]]),
         eval_b=lambda y, u: np.zeros(1),
         eval_C=lambda y: np.array([[c0 + c1 * float(np.atleast_1d(y)[0])]]),
         eval_f=lambda y, u: np.array([f0 + g * float(np.atleast_1d(u)[0])]),
+        eval_batch=eval_batch,
     )
 
 

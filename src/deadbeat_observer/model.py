@@ -5,9 +5,14 @@ A SystemSpec packages the four evaluator maps
     x' = A(y, u) x + b(y, u)
     y_i' = f_i(y, u) + sum_j C[j, i](y) x_j
 
-together with explicit domain predicates for the state set, the output set
-and the admissible input set.  ``eval_C`` returns the n-by-k matrix whose
-transpose multiplies x in the output dynamics.
+together with explicit domain predicates for the state set and the
+admissible input set.  ``eval_C`` returns the n-by-k matrix whose transpose
+multiplies x in the output dynamics.
+
+The optional ``eval_batch(Y, U)`` evaluates all four maps at N points at
+once: given Y of shape (N, k) and U of shape (N, m) it returns (A, b, C, f)
+of shapes (N, n, n), (N, n), (N, n, k) and (N, k).  ``eval_coefficients``
+uses it when it is set and otherwise calls the per-point evaluators.
 """
 
 from dataclasses import dataclass, field
@@ -27,8 +32,8 @@ class SystemSpec:
     eval_b: Callable
     eval_C: Callable
     eval_f: Callable
+    eval_batch: Callable = None
     in_domain: Callable = field(default=lambda x, y: True)
-    in_output_domain: Callable = field(default=lambda y: True)
     in_input_set: Callable = field(default=lambda u: True)
 
 
@@ -101,6 +106,32 @@ def eval_rhs(spec, state, u):
     return xdot, ydot
 
 
+def eval_coefficients(spec, Y, U):
+    """(A, b, C, f) at each row of (Y, U), stacked along a leading axis.
+
+    Calls ``spec.eval_batch`` once when it is set; otherwise fills the stacks
+    point by point from the four per-point evaluators.
+    """
+    n, k = spec.n, spec.k
+    N = Y.shape[0]
+    shapes = ((N, n, n), (N, n), (N, n, k), (N, k))
+    if spec.eval_batch is not None:
+        out = tuple(np.asarray(a, dtype=float) for a in spec.eval_batch(Y, U))
+        for a, shape in zip(out, shapes):
+            if a.shape != shape:
+                raise DimensionMismatch(
+                    f"eval_batch returned shape {a.shape}, expected {shape}")
+        return out
+    A, b, C, f = (np.empty(shape) for shape in shapes)
+    for i in range(N):
+        y, u = Y[i], U[i]
+        A[i] = spec.eval_A(y, u)
+        b[i] = spec.eval_b(y, u)
+        C[i] = np.asarray(spec.eval_C(y), dtype=float).reshape(n, k)
+        f[i] = spec.eval_f(y, u)
+    return A, b, C, f
+
+
 def make_lti(A, b, C, f):
     """SystemSpec with constant evaluators; domains are all of R^n x R^k.
 
@@ -126,6 +157,10 @@ def make_lti(A, b, C, f):
         eval_b=lambda y, u: b,
         eval_C=lambda y: C,
         eval_f=lambda y, u: f,
+        eval_batch=lambda Y, U: (
+            np.broadcast_to(A, (len(Y), n, n)), np.broadcast_to(b, (len(Y), n)),
+            np.broadcast_to(C, (len(Y), n, k)), np.broadcast_to(f, (len(Y), k)),
+        ),
     )
 
 

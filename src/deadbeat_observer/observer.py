@@ -123,18 +123,21 @@ def _flow_step(spec, config, z, w, y_prev, y_new, u):
         s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return s[:n], s[n:]
 
-    # reduced: flow driven by the measured output, interpolated linearly
+    # reduced: flow driven by the measured output, interpolated linearly;
+    # the two midpoint stages share one evaluation of A and b
     ym = 0.5 * (y_prev + y_new)
 
-    def rhs(zc, yc):
-        A = np.asarray(spec.eval_A(yc, u), dtype=float)
-        b = np.asarray(spec.eval_b(yc, u), dtype=float)
-        return A @ zc + b
+    def coefficients(yc):
+        return (np.asarray(spec.eval_A(yc, u), dtype=float),
+                np.asarray(spec.eval_b(yc, u), dtype=float))
 
-    k1 = rhs(z, y_prev)
-    k2 = rhs(z + 0.5 * h * k1, ym)
-    k3 = rhs(z + 0.5 * h * k2, ym)
-    k4 = rhs(z + h * k3, y_new)
+    A1, b1 = coefficients(y_prev)
+    Am, bm = coefficients(ym)
+    A4, b4 = coefficients(y_new)
+    k1 = A1 @ z + b1
+    k2 = Am @ (z + 0.5 * h * k1) + bm
+    k3 = Am @ (z + 0.5 * h * k2) + bm
+    k4 = A4 @ (z + h * k3) + b4
     return z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), w
 
 

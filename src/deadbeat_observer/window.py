@@ -8,10 +8,25 @@ ODEs
     q' = Phi' C(y)            q(0) = 0
     xi' = f(y, u) + C'(y) theta        xi(0) = 0
 
-are integrated jointly along the window.  With p(t) = y(t) - y(0) - xi(t),
-the Gram matrix Q = int q q' dt and right-hand side v = int q p dt give the
-window-initial unmeasured state as x0 = Q^{-1} v, and the reconstruction
-operator maps the window to the state at its end: Phi(r) x0 + theta(r).
+are integrated by classical RK4 along the window.  They are linear, and
+their coefficients depend only on the recorded (y, u), so the integration
+is done in closed form:
+
+  * A, b, C and f are evaluated once, in one batch, at the three stage
+    points of every step (left node, midpoint, right node);
+  * with Z = [[Phi, theta], [0, 1]], the RK4 step is exactly Z_{j+1} = T_j Z_j
+    for a per-step propagator T_j = I + D_j built from those coefficients by
+    batched matrix products; the prefix product Z_j = T_{j-1} ... T_0 is the
+    only loop over nodes;
+  * the RK4 increment of [q; xi'] over step j is Z_j' W_j for a per-step
+    matrix W_j, so q and xi are a batched contraction and a cumulative sum.
+
+This equals the node-by-node RK4 of the four ODEs up to rounding.
+
+With p(t) = y(t) - y(0) - xi(t), the Gram matrix Q = int q q' dt and
+right-hand side v = int q p dt give the window-initial unmeasured state as
+x0 = Q^{-1} v, and the reconstruction operator maps the window to the state
+at its end: Phi(r) x0 + theta(r).
 
 Between grid nodes, y is interpolated linearly (it is a continuous state)
 while u holds the value of the left node (inputs may be discontinuous).
@@ -28,6 +43,7 @@ from .errors import (
     NonFiniteState,
     WrongOutputDimension,
 )
+from .model import eval_coefficients
 from .numerics import DEFAULT_PIVOT_FLOOR, Grid, cholesky_pivots, spd_solve, trapezoid
 
 DEFAULT_REL_THRESHOLD = 1e-8
@@ -86,53 +102,84 @@ class StronglyObservableOnWindow:
 
 
 def compute_window(spec, window):
-    """Integrate the window ODEs for Phi, theta, q, xi and assemble p."""
+    """Integrate the window ODEs for Phi, theta, q, xi and assemble p.
+
+    Raises NonFiniteState at the first node where any of them is not finite.
+    """
     n, k = spec.n, spec.k
     grid = window.grid
     y_s = window.y_samples
     u_s = window.u_samples
-    count = grid.count
+    steps = grid.count - 1
     h = grid.h
+    eye = np.eye(n + 1)
 
-    phi = np.empty((count, n, n))
-    theta = np.empty((count, n))
-    q = np.empty((count, n, k))
-    xi = np.empty((count, k))
-    phi[0] = np.eye(n)
-    theta[0] = 0.0
-    q[0] = 0.0
-    xi[0] = 0.0
+    with np.errstate(all="ignore"):
+        # stage points of every step: left node, midpoint, right node, all
+        # with the input of the left node
+        u = u_s[:-1]
+        A, b, C, f = eval_coefficients(
+            spec, np.concatenate([y_s[:-1], 0.5 * (y_s[:-1] + y_s[1:]), y_s[1:]]),
+            np.concatenate([u, u, u]))
+        # augmented coefficients: M = [[A, b], [0, 0]] drives Z = [[Phi, theta], [0, 1]],
+        # and Caug = [C; f'] gives the q and xi rates as Z' Caug
+        M = np.zeros((3 * steps, n + 1, n + 1))
+        M[:, :n, :n] = A
+        M[:, :n, n] = b
+        del A, b
+        Caug = np.empty((3 * steps, n + 1, k))
+        Caug[:, :n] = C
+        Caug[:, n] = f
+        del C, f
+        M1, M2, M4 = M[:steps], M[steps:2 * steps], M[2 * steps:]
+        C1, C2, C4 = Caug[:steps], Caug[steps:2 * steps], Caug[2 * steps:]
 
-    def packed_rhs(y, u, P, th, Qm, _xi):
-        A = np.asarray(spec.eval_A(y, u), dtype=float)
-        b = np.asarray(spec.eval_b(y, u), dtype=float)
-        C = np.asarray(spec.eval_C(y), dtype=float).reshape(n, k)
-        f = np.atleast_1d(np.asarray(spec.eval_f(y, u), dtype=float))
-        return A @ P, A @ th + b, P.T @ C, f + C.T @ th
+        # RK4 stage states as maps of Z_j: S1 = I, S2 = I + h/2 M1,
+        # S3 = I + h/2 M2 S2, S4 = I + h M2 S3, with stage rates K_s = M_s S_s.
+        # The step is Z_{j+1} = Z_j + D_j Z_j with D = h/6 (M1 + 2 K2 + 2 K3 + K4)
+        # (adding the identity to D would round away its low bits), and the
+        # increment of [q; xi'] over step j is Z_j' W_j with
+        # W = h/6 (C1 + 2 S2' C2 + 2 S3' C2 + S4' C4).
+        # S and K hold the current stage in place to keep temporaries few.
+        S = M1 * (0.5 * h)
+        S += eye
+        K = M2 @ S
+        D = K * 2.0
+        D += M1
+        W = np.swapaxes(S, 1, 2) @ C2
+        np.multiply(K, 0.5 * h, out=S)
+        S += eye
+        W += np.swapaxes(S, 1, 2) @ C2
+        np.matmul(M2, S, out=K)
+        D += K
+        D += K
+        np.multiply(K, h, out=S)
+        S += eye
+        W *= 2.0
+        W += C1
+        W += np.swapaxes(S, 1, 2) @ C4
+        W *= h / 6.0
+        np.matmul(M4, S, out=K)
+        D += K
+        D *= h / 6.0
+        del M, Caug, S, K
 
-    for j in range(count - 1):
-        y0, y1 = y_s[j], y_s[j + 1]
-        ym = 0.5 * (y0 + y1)
-        u = u_s[j]  # hold over [t_j, t_{j+1})
-        P, th, Qm, x = phi[j], theta[j], q[j], xi[j]
+        Z = np.empty((steps + 1, n + 1, n + 1))
+        Z[0] = eye
+        for D_j, Z_j, Z_next in zip(D, Z[:-1], Z[1:]):
+            np.dot(D_j, Z_j, out=Z_next)
+            Z_next += Z_j
+        G = np.empty((steps + 1, n + 1, k))
+        G[0] = 0.0
+        np.cumsum(np.swapaxes(Z[:-1], 1, 2) @ W, axis=0, out=G[1:])
 
-        k1 = packed_rhs(y0, u, P, th, Qm, x)
-        k2 = packed_rhs(ym, u, P + 0.5 * h * k1[0], th + 0.5 * h * k1[1],
-                        Qm + 0.5 * h * k1[2], x + 0.5 * h * k1[3])
-        k3 = packed_rhs(ym, u, P + 0.5 * h * k2[0], th + 0.5 * h * k2[1],
-                        Qm + 0.5 * h * k2[2], x + 0.5 * h * k2[3])
-        k4 = packed_rhs(y1, u, P + h * k3[0], th + h * k3[1],
-                        Qm + h * k3[2], x + h * k3[3])
-
-        phi[j + 1] = P + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        theta[j + 1] = th + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        q[j + 1] = Qm + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        xi[j + 1] = x + (h / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-        if not (np.all(np.isfinite(phi[j + 1])) and np.all(np.isfinite(theta[j + 1]))
-                and np.all(np.isfinite(q[j + 1])) and np.all(np.isfinite(xi[j + 1]))):
-            raise NonFiniteState(j + 1)
-
-    p = y_s - y_s[0] - xi
+        phi, theta = Z[:, :n, :n], Z[:, :n, n]
+        q, xi = G[:, :n], G[:, n]
+        p = y_s - y_s[0] - xi
+        finite = (np.isfinite(Z).all(axis=(1, 2)) & np.isfinite(G).all(axis=(1, 2))
+                  & np.isfinite(p).all(axis=1))
+    if not finite.all():
+        raise NonFiniteState(int(np.argmin(finite)))
     return WindowComputation(grid=grid, phi=phi, theta=theta, q=q, xi=xi, p=p)
 
 

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from deadbeat_observer import applications as apps
+from deadbeat_observer.cli import build_scalar_spec
 from deadbeat_observer.errors import DimensionMismatch, DomainViolation
 from deadbeat_observer.model import (
     InputSignal,
     PlantState,
+    eval_coefficients,
     eval_rhs,
     make_lti,
     scalar_oracle_spec,
@@ -105,3 +109,39 @@ def test_input_signals():
     assert sampled(0.26)[0] == 1.0
     closure = InputSignal.closure(lambda t: 2.0 * t, 1)
     assert closure(0.5)[0] == 1.0
+
+
+BATCH_FACTORIES = {
+    "reactor": (lambda: apps.reactor_spec(apps.canonical_reactor_params()), 300.0, 350.0),
+    "frequency": (apps.freq_spec, -3.0, 3.0),
+    "lti": (lambda: make_lti(np.array([[0.1, -1.0, 0.0], [0.4, 0.0, 0.3], [0.0, 0.2, -0.5]]),
+                             np.array([0.1, 0.2, -0.3]),
+                             np.array([[1.0, 0.0], [0.5, -1.0], [0.0, 2.0]]),
+                             np.array([0.3, -0.1])), -2.0, 2.0),
+    "scalar": (lambda: build_scalar_spec({"a0": -0.4, "f0": 0.2, "input_gain": 0.7,
+                                          "c0": 1.1, "c1": -0.3}), -2.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_FACTORIES))
+def test_eval_batch_agrees_with_point_evaluators(name):
+    factory, lo, hi = BATCH_FACTORIES[name]
+    spec = factory()
+    assert spec.eval_batch is not None
+    rng = np.random.default_rng(23)
+    Y = rng.uniform(lo, hi, size=(40, spec.k))
+    U = rng.normal(size=(40, spec.m))
+    batched = eval_coefficients(spec, Y, U)
+    pointwise = eval_coefficients(dataclasses.replace(spec, eval_batch=None), Y, U)
+    for got, ref in zip(batched, pointwise):
+        assert got.shape == ref.shape
+        assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
+
+
+def test_eval_batch_wrong_shape_rejected():
+    spec = dataclasses.replace(
+        scalar_oracle_spec(),
+        eval_batch=lambda Y, U: (np.zeros((len(Y), 1, 1)), np.zeros(len(Y)),
+                                 np.ones((len(Y), 1, 1)), np.zeros((len(Y), 1))))
+    with pytest.raises(DimensionMismatch):
+        eval_coefficients(spec, np.zeros((4, 1)), np.zeros((4, 1)))

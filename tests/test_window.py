@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from deadbeat_observer import applications as apps
 from deadbeat_observer.errors import (
     DimensionMismatch,
     KappaVanished,
+    NonFiniteState,
     NotPositiveDefinite,
     WrongOutputDimension,
 )
@@ -46,6 +49,133 @@ def canonical_planar_example():
         c2=lambda y: 1.0,
         kappa=lambda y: 1.0,
     )
+
+
+def reference_window(spec, window):
+    """Per-node joint RK4 of (Phi, theta, q, xi): four evaluator calls per stage."""
+    n, k = spec.n, spec.k
+    y_s, u_s = window.y_samples, window.u_samples
+    count, h = window.grid.count, window.grid.h
+    phi = np.empty((count, n, n))
+    theta = np.zeros((count, n))
+    q = np.zeros((count, n, k))
+    xi = np.zeros((count, k))
+    phi[0] = np.eye(n)
+
+    def rhs(y, u, P, th):
+        A = np.asarray(spec.eval_A(y, u), dtype=float)
+        b = np.asarray(spec.eval_b(y, u), dtype=float)
+        C = np.asarray(spec.eval_C(y), dtype=float).reshape(n, k)
+        f = np.atleast_1d(np.asarray(spec.eval_f(y, u), dtype=float))
+        return A @ P, A @ th + b, P.T @ C, f + C.T @ th
+
+    for j in range(count - 1):
+        y0, y1 = y_s[j], y_s[j + 1]
+        ym = 0.5 * (y0 + y1)
+        u = u_s[j]
+        P, th = phi[j], theta[j]
+        k1 = rhs(y0, u, P, th)
+        k2 = rhs(ym, u, P + 0.5 * h * k1[0], th + 0.5 * h * k1[1])
+        k3 = rhs(ym, u, P + 0.5 * h * k2[0], th + 0.5 * h * k2[1])
+        k4 = rhs(y1, u, P + h * k3[0], th + h * k3[1])
+        new = [(h / 6.0) * (a + 2 * b + 2 * c + d) for a, b, c, d in zip(k1, k2, k3, k4)]
+        phi[j + 1] = P + new[0]
+        theta[j + 1] = th + new[1]
+        q[j + 1] = q[j] + new[2]
+        xi[j + 1] = xi[j] + new[3]
+    return phi, theta, q, xi, y_s - y_s[0] - xi
+
+
+def recorded_window(spec, signal, t_end, h, x0, y0):
+    trace = simulate_plant(spec, signal, SimConfig(t_end=t_end, h=h, x0=x0, y0=y0))
+    return IoWindow(grid=trace.grid, y_samples=trace.y_meas, u_samples=trace.u)
+
+
+def random_lti_window():
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(3, 3))
+    spec = make_lti(A / np.linalg.norm(A, 2), rng.normal(size=3),
+                    rng.normal(size=(3, 1)), rng.normal(size=1))
+    return spec, recorded_window(spec, None, 1.0, 1e-3, rng.normal(size=3),
+                                 rng.normal(size=1))
+
+
+def example26_window():
+    # driven by its indistinguishing input, which varies from node to node
+    ex = canonical_planar_example()
+    grid = Grid.from_span(0.0, 1.0, 1e-3)
+    u_s, y_s = indistinguishing_input(ex, np.array([0.5, -0.3]), 0.2, grid)
+    return ex.to_system_spec(), IoWindow(grid=grid, y_samples=y_s, u_samples=u_s)
+
+
+def reactor_window(h=1.0 / 750.0):
+    spec = apps.reactor_spec(apps.canonical_reactor_params())
+    return spec, recorded_window(spec, None, 1.0 / 3.0, h, [0.6, 1.2], [318.0])
+
+
+def frequency_window():
+    scn = apps.FrequencyScenario(phase=0.7, h=5e-4)
+    spec = apps.freq_spec()
+    x0, y0 = scn.initial_state()
+    return spec, recorded_window(spec, None, scn.r, scn.h, x0, y0)
+
+
+WINDOW_CASES = {
+    "reactor": reactor_window,
+    "frequency": frequency_window,
+    "random_lti": random_lti_window,
+    "example26": example26_window,
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_compute_window_matches_per_node_rk4(case):
+    spec, window = WINDOW_CASES[case]()
+    wc = compute_window(spec, window)
+    names = ("phi", "theta", "q", "xi", "p")
+    for name, ref in zip(names, reference_window(spec, window)):
+        got = getattr(wc, name)
+        assert got.shape == ref.shape, name
+        scale = max(float(np.max(np.abs(ref))), 1e-300)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale, name
+
+
+def test_compute_window_one_batch_call_and_no_point_calls():
+    spec, window = reactor_window()
+    calls = {"batch": 0, "point": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    counting = dataclasses.replace(
+        spec,
+        eval_A=counted("point", spec.eval_A),
+        eval_b=counted("point", spec.eval_b),
+        eval_C=counted("point", spec.eval_C),
+        eval_f=counted("point", spec.eval_f),
+        eval_batch=counted("batch", spec.eval_batch),
+    )
+    compute_window(counting, window)
+    assert calls == {"batch": 1, "point": 0}
+
+
+@pytest.mark.parametrize("batched", [True, False])
+@pytest.mark.parametrize("node", [0, 1, 137, 250])
+def test_compute_window_nan_reports_first_bad_node(batched, node):
+    spec, window = reactor_window()
+    if not batched:
+        spec = dataclasses.replace(spec, eval_batch=None)
+    y = window.y_samples.copy()
+    y[node, 0] = np.nan
+    bad = IoWindow(grid=window.grid, y_samples=y, u_samples=window.u_samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState) as exc:
+            compute_window(spec, bad)
+    assert exc.value.index == node
 
 
 def test_window_sample_count_mismatch():
