@@ -16,7 +16,7 @@ from .errors import (
     SingularDenominator,
     WrongOutputDimension,
 )
-from .model import InputSignal, PlantState, SystemSpec, eval_rhs, make_lti, scalar_oracle_spec
+from .model import InputSignal, SystemSpec, make_lti, scalar_oracle_spec
 from .numerics import Grid, cumulative_trapezoid, integrate_rk4, spd_solve, trapezoid
 from .observer import (
     EstimateTrace,

@@ -8,7 +8,7 @@ state is -w^2, so one reset window yields the frequency exactly (for clean
 signals) or approximately (under additive sinusoidal noise).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -372,24 +372,28 @@ def omega_hat(z2):
     return float(np.sqrt(-z2))
 
 
-def _window_from_scenario(scn, phase=None, r=None, h=None):
-    """Simulate the plant, corrupt the output and cut the window [0, r]."""
-    phase = scn.phase if phase is None else phase
-    r = scn.r if r is None else r
-    h = scn.h if h is None else h
-    scn_eff = FrequencyScenario(amplitude=scn.amplitude, omega=scn.omega,
-                                phase=phase, noise_amplitude=scn.noise_amplitude,
-                                noise_frequency=scn.noise_frequency, r=r, h=h)
-    spec = freq_spec()
-    x0, y0 = scn_eff.initial_state()
-    trace = simulate_plant(spec, None, SimConfig(t_end=r, h=h, x0=x0, y0=y0))
-    trace = corrupt(trace, scn_eff.sensor())
-    return IoWindow(grid=trace.grid, y_samples=trace.y_meas, u_samples=trace.u)
+def _windows_from_scenario(scn, phases, r, h):
+    """Simulate one plant trajectory per phase, corrupt the outputs and cut
+    the windows [0, r].
+
+    All phases are integrated in one ``simulate_plant`` call and corrupted by
+    one ``corrupt`` call; a single phase takes the one-trajectory path.
+    """
+    states = [replace(scn, phase=ph).initial_state() for ph in phases]
+    x0 = np.stack([x for x, _ in states])
+    y0 = np.stack([y for _, y in states])
+    trace = simulate_plant(freq_spec(), None, SimConfig(t_end=r, h=h, x0=x0, y0=y0))
+    trace = corrupt(trace, scn.sensor())
+    return [IoWindow(grid=trace.grid, y_samples=y, u_samples=trace.u)
+            for y in trace.y_meas]
 
 
 def estimate_frequency(scn, phase=None, r=None, h=None):
     """Frequency estimate from a single window of the (possibly noisy) signal."""
-    window = _window_from_scenario(scn, phase=phase, r=r, h=h)
+    phase = scn.phase if phase is None else phase
+    r = scn.r if r is None else r
+    h = scn.h if h is None else h
+    (window,) = _windows_from_scenario(scn, [phase], r, h)
     _, z2 = freq_closed_form(window)
     return omega_hat(z2)
 
@@ -397,12 +401,15 @@ def estimate_frequency(scn, phase=None, r=None, h=None):
 def phase_sweep(scn, phi_grid=None):
     """Relative frequency-estimation error as a function of the signal phase.
 
+    The windows of all phases are simulated together as one batch on the
+    scenario's grid; each window is then reconstructed on its own.
     Returns (phases, omega_hats, rel_errors, max_rel_error).
     """
     if phi_grid is None:
         phi_grid = np.linspace(0.0, 2.0 * np.pi, 64)
     phi_grid = np.asarray(phi_grid, dtype=float)
-    omegas = np.array([estimate_frequency(scn, phase=ph) for ph in phi_grid])
+    windows = _windows_from_scenario(scn, phi_grid, scn.r, scn.h)
+    omegas = np.array([omega_hat(freq_closed_form(w)[1]) for w in windows])
     errors = np.abs(omegas - scn.omega) / scn.omega
     return phi_grid, omegas, errors, float(np.max(errors))
 

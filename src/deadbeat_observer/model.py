@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainViolation
+from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,6 @@ class SystemSpec:
     eval_batch: Callable = None
     in_domain: Callable = field(default=lambda x, y: True)
     in_input_set: Callable = field(default=lambda u: True)
-
-
-@dataclass(frozen=True)
-class PlantState:
-    x: np.ndarray
-    y: np.ndarray
 
 
 class InputSignal:
@@ -86,24 +80,6 @@ class InputSignal:
     @classmethod
     def closure(cls, fn, m):
         return cls(lambda t: np.atleast_1d(np.asarray(fn(t), dtype=float)), m)
-
-
-def eval_rhs(spec, state, u):
-    """Right-hand side (xdot, ydot) of the plant at the given state and input."""
-    x = np.asarray(state.x, dtype=float)
-    y = np.asarray(state.y, dtype=float)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if not spec.in_domain(x, y):
-        raise DomainViolation(f"state (x={x}, y={y}) outside the model domain")
-    if not spec.in_input_set(u):
-        raise DomainViolation(f"input {u} outside the admissible input set")
-    A = np.asarray(spec.eval_A(y, u), dtype=float)
-    b = np.asarray(spec.eval_b(y, u), dtype=float)
-    C = np.asarray(spec.eval_C(y), dtype=float).reshape(spec.n, spec.k)
-    f = np.atleast_1d(np.asarray(spec.eval_f(y, u), dtype=float))
-    xdot = A @ x + b
-    ydot = f + C.T @ x
-    return xdot, ydot
 
 
 def eval_coefficients(spec, Y, U):

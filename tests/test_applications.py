@@ -162,6 +162,18 @@ def test_omega_hat_readout():
         apps.omega_hat(0.0)
 
 
+def test_phase_sweep_matches_per_phase_loop():
+    # the Figure 1 scenario; the batched sweep against one window per phase
+    scn = apps.FrequencyScenario(amplitude=2.0, omega=3.0, noise_amplitude=0.2,
+                                 noise_frequency=10.0, r=1.0, h=5e-4)
+    phases = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False) + 0.3
+    _, omegas, errors, max_err = apps.phase_sweep(scn, phases)
+    ref = np.array([apps.estimate_frequency(scn, phase=ph) for ph in phases])
+    assert np.max(np.abs(omegas - ref) / ref) <= 1e-12
+    assert np.allclose(errors, np.abs(ref - 3.0) / 3.0, rtol=1e-12, atol=0.0)
+    assert max_err == np.max(errors)
+
+
 def test_horizon_sweep_error_drops_with_window_length():
     scn = apps.FrequencyScenario(phase=1.9, noise_amplitude=0.2,
                                  noise_frequency=10.0)
