@@ -21,7 +21,7 @@ from .errors import (
     NonFiniteState,
 )
 from .model import InputSignal, make_lti, SystemSpec
-from .numerics import Grid
+from .numerics import DEFAULT_REL_THRESHOLD, Grid, cholesky_pivots
 from .observer import FULL, ObserverConfig, run_observer
 from .plant import SensorModel, SimConfig, corrupt, simulate_plant
 from .window import (
@@ -130,18 +130,26 @@ def build_system(cfg):
     raise ConfigError(f"unknown system.kind {kind!r}")
 
 
+def _window_grid(r, h, step_name):
+    """Grid of one observer window; r must be an integer multiple (>= 2) of h."""
+    try:
+        grid = Grid.from_span(0.0, r, h)
+        if grid.count >= 3:
+            return grid
+    except ValueError:
+        pass
+    raise ConfigError(
+        f"`observer.r` ({r}) must be an integer multiple (>= 2) of {step_name} ({h})")
+
+
 def build_observer_config(cfg, h):
     obs_cfg = _require(cfg, "observer")
     r = float(_require(obs_cfg, "r", "observer"))
-    steps = r / h
-    if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0) or round(steps) < 2:
-        raise ConfigError(
-            f"`observer.r` ({r}) must be an integer multiple (>= 2) of the grid step ({h})"
-        )
+    _window_grid(r, h, "the grid step")
     return ObserverConfig(
         r=r, h=h,
         mode=obs_cfg.get("mode", "reduced"),
-        rel_threshold=float(obs_cfg.get("rel_threshold", 1e-8)),
+        rel_threshold=float(obs_cfg.get("rel_threshold", DEFAULT_REL_THRESHOLD)),
         on_degenerate=obs_cfg.get("on_degenerate", "hold"),
     )
 
@@ -309,12 +317,7 @@ def cmd_observability(cfg, prefix):
     r = float(_require(obs, "r", "observer"))
     sim = cfg.get("sim", {})
     h = float(_require(sim, "h", "sim"))
-    steps = r / h
-    if abs(steps - round(steps)) > 1e-9 * max(steps, 1.0) or round(steps) < 2:
-        raise ConfigError(
-            f"`observer.r` ({r}) must be an integer multiple (>= 2) of `sim.h` ({h})"
-        )
-    grid = Grid.from_span(0.0, r, h)
+    grid = _window_grid(r, h, "`sim.h`")
 
     if kind == "example26":
         ex = extras["example26"]
@@ -338,17 +341,18 @@ def cmd_observability(cfg, prefix):
     window = IoWindow(grid=trace.grid, y_samples=trace.y_meas, u_samples=trace.u)
     wc = compute_window(spec, window)
     gs = gram(wc)
-    verdict = observability_certificate(gs, float(obs.get("rel_threshold", 1e-8)))
+    verdict = observability_certificate(
+        gs, float(obs.get("rel_threshold", DEFAULT_REL_THRESHOLD)))
     eigvals = np.linalg.eigvalsh(gs.Q)
+    cond = eigvals[-1] / eigvals[0] if eigvals[0] > 0 else np.inf
     report = {
         "system": kind,
         "r": r,
         "h": h,
         "eigenvalues": [float(v) for v in eigvals],
         "trace": float(np.trace(gs.Q)),
-        "smallest_pivot": gs.smallest_pivot,
-        "condition_estimate": (None if not np.isfinite(gs.condition_estimate)
-                               else gs.condition_estimate),
+        "smallest_pivot": float(cholesky_pivots(gs.Q)[1]),
+        "condition_estimate": float(cond) if np.isfinite(cond) else None,
         "certificate": ("strongly_observable"
                         if not isinstance(verdict, Degenerate) else "degenerate"),
     }

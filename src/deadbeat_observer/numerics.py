@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NonFiniteState, NotPositiveDefinite
 
-DEFAULT_PIVOT_FLOOR = 1e-10
+DEFAULT_REL_THRESHOLD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class Grid:
 
     @classmethod
     def from_span(cls, t0, span, h):
-        """Grid covering [t0, t0+span]; span must be an integer multiple of h."""
-        steps = int(round(span / h))
+        """Grid covering [t0, t0+span]; span must be an integer multiple of h > 0."""
+        steps = int(round(span / h)) if h > 0 else 0
         if steps < 1 or abs(steps * h - span) > 1e-9 * max(span, h):
             raise ValueError(f"span {span} is not an integer multiple of step {h}")
         return cls(t0, h, steps + 1)
@@ -119,12 +119,12 @@ def cholesky_pivots(Q):
     return L, smallest
 
 
-def spd_solve(Q, rhs, pivot_floor=DEFAULT_PIVOT_FLOOR):
+def spd_solve(Q, rhs, rel_threshold=DEFAULT_REL_THRESHOLD):
     """Solve Q x = rhs for symmetric positive definite Q via Cholesky.
 
-    Returns (x, smallest_pivot).  Raises NotPositiveDefinite when any pivot
-    falls at or below pivot_floor * trace(Q)/n, which is the numerical
-    signature of a degenerate observability Gram matrix.
+    Returns (x, smallest_pivot).  Raises NotPositiveDefinite when the
+    factorization stops early or a squared pivot is at or below
+    rel_threshold * trace(Q)/n: the one test of a degenerate Gram matrix.
     """
     Q = np.asarray(Q, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -137,7 +137,9 @@ def spd_solve(Q, rhs, pivot_floor=DEFAULT_PIVOT_FLOOR):
     scale = max(np.max(np.abs(Q)), 1e-300)
     if sym_err > 1e-12 * scale:
         raise ValueError(f"Q is not symmetric (relative asymmetry {sym_err / scale:.3e})")
-    floor = pivot_floor * np.trace(Q) / n
+    if not rel_threshold >= 0:
+        raise ValueError(f"rel_threshold must be >= 0, got {rel_threshold}")
+    floor = rel_threshold * np.trace(Q) / n
     L, smallest = cholesky_pivots(Q)
     if L is None or smallest <= floor:
         raise NotPositiveDefinite(smallest)

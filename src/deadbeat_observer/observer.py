@@ -10,7 +10,8 @@ error).  Two variants:
   * reduced: the flow is driven directly by the measured output (requires
     the product-domain hypothesis on the model).
 
-A degenerate reset window (singular Gram matrix) is either skipped, keeping
+A reset window is degenerate when ``numerics.spd_solve`` rejects its Gram
+matrix at ``ObserverConfig.rel_threshold``.  It is either skipped, keeping
 the flowed estimate and retrying one window later ("hold"), or raised as
 GramDegenerate ("fail").
 """
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainViolation, GramDegenerate, NonFiniteState, NotPositiveDefinite
-from .numerics import DEFAULT_PIVOT_FLOOR, Grid
-from .window import DEFAULT_REL_THRESHOLD, IoWindow, apply_P
+from .numerics import DEFAULT_REL_THRESHOLD, Grid
+from .window import IoWindow, apply_P
 
 FULL = "full"
 REDUCED = "reduced"
@@ -35,7 +36,6 @@ class ObserverConfig:
     h: float
     mode: str = REDUCED
     rel_threshold: float = DEFAULT_REL_THRESHOLD
-    pivot_floor: float = DEFAULT_PIVOT_FLOOR
     on_degenerate: str = HOLD
 
     def __post_init__(self):
@@ -43,8 +43,7 @@ class ObserverConfig:
             raise ValueError(f"mode must be '{FULL}' or '{REDUCED}', got {self.mode!r}")
         if self.on_degenerate not in (HOLD, FAIL):
             raise ValueError(f"on_degenerate must be '{HOLD}' or '{FAIL}'")
-        M = self.steps_per_window
-        if M < 2 or abs(M * self.h - self.r) > 1e-9 * max(self.r, self.h):
+        if Grid.from_span(0.0, self.r, self.h).count < 3:
             raise ValueError(
                 f"window length r={self.r} must be an integer multiple (>= 2) of h={self.h}"
             )
@@ -175,7 +174,7 @@ def observer_step(spec, config, snap, y_meas, u):
                 u_samples=np.vstack([e[1] for e in history]),
             )
             try:
-                z = apply_P(spec, win, config.pivot_floor)
+                z = apply_P(spec, win, config.rel_threshold)
                 if config.mode == FULL:
                     w = y_meas.copy()
                 reset_applied = True

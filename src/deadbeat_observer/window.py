@@ -26,7 +26,9 @@ This equals the node-by-node RK4 of the four ODEs up to rounding.
 With p(t) = y(t) - y(0) - xi(t), the Gram matrix Q = int q q' dt and
 right-hand side v = int q p dt give the window-initial unmeasured state as
 x0 = Q^{-1} v, and the reconstruction operator maps the window to the state
-at its end: Phi(r) x0 + theta(r).
+at its end: Phi(r) x0 + theta(r).  The window is strongly observable when Q
+is positive definite; resets and certificates alike decide this by one
+``spd_solve``: one Cholesky, its smallest pivot against rel_threshold * trace(Q)/n.
 
 Between grid nodes, y is interpolated linearly (it is a continuous state)
 while u holds the value of the left node (inputs may be discontinuous).
@@ -41,12 +43,12 @@ from .errors import (
     DimensionMismatch,
     KappaVanished,
     NonFiniteState,
+    NotPositiveDefinite,
     WrongOutputDimension,
 )
 from .model import eval_coefficients
-from .numerics import DEFAULT_PIVOT_FLOOR, Grid, cholesky_pivots, spd_solve, trapezoid
-
-DEFAULT_REL_THRESHOLD = 1e-8
+# cholesky_pivots is not called here; perfbench/spans.py counts calls through this name
+from .numerics import DEFAULT_REL_THRESHOLD, Grid, cholesky_pivots, spd_solve, trapezoid
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,6 @@ class WindowComputation:
 class GramSummary:
     Q: np.ndarray
     v: np.ndarray
-    smallest_pivot: float
-    condition_estimate: float
 
 
 @dataclass(frozen=True)
@@ -193,21 +193,16 @@ def gram(wc, grid=None):
     Q = 0.5 * (Q + Q.T)  # enforce exact symmetry
     qp = np.einsum("tik,tk->ti", q, p)
     v = np.asarray(trapezoid(qp, grid))
-    _, smallest = cholesky_pivots(Q)
-    eigvals = np.linalg.eigvalsh(Q)
-    lo, hi = eigvals[0], eigvals[-1]
-    cond = np.inf if lo <= 0 else hi / lo
-    return GramSummary(Q=Q, v=v, smallest_pivot=float(smallest),
-                       condition_estimate=float(cond))
+    return GramSummary(Q=Q, v=v)
 
 
-def reconstruct_initial(gs, pivot_floor=DEFAULT_PIVOT_FLOOR):
+def reconstruct_initial(gs, rel_threshold=DEFAULT_REL_THRESHOLD):
     """Window-initial unmeasured state Q^{-1} v (raises NotPositiveDefinite)."""
-    x0_hat, _ = spd_solve(gs.Q, gs.v, pivot_floor)
+    x0_hat, _ = spd_solve(gs.Q, gs.v, rel_threshold)
     return x0_hat
 
 
-def apply_P(spec, window, pivot_floor=DEFAULT_PIVOT_FLOOR):
+def apply_P(spec, window, rel_threshold=DEFAULT_REL_THRESHOLD):
     """Reconstruction operator: unmeasured state at the end of the window.
 
     For a noiseless window of a strongly observable plant this equals the true
@@ -215,27 +210,25 @@ def apply_P(spec, window, pivot_floor=DEFAULT_PIVOT_FLOOR):
     """
     wc = compute_window(spec, window)
     gs = gram(wc)
-    x0_hat = reconstruct_initial(gs, pivot_floor)
+    x0_hat = reconstruct_initial(gs, rel_threshold)
     return wc.phi[-1] @ x0_hat + wc.theta[-1]
 
 
 def observability_certificate(gs, rel_threshold=DEFAULT_REL_THRESHOLD):
-    """Strong-distinguishability verdict from the Gram spectrum.
+    """Strong-distinguishability verdict on the window.
 
-    Returns StronglyObservableOnWindow when the smallest eigenvalue clears
-    rel_threshold * trace(Q)/n, otherwise Degenerate carrying the approximate
-    null direction (eigenvector of the smallest eigenvalue).
+    Decided exactly as a reset is, by ``spd_solve`` with rel_threshold.
+    Returns StronglyObservableOnWindow with the smallest eigenvalue of Q, or
+    Degenerate carrying the approximate null direction (eigenvector of the
+    smallest eigenvalue; e0 when Q is zero).
     """
-    n = gs.Q.shape[0]
     eigvals, eigvecs = np.linalg.eigh(gs.Q)
-    tr = np.trace(gs.Q)
-    if tr > 0 and eigvals[0] > rel_threshold * tr / n:
-        return StronglyObservableOnWindow(smallest_eigenvalue=float(eigvals[0]))
-    null = eigvecs[:, 0]
-    if tr <= 0:
-        null = np.zeros(n)
-        null[0] = 1.0
-    return Degenerate(null_direction=null)
+    try:
+        spd_solve(gs.Q, gs.v, rel_threshold)
+    except NotPositiveDefinite:
+        null = eigvecs[:, 0] if np.trace(gs.Q) > 0 else np.eye(len(gs.Q))[0]
+        return Degenerate(null_direction=null)
+    return StronglyObservableOnWindow(smallest_eigenvalue=float(eigvals[0]))
 
 
 def determinant_condition(spec, window, wc, node_indices):

@@ -115,14 +115,22 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     assert "runtime failure" in capsys.readouterr().err
 
 
+def degenerate_scalar_configs(prefix):
+    """Scalar configs whose reset windows are all degenerate."""
+    flat = scalar_config(prefix)
+    flat["system"]["c0"] = 0.0  # output carries no state information: Q = 0
+    strict = scalar_config(prefix)
+    # n = 1: the smallest pivot over trace/n is exactly 1
+    strict["observer"]["rel_threshold"] = 1.01
+    return [flat, strict]
+
+
 def test_degenerate_exit_code(tmp_path, capsys):
-    prefix = str(tmp_path / "flat")
-    cfg = scalar_config(prefix)
-    cfg["system"]["c0"] = 0.0  # output carries no state information
-    cfg["observer"]["on_degenerate"] = "fail"
-    cfg_path = write_config(tmp_path, cfg)
-    assert main(["simulate", cfg_path]) == EXIT_DEGENERATE
-    assert "degenerate" in capsys.readouterr().err
+    for cfg in degenerate_scalar_configs(str(tmp_path / "flat")):
+        cfg["observer"]["on_degenerate"] = "fail"
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["simulate", cfg_path]) == EXIT_DEGENERATE
+        assert "degenerate" in capsys.readouterr().err
 
 
 def test_observability_report_planar_counterexample(tmp_path, capsys):
@@ -150,6 +158,26 @@ def test_observability_report_observable(tmp_path):
     report = json.loads((tmp_path / "obs_ok_observability.json").read_text())
     assert report["certificate"] == "strongly_observable"
     assert report["determinant_condition"] != 0.0
+    assert report["smallest_pivot"] > 0.0
+    assert report["condition_estimate"] == pytest.approx(1.0)
+
+
+def test_observability_report_degenerate_scalar(tmp_path):
+    flat, strict = degenerate_scalar_configs(str(tmp_path / "obs"))
+    for cfg, condition in ((flat, None), (strict, 1.0)):
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["observability", cfg_path]) == EXIT_OK
+        report = json.loads((tmp_path / "obs_observability.json").read_text())
+        assert report["certificate"] == "degenerate"
+        assert report["condition_estimate"] == condition
+        assert report["null_direction"] in ([1.0], [-1.0])
+
+
+def test_zero_step_is_a_config_error(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, scalar_config(str(tmp_path / "zero")))
+    for command in ("simulate", "observability"):
+        assert main([command, cfg_path, "--h", "0"]) == EXIT_CONFIG
+        assert "observer.r" in capsys.readouterr().err
 
 
 def test_sweep_phase_small_grid(tmp_path):

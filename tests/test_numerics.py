@@ -21,6 +21,9 @@ def test_grid_invariants():
         Grid(0.0, 1e-3, 1)
     with pytest.raises(ValueError):
         Grid.from_span(0.0, 1.0, 3e-4)
+    for h in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            Grid.from_span(0.0, 1.0, h)
 
 
 def test_rk4_exponential():
@@ -140,6 +143,13 @@ def test_spd_solve_roundtrip_property():
         rhs = rng.normal(size=n)
         x, _ = spd_solve(Q, rhs)
         assert np.linalg.norm(Q @ x - rhs) <= 1e-8 * max(np.linalg.norm(rhs), 1.0)
+
+
+def test_spd_solve_rejects_bad_threshold():
+    # a negative or NaN threshold would pass every factorizable Q
+    for rel_threshold in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            spd_solve(np.eye(2), np.ones(2), rel_threshold)
 
 
 def test_spd_solve_rejects_asymmetric():
