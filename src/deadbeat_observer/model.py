@@ -5,9 +5,9 @@ A SystemSpec packages the four evaluator maps
     x' = A(y, u) x + b(y, u)
     y_i' = f_i(y, u) + sum_j C[j, i](y) x_j
 
-together with explicit domain predicates for the state set and the
-admissible input set.  ``eval_C`` returns the n-by-k matrix whose transpose
-multiplies x in the output dynamics.
+together with an explicit domain predicate ``in_domain(x, y)`` for the state
+set.  ``eval_C`` returns the n-by-k matrix whose transpose multiplies x in
+the output dynamics.
 
 The optional ``eval_batch(Y, U)`` evaluates all four maps at N points at
 once: given Y of shape (N, k) and U of shape (N, m) it returns (A, b, C, f)
@@ -34,7 +34,6 @@ class SystemSpec:
     eval_f: Callable
     eval_batch: Callable = None
     in_domain: Callable = field(default=lambda x, y: True)
-    in_input_set: Callable = field(default=lambda u: True)
 
 
 class InputSignal:

@@ -14,15 +14,22 @@ A reset window is degenerate when ``numerics.spd_solve`` rejects its Gram
 matrix at ``ObserverConfig.rel_threshold``.  It is either skipped, keeping
 the flowed estimate and retrying one window later ("hold"), or raised as
 GramDegenerate ("fail").
+
+Streaming (``observer_init``/``observer_step``) advances one step of size h
+per measurement and buffers the (y, u) history of the current window.
+Replay (``run_observer``) takes a whole recorded trace and works one reset
+window at a time, cutting each window straight from the trace: in reduced
+mode one window computation gives both the flow and the reset.
 """
 
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DomainViolation, GramDegenerate, NonFiniteState, NotPositiveDefinite
 from .numerics import DEFAULT_REL_THRESHOLD, Grid
-from .window import IoWindow, apply_P
+from .window import IoWindow, apply_P, end_state, flow_window
 
 FULL = "full"
 REDUCED = "reduced"
@@ -74,13 +81,8 @@ class EstimateTrace:
     degenerate_events: int
 
 
-def observer_init(spec, config, z0, w0=None, t0=0.0, y0=None, u0=None):
-    """Snapshot at t0; the initial measurement seeds the window buffer.
-
-    ``y0``/``u0`` are the measurement and input at t0 (required when the
-    snapshot will be stepped, so that the first reset window spans exactly
-    [t0, t0 + r]).  In full mode ``w0`` may differ from the measured output.
-    """
+def _initial_estimate(spec, config, z0, w0, y0):
+    """(z0, w0) as float arrays, with z0 checked against the model domain."""
     z0 = np.atleast_1d(np.asarray(z0, dtype=float))
     if w0 is None:
         if config.mode == FULL:
@@ -91,6 +93,17 @@ def observer_init(spec, config, z0, w0=None, t0=0.0, y0=None, u0=None):
     y_ref = np.atleast_1d(np.asarray(y0, dtype=float)) if y0 is not None else w0
     if not spec.in_domain(z0, y_ref):
         raise DomainViolation(f"initial estimate (z0={z0}, y={y_ref}) outside the model domain")
+    return z0, w0
+
+
+def observer_init(spec, config, z0, w0=None, t0=0.0, y0=None, u0=None):
+    """Snapshot at t0; the initial measurement seeds the window buffer.
+
+    ``y0``/``u0`` are the measurement and input at t0 (required when the
+    snapshot will be stepped, so that the first reset window spans exactly
+    [t0, t0 + r]).  In full mode ``w0`` may differ from the measured output.
+    """
+    z0, w0 = _initial_estimate(spec, config, z0, w0, y0)
     history = ()
     if y0 is not None:
         u0 = np.atleast_1d(np.asarray(u0, dtype=float)) if u0 is not None \
@@ -101,7 +114,11 @@ def observer_init(spec, config, z0, w0=None, t0=0.0, y0=None, u0=None):
 
 
 def _flow_step(spec, config, z, w, y_prev, y_new, u):
-    """One RK4 step of the mode's flow field over [t, t+h]."""
+    """One RK4 step of the mode's flow field over [t, t+h].
+
+    The reduced branch serves streaming only: ``run_observer`` gets the
+    reduced flow of a whole window from ``window.flow_window``.
+    """
     h = config.h
     n, k = spec.n, spec.k
 
@@ -199,29 +216,96 @@ def observer_step(spec, config, snap, y_meas, u):
                    last_reset_applied=reset_applied)
 
 
+@contextmanager
+def _at_trace_nodes(start):
+    """Re-base the window-local node of a NonFiniteState to the trace node."""
+    try:
+        yield
+    except NonFiniteState as exc:
+        raise NonFiniteState(start + exc.index) from exc
+
+
 def run_observer(spec, config, trace, z0, w0=None):
-    """Replay a recorded trace through the observer; fully deterministic."""
+    """Replay a recorded trace through the observer, one reset window at a time.
+
+    Gives the estimates, flags and errors of stepping ``observer_step``
+    through the trace from ``observer_init``, without its history buffer:
+    resets fire at the nodes i*M (M = r/h), and each reset window is the
+    trace slice [j - M, j].  In reduced mode one ``window.flow_window`` per
+    window gives the flow z_j = Phi_j z_a + theta_j from the window start a
+    and, through ``window.end_state``, the reset.  In full mode (z, w) flows
+    step by step and resets go through ``window.apply_P``.  The domain is
+    checked at every node.  A NonFiniteState from the window engine carries
+    the trace node.  Fully deterministic.
+    """
     grid = trace.grid
     if abs(grid.h - config.h) > 1e-12 * max(grid.h, config.h):
         raise ValueError(
             f"trace step {grid.h} does not match observer step {config.h}"
         )
-    snap = observer_init(spec, config, z0, w0, t0=grid.t0,
-                         y0=trace.y_meas[0], u0=trace.u[0])
+    y, u = trace.y_meas, trace.u
+    reduced = config.mode == REDUCED
+    z_init, w_init = _initial_estimate(spec, config, z0, w0, y[0])
     count = grid.count
+    M = config.steps_per_window
     z = np.empty((count, spec.n))
-    w = np.empty((count, spec.k))
+    z[0] = z_init
+    if reduced:
+        w = np.array(y, dtype=float)
+    else:
+        w = np.empty((count, spec.k))
+        w[0] = w_init
     reset_flags = np.zeros(count, dtype=int)
     degen_flags = np.zeros(count, dtype=int)
-    z[0] = snap.z
-    w[0] = snap.w if config.mode == FULL else trace.y_meas[0]
-    for j in range(1, count):
-        before = snap.degenerate_events
-        snap = observer_step(spec, config, snap, trace.y_meas[j], trace.u[j - 1])
-        z[j] = snap.z
-        w[j] = snap.w if config.mode == FULL else trace.y_meas[j]
-        reset_flags[j] = int(snap.last_reset_applied)
-        degen_flags[j] = int(snap.degenerate_events > before)
+
+    def t_at(j):
+        return grid.t0 + j * grid.h
+
+    def diverged(j):
+        return NonFiniteState(j, f"observer flow diverged at t = {t_at(j):.6g}")
+
+    def check_domain(j):
+        if not spec.in_domain(z[j], y[j] if reduced else w[j]):
+            raise DomainViolation(
+                f"observer state left the model domain at t = {t_at(j):.6g} (z={z[j]})"
+            )
+
+    for a in range(0, count - 1, M):
+        b = min(a + M, count - 1)
+        window = IoWindow(grid=Grid(0.0, config.h, b - a + 1),
+                          y_samples=y[a:b + 1], u_samples=u[a:b + 1])
+        if reduced:
+            with _at_trace_nodes(a):
+                flow, wc = flow_window(spec, window, z[a])
+            z[a + 1:b + 1] = flow[1:]
+            bad = np.flatnonzero(~np.isfinite(flow[1:]).all(axis=1))
+            end = a + 1 + int(bad[0]) if bad.size else b
+            for j in range(a + 1, end):
+                check_domain(j)
+            if bad.size:
+                raise diverged(end)
+        else:
+            for j in range(a + 1, b + 1):
+                z[j], w[j] = _flow_step(spec, config, z[j - 1], w[j - 1],
+                                        y[j - 1], y[j], u[j - 1])
+                if not (np.isfinite(z[j]).all() and np.isfinite(w[j]).all()):
+                    raise diverged(j)
+                if j < b:
+                    check_domain(j)
+        if b - a == M:
+            try:
+                with _at_trace_nodes(a):
+                    z[b] = (end_state(wc, config.rel_threshold) if reduced
+                            else apply_P(spec, window, config.rel_threshold))
+                w[b] = y[b]
+                reset_flags[b] = 1
+            except NotPositiveDefinite as exc:
+                if config.on_degenerate == FAIL:
+                    raise GramDegenerate(
+                        f"degenerate reset window at t = {t_at(b):.6g}: {exc}"
+                    ) from exc
+                degen_flags[b] = 1
+        check_domain(b)
     return EstimateTrace(grid=grid, z=z, w=w, reset_flags=reset_flags,
                          degenerate_flags=degen_flags,
-                         degenerate_events=snap.degenerate_events)
+                         degenerate_events=int(degen_flags.sum()))

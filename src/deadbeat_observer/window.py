@@ -202,16 +202,30 @@ def reconstruct_initial(gs, rel_threshold=DEFAULT_REL_THRESHOLD):
     return x0_hat
 
 
+def end_state(wc, rel_threshold=DEFAULT_REL_THRESHOLD):
+    """Phi(r) Q^{-1} v + theta(r) of a computed window (raises NotPositiveDefinite)."""
+    x0_hat = reconstruct_initial(gram(wc), rel_threshold)
+    return wc.phi[-1] @ x0_hat + wc.theta[-1]
+
+
 def apply_P(spec, window, rel_threshold=DEFAULT_REL_THRESHOLD):
     """Reconstruction operator: unmeasured state at the end of the window.
 
     For a noiseless window of a strongly observable plant this equals the true
     state at the window end, up to integration error.
     """
+    return end_state(compute_window(spec, window), rel_threshold)
+
+
+def flow_window(spec, window, z0):
+    """Reduced-order flow z' = A(y, u) z + b(y, u) over the window from z0.
+
+    This is the window's Phi/theta ODE, so the flow is z_j = Phi_j z0 + theta_j
+    at every node.  Returns the (count, n) flow and the WindowComputation,
+    from which ``end_state`` gives the reset at the window's end.
+    """
     wc = compute_window(spec, window)
-    gs = gram(wc)
-    x0_hat = reconstruct_initial(gs, rel_threshold)
-    return wc.phi[-1] @ x0_hat + wc.theta[-1]
+    return wc.phi @ z0 + wc.theta, wc
 
 
 def observability_certificate(gs, rel_threshold=DEFAULT_REL_THRESHOLD):

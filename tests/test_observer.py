@@ -1,13 +1,18 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 from deadbeat_observer import applications as apps
 from deadbeat_observer import numerics, window
-from deadbeat_observer.errors import DomainViolation, GramDegenerate
-from deadbeat_observer.model import make_lti, scalar_oracle_spec
+from deadbeat_observer.cli import build_scalar_spec
+from deadbeat_observer.errors import DomainViolation, GramDegenerate, NonFiniteState
+from deadbeat_observer.model import InputSignal, make_lti, scalar_oracle_spec
 from deadbeat_observer.observer import (
     FAIL,
     FULL,
+    REDUCED,
     ObserverConfig,
     observer_init,
     observer_step,
@@ -197,3 +202,130 @@ def test_each_reset_factorises_once(monkeypatch):
     attempted = np.count_nonzero(est.reset_flags) + np.count_nonzero(est.degenerate_flags)
     assert attempted == 2
     assert len(calls) == attempted
+
+
+def stepped(spec, cfg, trace, z0, w0=None):
+    """The trace streamed through observer_init/observer_step, node by node."""
+    snap = observer_init(spec, cfg, z0, w0, t0=trace.grid.t0,
+                         y0=trace.y_meas[0], u0=trace.u[0])
+    count = trace.grid.count
+    z, w = [snap.z], [snap.w if cfg.mode == FULL else trace.y_meas[0]]
+    reset_flags, degenerate_flags = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
+    for j in range(1, count):
+        before = snap.degenerate_events
+        snap = observer_step(spec, cfg, snap, trace.y_meas[j], trace.u[j - 1])
+        z.append(snap.z)
+        w.append(snap.w if cfg.mode == FULL else trace.y_meas[j])
+        reset_flags[j] = int(snap.last_reset_applied)
+        degenerate_flags[j] = int(snap.degenerate_events > before)
+    return np.array(z), np.array(w), reset_flags, degenerate_flags, snap.degenerate_events
+
+
+def replay_cases():
+    """(name, spec, config, trace, z0, w0) replayed both ways."""
+    cases = []
+    spec = apps.reactor_spec(apps.canonical_reactor_params())
+    trace = simulate_plant(spec, None, SimConfig(t_end=0.6, h=2.5e-3,
+                                                 x0=[0.8, 0.5], y0=[315.0]))
+    cases.append(("reactor", spec, ObserverConfig(r=0.25, h=2.5e-3), trace,
+                  [0.5, 1.0], None))
+    spec = scalar_oracle_spec()
+    trace = simulate_plant(spec, None, SimConfig(t_end=1.3, h=0.005, x0=[2.0], y0=[0.0]))
+    cases.append(("scalar oracle, partial tail window", spec,
+                  ObserverConfig(r=0.5, h=0.005), trace, [0.0], None))
+    scn = apps.FrequencyScenario(phase=1.0, h=1e-3)
+    spec = apps.freq_spec()
+    x0, y0 = scn.initial_state()
+    trace = simulate_plant(spec, None, SimConfig(t_end=2.3, h=scn.h, x0=x0, y0=y0))
+    cases.append(("frequency, full", spec, ObserverConfig(r=1.0, h=scn.h, mode=FULL),
+                  trace, [1.0, -4.0], y0))
+    spec = build_scalar_spec({"a0": -0.4, "f0": 0.2, "input_gain": 0.7, "c0": 1.1, "c1": -0.3})
+    trace = simulate_plant(spec, InputSignal.closure(lambda t: np.sin(7.0 * t), 1),
+                           SimConfig(t_end=1.3, h=0.005, x0=[1.5], y0=[0.2]))
+    for mode in (REDUCED, FULL):
+        cases.append((f"scalar plant under a varying input, {mode}", spec,
+                      ObserverConfig(r=0.5, h=0.005, mode=mode), trace, [0.0], [0.2]))
+    for spec, rel_threshold in degenerate_cases():
+        trace = simulate_plant(spec, None, SimConfig(t_end=1.0, h=0.01, x0=[3.0], y0=[0.0]))
+        cases.append((f"degenerate at {rel_threshold}", spec,
+                      ObserverConfig(r=0.25, h=0.01, rel_threshold=rel_threshold),
+                      trace, [0.5], None))
+    return cases
+
+
+def assert_close(a, b):
+    scale = np.maximum(np.max(np.abs(b), axis=0), 1e-300)
+    assert np.all(np.abs(a - b) <= 1e-12 * scale)
+
+
+def test_replay_matches_streaming():
+    applied = held = 0
+    for name, spec, cfg, trace, z0, w0 in replay_cases():
+        est = run_observer(spec, cfg, trace, z0, w0)
+        z, w, reset_flags, degenerate_flags, events = stepped(spec, cfg, trace, z0, w0)
+        assert_close(est.z, z)
+        assert_close(est.w, w)
+        assert np.array_equal(est.reset_flags, reset_flags), name
+        assert np.array_equal(est.degenerate_flags, degenerate_flags), name
+        assert est.degenerate_events == events, name
+        applied += np.count_nonzero(reset_flags)
+        held += events
+    assert applied == 2 + 2 + 2 + 2 + 2 and held == 4 + 4
+
+
+def test_replay_and_streaming_fail_alike():
+    for spec, rel_threshold in degenerate_cases():
+        trace = simulate_plant(spec, None, SimConfig(t_end=1.0, h=0.01, x0=[3.0], y0=[0.0]))
+        cfg = ObserverConfig(r=0.25, h=0.01, rel_threshold=rel_threshold,
+                             on_degenerate=FAIL)
+        with pytest.raises(GramDegenerate) as replayed:
+            run_observer(spec, cfg, trace, z0=[0.5])
+        with pytest.raises(GramDegenerate) as streamed:
+            stepped(spec, cfg, trace, [0.5])
+        assert str(replayed.value) == str(streamed.value)
+
+
+def with_nan(trace, j):
+    y = trace.y_meas.copy()
+    y[j] = np.nan
+    return dataclasses.replace(trace, y_meas=y)
+
+
+def test_nan_measurement_reports_trace_node():
+    spec = scalar_oracle_spec()
+    trace = simulate_plant(spec, None, SimConfig(t_end=1.3, h=0.005, x0=[2.0], y0=[0.0]))
+    scn = apps.FrequencyScenario(phase=1.0, h=1e-3)
+    x0, y0 = scn.initial_state()
+    freq = simulate_plant(apps.freq_spec(), None, SimConfig(t_end=1.2, h=scn.h, x0=x0, y0=y0))
+    cases = [
+        # reduced mode: in the second window, and in the partial tail window
+        (spec, ObserverConfig(r=0.5, h=0.005), trace, 150, [0.0], None),
+        (spec, ObserverConfig(r=0.5, h=0.005), trace, 230, [0.0], None),
+        # full mode: the measurement enters at the reset of its window
+        (apps.freq_spec(), ObserverConfig(r=0.5, h=scn.h, mode=FULL), freq, 700,
+         [1.0, -4.0], y0),
+    ]
+    for spec, cfg, trace, j, z0, w0 in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState) as exc:
+                run_observer(spec, cfg, with_nan(trace, j), z0, w0)
+        assert exc.value.index == j
+
+
+def test_domain_exit_at_the_streaming_time():
+    # x' = x from x0 = 1 crosses x = 2 at t = ln 2, after the reset at t = 0.5
+    plant = make_lti(np.ones((1, 1)), np.zeros(1), np.ones((1, 1)), np.zeros(1))
+    spec = dataclasses.replace(plant, in_domain=lambda x, y: x[0] < 2.0)
+    trace = simulate_plant(plant, None, SimConfig(t_end=1.0, h=0.01, x0=[1.0], y0=[0.0]))
+    for mode, w0 in ((REDUCED, None), (FULL, [0.0])):
+        cfg = ObserverConfig(r=0.5, h=0.01, mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainViolation) as replayed:
+                run_observer(spec, cfg, trace, [0.1], w0)
+            with pytest.raises(DomainViolation) as streamed:
+                stepped(spec, cfg, trace, [0.1], w0)
+        assert "at t = 0.7 " in str(replayed.value)
+        assert (str(replayed.value).split(" (z=")[0]
+                == str(streamed.value).split(" (z=")[0])
