@@ -45,10 +45,6 @@ class ConfigError(Exception):
     pass
 
 
-def _fmt(x):
-    return f"{float(x):.12e}"
-
-
 def _require(cfg, key, context="config"):
     if key not in cfg:
         raise ConfigError(f"missing field `{context}.{key}`" if context else
@@ -183,11 +179,24 @@ def sim_section(cfg, extras, kind):
 
 
 def write_csv(path, header, rows):
+    """Write the header, then the rows one by one.
+
+    Each row is formatted with one %-format string made from the first row:
+    ``%d`` where it holds a Python int (the flags), ``%.12e`` elsewhere.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
+        fmt = None
         for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, int) else str(v)
-                              for v in row) + "\n")
+            if fmt is None:
+                fmt = ",".join("%d" if isinstance(v, int) else "%.12e" for v in row) + "\n"
+            fh.write(fmt % tuple(row))
+
+
+def _node_rows(columns, est):
+    """Per grid node: the values of the (count, .) float ``columns``, then the two flags."""
+    flags = np.column_stack([est.reset_flags, est.degenerate_flags]).tolist()
+    return (values + f for values, f in zip(np.hstack(columns).tolist(), flags))
 
 
 def write_trace_csv(path, trace, est, full_order):
@@ -202,16 +211,9 @@ def write_trace_csv(path, trace, est, full_order):
               + [f"z{i}" for i in range(n)]
               + ([f"w{i}" for i in range(k)] if full_order else [])
               + ["reset_flag", "degenerate_flag"])
-    times = trace.grid.times()
-    rows = []
-    for j in range(trace.grid.count):
-        row = ([times[j]] + list(trace.x_true[j]) + list(trace.y_true[j])
-               + list(trace.y_meas[j]) + list(trace.u[j]) + list(est.z[j]))
-        if full_order:
-            row += list(est.w[j])
-        row += [int(est.reset_flags[j]), int(est.degenerate_flags[j])]
-        rows.append(row)
-    write_csv(path, header, rows)
+    columns = [trace.grid.times()[:, None], trace.x_true, trace.y_true, trace.y_meas,
+               trace.u, est.z] + ([est.w] if full_order else [])
+    write_csv(path, header, _node_rows(columns, est))
 
 
 def write_estimate_csv(path, est, full_order):
@@ -220,15 +222,8 @@ def write_estimate_csv(path, est, full_order):
     header = (["t"] + [f"z{i}" for i in range(n)]
               + ([f"w{i}" for i in range(k)] if full_order else [])
               + ["reset_flag", "degenerate_flag"])
-    times = est.grid.times()
-    rows = []
-    for j in range(est.grid.count):
-        row = [times[j]] + list(est.z[j])
-        if full_order:
-            row += list(est.w[j])
-        row += [int(est.reset_flags[j]), int(est.degenerate_flags[j])]
-        rows.append(row)
-    write_csv(path, header, rows)
+    columns = [est.grid.times()[:, None], est.z] + ([est.w] if full_order else [])
+    write_csv(path, header, _node_rows(columns, est))
 
 
 def write_json(path, payload):

@@ -16,14 +16,19 @@ the flowed estimate and retrying one window later ("hold"), or raised as
 GramDegenerate ("fail").
 
 Streaming (``observer_init``/``observer_step``) advances one step of size h
-per measurement and buffers the (y, u) history of the current window.
+per measurement at a cost that does not grow with the window: it counts
+nodes from ``observer_init`` and resets at every M-th node (M = r/h), keeps
+the current window's (y, u) samples as an immutable linked chain that a
+reset reads once, and in reduced mode reuses the previous step's right-node
+A and b as its left-node ones.
 Replay (``run_observer``) takes a whole recorded trace and works one reset
 window at a time, cutting each window straight from the trace: in reduced
 mode one window computation gives both the flow and the reset.
 """
 
+import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,13 +67,44 @@ class ObserverConfig:
 
 @dataclass(frozen=True)
 class ObserverSnapshot:
-    t: float
+    """The streaming observer after ``node`` steps from ``observer_init``.
+
+    The (y, u) history of the current window is an immutable chain of links
+    (y_j, u_{j-1}, parent): each step adds one, and a reset node starts a new
+    chain, so at most M + 1 links are live and stepping one snapshot twice
+    gives two independent branches.
+    """
+
     z: np.ndarray
     w: np.ndarray  # unused in reduced mode
-    next_reset: float
-    history: tuple  # ((y, u) per node, most recent last), spans at most r
+    node: int  # nodes stepped since observer_init; resets fire at node % M == 0
+    t0: float
+    config: ObserverConfig  # the one observer_init was given
+    link: tuple  # (y, u, parent) of this node, or None when not seeded with y0
+    right: tuple  # reduced mode: (u, A, b) with A, b at (y, u) of this node, or None
     degenerate_events: int = 0
     last_reset_applied: bool = False
+
+    @property
+    def t(self):
+        return self.t0 + self.node * self.config.h
+
+    @property
+    def next_reset(self):
+        M = self.config.steps_per_window
+        return self.t0 + (self.node // M + 1) * M * self.config.h
+
+    @property
+    def history(self):
+        """(y, u) per node of the current window, oldest first.
+
+        u is the input held from that node; the newest node repeats the input
+        of the step into it.
+        """
+        if self.link is None:
+            return ()
+        y, u = _window_samples(self.link, self.node % self.config.steps_per_window + 1)
+        return tuple(zip(y, u))
 
 
 @dataclass(frozen=True)
@@ -82,7 +118,7 @@ class EstimateTrace:
 
 
 def _initial_estimate(spec, config, z0, w0, y0):
-    """(z0, w0) as float arrays, with z0 checked against the model domain."""
+    """(z0, w0) as float arrays, with y0 checked finite and z0 in the model domain."""
     z0 = np.atleast_1d(np.asarray(z0, dtype=float))
     if w0 is None:
         if config.mode == FULL:
@@ -91,129 +127,170 @@ def _initial_estimate(spec, config, z0, w0, y0):
             else np.zeros(spec.k)
     w0 = np.atleast_1d(np.asarray(w0, dtype=float))
     y_ref = np.atleast_1d(np.asarray(y0, dtype=float)) if y0 is not None else w0
+    if y0 is not None and not _finite(y_ref):
+        raise NonFiniteState(0, f"non-finite measurement at the initial node (y={y_ref})")
     if not spec.in_domain(z0, y_ref):
         raise DomainViolation(f"initial estimate (z0={z0}, y={y_ref}) outside the model domain")
     return z0, w0
 
 
 def observer_init(spec, config, z0, w0=None, t0=0.0, y0=None, u0=None):
-    """Snapshot at t0; the initial measurement seeds the window buffer.
+    """Snapshot at t0 (node 0); the initial measurement starts the window chain.
 
     ``y0``/``u0`` are the measurement and input at t0 (required when the
     snapshot will be stepped, so that the first reset window spans exactly
     [t0, t0 + r]).  In full mode ``w0`` may differ from the measured output.
     """
     z0, w0 = _initial_estimate(spec, config, z0, w0, y0)
-    history = ()
+    link = None
     if y0 is not None:
-        u0 = np.atleast_1d(np.asarray(u0, dtype=float)) if u0 is not None \
-            else np.zeros(max(spec.m, 1))
-        history = ((np.atleast_1d(np.asarray(y0, dtype=float)), u0),)
-    return ObserverSnapshot(t=t0, z=z0, w=w0, next_reset=t0 + config.r,
-                            history=history)
+        u0 = _vector(u0) if u0 is not None else np.zeros(max(spec.m, 1))
+        link = (_vector(y0), u0, None)
+    return ObserverSnapshot(z0, w0, 0, float(t0), config, link, None)
 
 
-def _flow_step(spec, config, z, w, y_prev, y_new, u):
-    """One RK4 step of the mode's flow field over [t, t+h].
+def _vector(x):
+    """``x`` as a new float array of at least one dimension."""
+    return np.array(x, dtype=float, ndmin=1)
 
-    The reduced branch serves streaming only: ``run_observer`` gets the
-    reduced flow of a whole window from ``window.flow_window``.
+
+def _finite(x):
+    """Whether every entry of a small array is finite.
+
+    For the few entries of a state or a sample, this is several times
+    cheaper than a numpy reduction such as ``np.isfinite(x).all()``.
     """
-    h = config.h
+    return all(map(math.isfinite, x.ravel().tolist()))
+
+
+def _window_samples(link, count):
+    """(y, u) samples of the last ``count`` nodes of a chain, oldest first.
+
+    Link j carries (y_j, u_{j-1}), so node j's held input u_j comes from the
+    link after it; the newest node repeats the input of its own link.
+    """
+    y, u, parent = link
+    Y = np.empty((count, y.size))
+    U = np.empty((count, u.size))
+    U[-1] = u
+    for i in range(count - 1, 0, -1):
+        Y[i] = y
+        U[i - 1] = u
+        y, u, parent = parent
+    Y[0] = y
+    return Y, U
+
+
+def _full_flow_step(spec, h, z, w, u):
+    """One RK4 step of the full-order flow of (z, w) over [t, t+h] under input u."""
     n, k = spec.n, spec.k
 
-    if config.mode == FULL:
-        def rhs(state):
-            zc, wc = state[:n], state[n:]
-            A = np.asarray(spec.eval_A(wc, u), dtype=float)
-            b = np.asarray(spec.eval_b(wc, u), dtype=float)
-            C = np.asarray(spec.eval_C(wc), dtype=float).reshape(n, k)
-            f = np.atleast_1d(np.asarray(spec.eval_f(wc, u), dtype=float))
-            return np.concatenate([A @ zc + b, f + C.T @ zc])
+    def rhs(state):
+        zc, wc = state[:n], state[n:]
+        A = np.asarray(spec.eval_A(wc, u), dtype=float)
+        b = np.asarray(spec.eval_b(wc, u), dtype=float)
+        C = np.asarray(spec.eval_C(wc), dtype=float).reshape(n, k)
+        f = np.atleast_1d(np.asarray(spec.eval_f(wc, u), dtype=float))
+        return np.concatenate([A @ zc + b, f + C.T @ zc])
 
-        s = np.concatenate([z, w])
-        k1 = rhs(s)
-        k2 = rhs(s + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h * k2)
-        k4 = rhs(s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return s[:n], s[n:]
+    s = np.concatenate([z, w])
+    k1 = rhs(s)
+    k2 = rhs(s + 0.5 * h * k1)
+    k3 = rhs(s + 0.5 * h * k2)
+    k4 = rhs(s + h * k3)
+    s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return s[:n], s[n:]
 
-    # reduced: flow driven by the measured output, interpolated linearly;
-    # the two midpoint stages share one evaluation of A and b
-    ym = 0.5 * (y_prev + y_new)
 
-    def coefficients(yc):
-        return (np.asarray(spec.eval_A(yc, u), dtype=float),
-                np.asarray(spec.eval_b(yc, u), dtype=float))
+def _coefficients(spec, y, u):
+    return (np.asarray(spec.eval_A(y, u), dtype=float),
+            np.asarray(spec.eval_b(y, u), dtype=float))
 
-    A1, b1 = coefficients(y_prev)
-    Am, bm = coefficients(ym)
-    A4, b4 = coefficients(y_new)
+
+def _reduced_flow_step(spec, h, z, left, y_prev, y_new, u):
+    """One RK4 step of the reduced flow z' = A(y, u) z + b(y, u) over [t, t+h].
+
+    y is interpolated linearly and u holds over the step, so the two midpoint
+    stages share one evaluation of A and b.  ``left`` is the previous step's
+    (u, A, b) at y_prev; A and b are reused when that u has the same bits as
+    this step's, which keeps the arithmetic bit-identical.  Returns the new z
+    and (u, A, b) at y_new for the next step.
+    """
+    if left is not None and left[0].shape == u.shape and left[0].tobytes() == u.tobytes():
+        A1, b1 = left[1], left[2]
+    else:
+        A1, b1 = _coefficients(spec, y_prev, u)
+    Am, bm = _coefficients(spec, 0.5 * (y_prev + y_new), u)
+    A4, b4 = _coefficients(spec, y_new, u)
     k1 = A1 @ z + b1
     k2 = Am @ (z + 0.5 * h * k1) + bm
     k3 = Am @ (z + 0.5 * h * k2) + bm
     k4 = A4 @ (z + h * k3) + b4
-    return z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), w
+    return z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), (u, A4, b4)
 
 
 def observer_step(spec, config, snap, y_meas, u):
     """Advance one step of size h; ``y_meas`` is the measurement at t + h.
 
-    ``u`` is the input held over [t, t+h).  When the new time reaches the
-    reset clock, the buffered window is fed to the reconstruction operator.
+    ``u`` is the input held over [t, t+h).  The step costs the same whatever
+    the window length M: it adds one link to the window chain, and only at
+    the reset nodes (every M-th node from ``observer_init``) is the chain
+    read into the window fed to the reconstruction operator.  A non-finite
+    measurement or flow raises NonFiniteState with the stream node.
     """
-    if not snap.history:
+    link = snap.link
+    if link is None:
         raise ValueError("snapshot has no buffered measurement at its own time; "
                          "initialize with y0")
-    y_meas = np.atleast_1d(np.asarray(y_meas, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    y_prev = snap.history[-1][0]
+    if config is not snap.config and (config.r, config.h) != (snap.config.r, snap.config.h):
+        raise ValueError(
+            f"snapshot was initialized with r={snap.config.r}, h={snap.config.h}; "
+            f"cannot step it with r={config.r}, h={config.h}"
+        )
+    node = snap.node + 1
+    t_new = snap.t0 + node * config.h
+    y_meas = _vector(y_meas)
+    u = _vector(u)
+    if not _finite(y_meas):
+        raise NonFiniteState(node, f"non-finite measurement at t = {t_new:.6g}")
 
-    z, w = _flow_step(spec, config, snap.z, snap.w, y_prev, y_meas, u)
-    if not np.all(np.isfinite(z)) or not np.all(np.isfinite(w)):
-        raise NonFiniteState(None, f"observer flow diverged at t = {snap.t + config.h:.6g}")
-    t_new = snap.t + config.h
-
-    M = config.steps_per_window
-    history = list(snap.history[-M:])
-    history[-1] = (y_prev, u)  # u holds from the node we just left
-    history.append((y_meas, u))
+    reduced = config.mode == REDUCED
+    if reduced:
+        z, right = _reduced_flow_step(spec, config.h, snap.z, snap.right, link[0], y_meas, u)
+        w = snap.w
+    else:
+        z, w = _full_flow_step(spec, config.h, snap.z, snap.w, u)
+        right = None
+    if not (_finite(z) and _finite(w)):
+        raise NonFiniteState(node, f"observer flow diverged at t = {t_new:.6g}")
 
     degenerate_events = snap.degenerate_events
-    next_reset = snap.next_reset
     reset_applied = False
-    if t_new >= next_reset - 1e-9 * config.h:
-        if len(history) == M + 1:
-            win = IoWindow(
-                grid=Grid(0.0, config.h, M + 1),
-                y_samples=np.vstack([e[0] for e in history]),
-                u_samples=np.vstack([e[1] for e in history]),
-            )
-            try:
-                z = apply_P(spec, win, config.rel_threshold)
-                if config.mode == FULL:
-                    w = y_meas.copy()
-                reset_applied = True
-            except NotPositiveDefinite as exc:
-                if config.on_degenerate == FAIL:
-                    raise GramDegenerate(
-                        f"degenerate reset window at t = {t_new:.6g}: {exc}"
-                    ) from exc
-                degenerate_events += 1
-        else:
-            # not enough buffered history (clock started mid-stream): skip
+    M = config.steps_per_window
+    if node % M:
+        link = (y_meas, u, link)
+    else:
+        window = IoWindow(Grid(0.0, config.h, M + 1),
+                          *_window_samples((y_meas, u, link), M + 1))
+        link = (y_meas, u, None)  # the next window starts at this node
+        try:
+            z = apply_P(spec, window, config.rel_threshold)
+            if not reduced:
+                w = y_meas.copy()
+            reset_applied = True
+        except NotPositiveDefinite as exc:
+            if config.on_degenerate == FAIL:
+                raise GramDegenerate(
+                    f"degenerate reset window at t = {t_new:.6g}: {exc}"
+                ) from exc
             degenerate_events += 1
-        next_reset = next_reset + config.r
 
-    y_check = y_meas if config.mode == REDUCED else w
-    if not spec.in_domain(z, y_check):
+    if not spec.in_domain(z, y_meas if reduced else w):
         raise DomainViolation(
             f"observer state left the model domain at t = {t_new:.6g} (z={z})"
         )
-    return replace(snap, t=t_new, z=z, w=w, next_reset=next_reset,
-                   history=tuple(history), degenerate_events=degenerate_events,
-                   last_reset_applied=reset_applied)
+    return ObserverSnapshot(z, w, node, snap.t0, snap.config, link, right,
+                            degenerate_events, reset_applied)
 
 
 @contextmanager
@@ -286,9 +363,8 @@ def run_observer(spec, config, trace, z0, w0=None):
                 raise diverged(end)
         else:
             for j in range(a + 1, b + 1):
-                z[j], w[j] = _flow_step(spec, config, z[j - 1], w[j - 1],
-                                        y[j - 1], y[j], u[j - 1])
-                if not (np.isfinite(z[j]).all() and np.isfinite(w[j]).all()):
+                z[j], w[j] = _full_flow_step(spec, config.h, z[j - 1], w[j - 1], u[j - 1])
+                if not (_finite(z[j]) and _finite(w[j])):
                     raise diverged(j)
                 if j < b:
                     check_domain(j)

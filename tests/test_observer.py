@@ -8,7 +8,7 @@ from deadbeat_observer import applications as apps
 from deadbeat_observer import numerics, window
 from deadbeat_observer.cli import build_scalar_spec
 from deadbeat_observer.errors import DomainViolation, GramDegenerate, NonFiniteState
-from deadbeat_observer.model import InputSignal, make_lti, scalar_oracle_spec
+from deadbeat_observer.model import InputSignal, SystemSpec, make_lti, scalar_oracle_spec
 from deadbeat_observer.observer import (
     FAIL,
     FULL,
@@ -18,7 +18,7 @@ from deadbeat_observer.observer import (
     observer_step,
     run_observer,
 )
-from deadbeat_observer.plant import SimConfig, simulate_plant
+from deadbeat_observer.plant import SimConfig, Trace, simulate_plant
 
 
 def test_config_validation():
@@ -297,20 +297,36 @@ def test_nan_measurement_reports_trace_node():
     scn = apps.FrequencyScenario(phase=1.0, h=1e-3)
     x0, y0 = scn.initial_state()
     freq = simulate_plant(apps.freq_spec(), None, SimConfig(t_end=1.2, h=scn.h, x0=x0, y0=y0))
+    reactor = apps.reactor_spec(apps.canonical_reactor_params())
+    reactor_trace = simulate_plant(reactor, None, SimConfig(t_end=1.0, h=2.5e-3,
+                                                            x0=[0.8, 0.5], y0=[315.0]))
+    long_h = 1.0 / 6000.0
+    long_trace = scalar_oracle_line(long_h, 2 * 2185 + 1)
     cases = [
         # reduced mode: in the second window, and in the partial tail window
         (spec, ObserverConfig(r=0.5, h=0.005), trace, 150, [0.0], None),
         (spec, ObserverConfig(r=0.5, h=0.005), trace, 230, [0.0], None),
-        # full mode: the measurement enters at the reset of its window
+        # full mode: the replay meets the measurement at the reset of its window
         (apps.freq_spec(), ObserverConfig(r=0.5, h=scn.h, mode=FULL), freq, 700,
          [1.0, -4.0], y0),
+        # the initial node, the first window, a reset node and a later window
+        *((reactor, ObserverConfig(r=0.25, h=2.5e-3), reactor_trace, j, [0.5, 1.0], None)
+          for j in (0, 37, 100, 300)),
+        # long windows in both modes; the scalar oracle's flow ignores y
+        (spec, ObserverConfig(r=2185 * long_h, h=long_h), long_trace, 2300, [0.0], None),
+        (spec, ObserverConfig(r=2185 * long_h, h=long_h, mode=FULL), long_trace, 2300,
+         [0.0], [0.0]),
     ]
     for spec, cfg, trace, j, z0, w0 in cases:
+        bad = with_nan(trace, j)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteState) as exc:
-                run_observer(spec, cfg, with_nan(trace, j), z0, w0)
-        assert exc.value.index == j
+            with pytest.raises(NonFiniteState) as replayed:
+                run_observer(spec, cfg, bad, z0, w0)
+            with pytest.raises(NonFiniteState) as streamed:
+                stepped(spec, cfg, bad, z0, w0)
+        assert replayed.value.index == j
+        assert streamed.value.index == j
 
 
 def test_domain_exit_at_the_streaming_time():
@@ -329,3 +345,113 @@ def test_domain_exit_at_the_streaming_time():
         assert "at t = 0.7 " in str(replayed.value)
         assert (str(replayed.value).split(" (z=")[0]
                 == str(streamed.value).split(" (z=")[0])
+
+
+def scalar_oracle_line(h, count):
+    """The scalar oracle's exact trace from x = 2, y = 0: y = 2t (x' = 0, y' = x)."""
+    grid = numerics.Grid(0.0, h, count)
+    x = np.full((count, 1), 2.0)
+    y = 2.0 * grid.times()[:, None]
+    return Trace(grid=grid, x_true=x, y_true=y, y_meas=y, u=np.zeros((count, 1)))
+
+
+def test_streaming_counts_nodes_on_long_windows():
+    # r = 2185 h with h = 1/6000: a clock kept by adding h to t drops the
+    # reset at node 10925; counting nodes fires at every multiple of M
+    h = 1.0 / 6000.0
+    M = 2185
+    spec = scalar_oracle_spec()
+    trace = scalar_oracle_line(h, 5 * M + 1)
+    cfg = ObserverConfig(r=M * h, h=h)
+    est = run_observer(spec, cfg, trace, [0.0])
+    z, _, reset_flags, degenerate_flags, events = stepped(spec, cfg, trace, [0.0])
+    assert list(np.flatnonzero(reset_flags)) == [M, 2 * M, 3 * M, 4 * M, 5 * M]
+    assert np.array_equal(est.reset_flags, reset_flags)
+    assert np.array_equal(est.degenerate_flags, degenerate_flags)
+    assert events == 0
+    assert_close(est.z, z)
+
+
+def test_stepping_one_snapshot_twice_gives_independent_branches():
+    reactor = apps.reactor_spec(apps.canonical_reactor_params())
+    reactor_trace = simulate_plant(reactor, None, SimConfig(t_end=0.6, h=2.5e-3,
+                                                            x0=[0.8, 0.5], y0=[315.0]))
+    scn = apps.FrequencyScenario(phase=1.0, h=1e-3)
+    x0, y0 = scn.initial_state()
+    freq = simulate_plant(apps.freq_spec(), None, SimConfig(t_end=1.3, h=scn.h, x0=x0, y0=y0))
+    cases = [
+        (reactor, ObserverConfig(r=0.25, h=2.5e-3), reactor_trace, [0.5, 1.0], None, 1e-6),
+        (apps.freq_spec(), ObserverConfig(r=0.5, h=scn.h, mode=FULL), freq, [1.0, -4.0],
+         y0, 1e-3),
+    ]
+    for spec, cfg, trace, z0, w0, offset in cases:
+        M = cfg.steps_per_window
+        fork = M // 2  # both branches then run through the resets at M and 2M
+        other = trace.y_meas.copy()
+        other[fork + 1:] += offset
+        traces = (trace, dataclasses.replace(trace, y_meas=other))
+        snap = observer_init(spec, cfg, z0, w0, y0=trace.y_meas[0], u0=trace.u[0])
+        for j in range(1, fork + 1):
+            snap = observer_step(spec, cfg, snap, trace.y_meas[j], trace.u[j - 1])
+        branches = [snap, snap]
+        z = [np.empty((trace.grid.count, spec.n)) for _ in traces]
+        flags = [np.zeros(trace.grid.count, dtype=int) for _ in traces]
+        for j in range(fork + 1, trace.grid.count):
+            for i, tr in enumerate(traces):  # interleaved, so no state is shared
+                branches[i] = observer_step(spec, cfg, branches[i], tr.y_meas[j], tr.u[j - 1])
+                z[i][j] = branches[i].z
+                flags[i][j] = branches[i].last_reset_applied
+                assert len(branches[i].history) == j % M + 1
+        assert not np.array_equal(z[0][-1], z[1][-1])
+        for i, tr in enumerate(traces):
+            fresh, _, reset_flags, _, _ = stepped(spec, cfg, tr, z0, w0)
+            assert np.array_equal(z[i][fork + 1:], fresh[fork + 1:])
+            assert np.array_equal(flags[i][fork + 1:], reset_flags[fork + 1:])
+            assert list(np.flatnonzero(reset_flags)) == [M, 2 * M]
+
+
+def test_reduced_step_reuses_right_node_coefficients():
+    # A and b depend on y and u; the input changes every seventh step
+    calls = []
+
+    def eval_A(y, u):
+        calls.append(1)
+        return np.array([[-1.0 - 0.1 * y[0] ** 2 + 0.2 * u[0]]])
+
+    spec = SystemSpec(n=1, k=1, m=1, eval_A=eval_A,
+                      eval_b=lambda y, u: np.array([0.3 * u[0] + np.sin(y[0])]),
+                      eval_C=lambda y: np.ones((1, 1)), eval_f=lambda y, u: np.zeros(1))
+    h = 0.01
+    count = 60
+    t = h * np.arange(count)
+    y = np.sin(3.0 * t)[:, None]
+    u = np.floor(np.arange(count) / 7.0)[:, None] * 0.5
+    cfg = ObserverConfig(r=1.0, h=h)  # no reset within the stream
+    snap = observer_init(spec, cfg, [0.3], y0=y[0], u0=u[0])
+    z_ref = np.array([0.3])
+    for j in range(1, count):
+        calls.clear()
+        snap = observer_step(spec, cfg, snap, y[j], u[j - 1])
+        fresh_input = j == 1 or not np.array_equal(u[j - 1], u[j - 2])
+        assert len(calls) == (3 if fresh_input else 2)
+        # classical RK4 evaluated at all three stage points, as before reuse
+        A1, b1 = eval_A(y[j - 1], u[j - 1]), spec.eval_b(y[j - 1], u[j - 1])
+        ym = 0.5 * (y[j - 1] + y[j])
+        Am, bm = eval_A(ym, u[j - 1]), spec.eval_b(ym, u[j - 1])
+        A4, b4 = eval_A(y[j], u[j - 1]), spec.eval_b(y[j], u[j - 1])
+        k1 = A1 @ z_ref + b1
+        k2 = Am @ (z_ref + 0.5 * h * k1) + bm
+        k3 = Am @ (z_ref + 0.5 * h * k2) + bm
+        k4 = A4 @ (z_ref + h * k3) + b4
+        z_ref = z_ref + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        assert np.array_equal(snap.z, z_ref)
+
+
+def test_step_keeps_the_window_of_its_snapshot():
+    spec = scalar_oracle_spec()
+    snap = observer_init(spec, ObserverConfig(r=1.0, h=0.1), z0=[0.0], y0=[0.0], u0=[0.0])
+    snap = observer_step(spec, ObserverConfig(r=1.0, h=0.1, on_degenerate=FAIL), snap,
+                         y_meas=[0.2], u=[0.0])
+    assert snap.node == 1
+    with pytest.raises(ValueError):
+        observer_step(spec, ObserverConfig(r=0.5, h=0.1), snap, y_meas=[0.4], u=[0.0])
