@@ -8,6 +8,7 @@ state is -w^2, so one reset window yields the frequency exactly (for clean
 signals) or approximately (under additive sinusoidal noise).
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,17 +98,14 @@ def reactor_spec(p):
         return k2 * np.exp(-E2 / T)
 
     def eval_A(y, u):
-        T = float(np.atleast_1d(y)[0])
-        r1, r2 = rate1(T), rate2(T)
+        r1, r2 = rate1(y[0]), rate2(y[0])
         return np.array([[-r1, 0.0], [r1, -r2]])
 
     def eval_C(y):
-        T = float(np.atleast_1d(y)[0])
-        return np.array([[p.J1 * rate1(T)], [p.J2 * rate2(T)]])
+        return np.array([[p.J1 * rate1(y[0])], [p.J2 * rate2(y[0])]])
 
     def eval_f(y, u):
-        T = float(np.atleast_1d(y)[0])
-        return np.array([p.h_coef * (p.Ts - T)])
+        return np.array([p.h_coef * (p.Ts - y[0])])
 
     def eval_batch(Y, U):
         T = Y[:, 0]
@@ -121,9 +119,12 @@ def reactor_spec(p):
         return A, np.zeros((T.size, 2)), C, f
 
     def in_domain(x, y):
-        T = float(np.atleast_1d(y)[0])
         return (0.0 < x[0] < p.c1_bar and 0.0 < x[1] < p.c2_bar
-                and p.Tmin < T < p.Tmax)
+                and p.Tmin < y[0] < p.Tmax)
+
+    def in_domain_batch(X, Y):
+        return ((0.0 < X[:, 0]) & (X[:, 0] < p.c1_bar) & (0.0 < X[:, 1])
+                & (X[:, 1] < p.c2_bar) & (p.Tmin < Y[:, 0]) & (Y[:, 0] < p.Tmax))
 
     return SystemSpec(
         n=2, k=1, m=1,
@@ -133,6 +134,7 @@ def reactor_spec(p):
         eval_f=eval_f,
         eval_batch=eval_batch,
         in_domain=in_domain,
+        in_domain_batch=in_domain_batch,
     )
 
 
@@ -283,6 +285,10 @@ class FrequencyScenario:
     h: float = None  # grid step; defaults to r/2000
 
     def __post_init__(self):
+        values = (self.amplitude, self.omega, self.phase, self.noise_amplitude,
+                  self.noise_frequency, self.r) + (() if self.h is None else (self.h,))
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("scenario fields must be finite")
         if self.amplitude <= 0 or self.omega <= 0 or self.r <= 0:
             raise ValueError("amplitude, omega and r must be positive")
         if self.noise_amplitude < 0:
@@ -311,20 +317,25 @@ def freq_spec(relaxed_domain=False):
     """
 
     def eval_A(y, u):
-        return np.array([[0.0, float(np.atleast_1d(y)[0])], [0.0, 0.0]])
+        return np.array([[0.0, y[0]], [0.0, 0.0]])
 
     def eval_batch(Y, U):
         N = Y.shape[0]
         A = np.zeros((N, 2, 2))
         A[:, 0, 1] = Y[:, 0]
-        C = np.broadcast_to(np.array([[1.0], [0.0]]), (N, 2, 1))
+        C = np.zeros((N, 2, 1))
+        C[:, 0, 0] = 1.0
         return A, np.zeros((N, 2)), C, np.zeros((N, 1))
 
     def in_domain(x, y):
-        yv = float(np.atleast_1d(y)[0])
-        if yv * yv + x[0] * x[0] <= 0.0:
+        if y[0] * y[0] + x[0] * x[0] <= 0.0:
             return False
         return True if relaxed_domain else x[1] < 0.0
+
+    def in_domain_batch(X, Y):
+        # written as ~(... <= 0) so that a NaN row reads as in_domain does
+        nonzero = ~(Y[:, 0] * Y[:, 0] + X[:, 0] * X[:, 0] <= 0.0)
+        return nonzero if relaxed_domain else nonzero & (X[:, 1] < 0.0)
 
     return SystemSpec(
         n=2, k=1, m=1,
@@ -334,6 +345,7 @@ def freq_spec(relaxed_domain=False):
         eval_f=lambda y, u: np.zeros(1),
         eval_batch=eval_batch,
         in_domain=in_domain,
+        in_domain_batch=in_domain_batch,
     )
 
 

@@ -52,6 +52,29 @@ def _require(cfg, key, context="config"):
     return cfg[key]
 
 
+def _reject_constant(name):
+    raise ConfigError(f"non-finite number {name} in config")
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"number {text} in config overflows a float")
+    return value
+
+
+def _float_sized_int(text):
+    _finite_float(text)
+    return int(text)
+
+
+def load_config(path):
+    """Parse a JSON config; NaN, Infinity and overflowing literals raise ConfigError."""
+    with open(path) as fh:
+        return json.load(fh, parse_constant=_reject_constant,
+                         parse_float=_finite_float, parse_int=_float_sized_int)
+
+
 def canonical_example26():
     return Example26Spec(
         a1=lambda y: -1.0,
@@ -385,10 +408,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        cfg = load_config(args.config)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ConfigError as exc:
+        print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     if args.h is not None:

@@ -13,6 +13,12 @@ The optional ``eval_batch(Y, U)`` evaluates all four maps at N points at
 once: given Y of shape (N, k) and U of shape (N, m) it returns (A, b, C, f)
 of shapes (N, n, n), (N, n), (N, n, k) and (N, k).  ``eval_coefficients``
 uses it when it is set and otherwise calls the per-point evaluators.
+
+The optional ``in_domain_batch(X, Y)`` is the domain predicate at B points:
+given X of shape (B, n) and Y of shape (B, k) it returns a (B,) boolean mask
+that agrees with ``in_domain`` row by row.  ``domain_mask`` uses it when it
+is set and otherwise calls ``in_domain`` per row.  A copy of a spec that
+replaces ``in_domain`` must replace or clear ``in_domain_batch`` as well.
 """
 
 from dataclasses import dataclass, field
@@ -34,6 +40,7 @@ class SystemSpec:
     eval_f: Callable
     eval_batch: Callable = None
     in_domain: Callable = field(default=lambda x, y: True)
+    in_domain_batch: Callable = None
 
 
 class InputSignal:
@@ -107,6 +114,21 @@ def eval_coefficients(spec, Y, U):
     return A, b, C, f
 
 
+def domain_mask(spec, X, Y):
+    """(B,) boolean mask: whether each row of (X, Y) lies in the model domain.
+
+    Calls ``spec.in_domain_batch`` once when it is set; otherwise calls
+    ``spec.in_domain`` row by row.
+    """
+    if spec.in_domain_batch is None:
+        return np.array([bool(spec.in_domain(x, y)) for x, y in zip(X, Y)], dtype=bool)
+    mask = np.asarray(spec.in_domain_batch(X, Y))
+    if mask.shape != (X.shape[0],):
+        raise DimensionMismatch(
+            f"in_domain_batch returned shape {mask.shape}, expected ({X.shape[0]},)")
+    return mask
+
+
 def make_lti(A, b, C, f):
     """SystemSpec with constant evaluators; domains are all of R^n x R^k.
 
@@ -132,10 +154,8 @@ def make_lti(A, b, C, f):
         eval_b=lambda y, u: b,
         eval_C=lambda y: C,
         eval_f=lambda y, u: f,
-        eval_batch=lambda Y, U: (
-            np.broadcast_to(A, (len(Y), n, n)), np.broadcast_to(b, (len(Y), n)),
-            np.broadcast_to(C, (len(Y), n, k)), np.broadcast_to(f, (len(Y), k)),
-        ),
+        eval_batch=lambda Y, U: tuple(np.repeat(a[None], len(Y), axis=0)
+                                      for a in (A, b, C, f)),
     )
 
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation, GramDegenerate, NonFiniteState, NotPositiveDefinite
+from .model import domain_mask
 from .numerics import DEFAULT_REL_THRESHOLD, Grid
 from .window import IoWindow, apply_P, end_state, flow_window
 
@@ -312,8 +313,9 @@ def run_observer(spec, config, trace, z0, w0=None):
     window gives the flow z_j = Phi_j z_a + theta_j from the window start a
     and, through ``window.end_state``, the reset.  In full mode (z, w) flows
     step by step and resets go through ``window.apply_P``.  The domain is
-    checked at every node.  A NonFiniteState from the window engine carries
-    the trace node.  Fully deterministic.
+    checked at every node; in reduced mode the flowed nodes of a window take
+    one ``model.domain_mask`` call.  A NonFiniteState from the window engine
+    carries the trace node.  Fully deterministic.
     """
     grid = trace.grid
     if abs(grid.h - config.h) > 1e-12 * max(grid.h, config.h):
@@ -341,11 +343,13 @@ def run_observer(spec, config, trace, z0, w0=None):
     def diverged(j):
         return NonFiniteState(j, f"observer flow diverged at t = {t_at(j):.6g}")
 
+    def left_domain(j):
+        return DomainViolation(
+            f"observer state left the model domain at t = {t_at(j):.6g} (z={z[j]})")
+
     def check_domain(j):
         if not spec.in_domain(z[j], y[j] if reduced else w[j]):
-            raise DomainViolation(
-                f"observer state left the model domain at t = {t_at(j):.6g} (z={z[j]})"
-            )
+            raise left_domain(j)
 
     for a in range(0, count - 1, M):
         b = min(a + M, count - 1)
@@ -357,8 +361,9 @@ def run_observer(spec, config, trace, z0, w0=None):
             z[a + 1:b + 1] = flow[1:]
             bad = np.flatnonzero(~np.isfinite(flow[1:]).all(axis=1))
             end = a + 1 + int(bad[0]) if bad.size else b
-            for j in range(a + 1, end):
-                check_domain(j)
+            inside = domain_mask(spec, z[a + 1:end], y[a + 1:end])
+            if not inside.all():
+                raise left_domain(a + 1 + int(np.argmin(inside)))
             if bad.size:
                 raise diverged(end)
         else:

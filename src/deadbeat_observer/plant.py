@@ -1,11 +1,12 @@
 """Ground-truth plant simulation and deterministic sensor corruption."""
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainExit, NonFiniteState
-from .model import InputSignal, eval_coefficients
+from .model import InputSignal, domain_mask, eval_coefficients
 from .numerics import Grid
 
 
@@ -43,6 +44,8 @@ class SensorModel:
     frequency: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.frequency)):
+            raise ValueError("noise amplitude and frequency must be finite")
         if self.amplitude < 0:
             raise ValueError("noise amplitude must be >= 0")
         if self.amplitude > 0 and self.frequency <= 0:
@@ -74,7 +77,8 @@ def simulate_plant(spec, input_signal, cfg):
     evaluators, which are faster for one state.
 
     Domain membership and finiteness are checked for every member at every
-    node.  The earliest failing node raises DomainExit (leaving the open
+    node; a batch is checked with one ``domain_mask`` call per node.  The
+    earliest failing node raises DomainExit (leaving the open
     model domain) or NonFiniteState, with the node index and, for a batch,
     the first failing member named in the message.
     """
@@ -89,16 +93,22 @@ def simulate_plant(spec, input_signal, cfg):
     def member(i):
         return f"member {i}: " if batched else ""
 
+    def outside(s):
+        """Index of the first member outside the domain, or None."""
+        if B == 1:
+            return None if spec.in_domain(s[:n], s[n:]) else 0
+        inside = domain_mask(spec, s[:, :n], s[:, n:])
+        return None if inside.all() else int(np.argmin(inside))
+
     def check(s, j):
-        rows = s.reshape(B, n + k)
         if not np.isfinite(s).all():
-            i = int(np.argmin(np.isfinite(rows).all(axis=1)))
+            i = int(np.argmin(np.isfinite(s.reshape(B, n + k)).all(axis=1)))
             raise NonFiniteState(j, f"{member(i)}non-finite state at grid index {j}")
-        for i, row in enumerate(rows):
-            if not spec.in_domain(row[:n], row[n:]):
-                where = ("initial condition outside the model domain" if j == 0
-                         else f"solution left the model domain at grid index {j}")
-                raise DomainExit(j, member(i) + where)
+        i = outside(s)
+        if i is not None:
+            where = ("initial condition outside the model domain" if j == 0
+                     else f"solution left the model domain at grid index {j}")
+            raise DomainExit(j, member(i) + where)
 
     def point_field(t, s):
         x, y = s[:n], s[n:]

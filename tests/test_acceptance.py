@@ -230,33 +230,34 @@ def test_criterion_7_closed_form_cross_validation():
         return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))
                      / max(1.0, float(np.max(np.abs(b)))))
 
-    # sinusoid plant: two-quotient formula vs generic reconstruction
-    for _ in range(20):
-        scn = apps.FrequencyScenario(amplitude=float(rng.uniform(1.0, 3.0)),
+    # sinusoid plant: two-quotient formula vs generic reconstruction; the 20
+    # windows share spec and grid, so they are simulated as one batch
+    states = [apps.FrequencyScenario(amplitude=float(rng.uniform(1.0, 3.0)),
                                      omega=float(rng.uniform(1.0, 5.0)),
                                      phase=float(rng.uniform(0.0, 2.0 * np.pi)),
-                                     h=2e-4)
-        spec = apps.freq_spec()
-        x0, y0 = scn.initial_state()
-        trace = simulate_plant(spec, None, SimConfig(t_end=1.0, h=2e-4,
-                                                     x0=x0, y0=y0))
-        window = IoWindow(grid=trace.grid, y_samples=trace.y_meas,
-                          u_samples=trace.u)
+                                     h=2e-4).initial_state()
+              for _ in range(20)]
+    spec = apps.freq_spec()
+    trace = simulate_plant(spec, None, SimConfig(t_end=1.0, h=2e-4,
+                                                 x0=[x0 for x0, _ in states],
+                                                 y0=[y0 for _, y0 in states]))
+    for y in trace.y_meas:
+        window = IoWindow(grid=trace.grid, y_samples=y, u_samples=trace.u)
         z1, z2 = apps.freq_closed_form(window)
         worst = max(worst, rel([z1, z2], apply_P(spec, window)))
 
-    # reactor: kernel-quotient gains vs generic reconstruction
+    # reactor: kernel-quotient gains vs generic reconstruction, one batch
     p = apps.canonical_reactor_params()
     spec = apps.reactor_spec(p)
     r = 1.0 / 3.0
+    x0s, y0s = [], []
     for _ in range(20):
-        x0 = np.array([rng.uniform(0.2, 0.9), rng.uniform(0.2, 2.5)])
-        y0 = float(rng.uniform(306.0, 330.0))
-        trace = simulate_plant(spec, None, SimConfig(t_end=r, h=r / 2000.0,
-                                                     x0=x0, y0=[y0]))
-        window = IoWindow(grid=trace.grid, y_samples=trace.y_meas,
-                          u_samples=trace.u)
-        gains = apps.reactor_gains(trace.y_meas[:, 0], p, trace.grid)
+        x0s.append([rng.uniform(0.2, 0.9), rng.uniform(0.2, 2.5)])
+        y0s.append([float(rng.uniform(306.0, 330.0))])
+    trace = simulate_plant(spec, None, SimConfig(t_end=r, h=r / 2000.0, x0=x0s, y0=y0s))
+    for y in trace.y_meas:
+        window = IoWindow(grid=trace.grid, y_samples=y, u_samples=trace.u)
+        gains = apps.reactor_gains(y[:, 0], p, trace.grid)
         worst = max(worst, rel(gains.state_estimate, apply_P(spec, window)))
 
     # scalar plant: single-fraction formula vs generic reconstruction

@@ -131,6 +131,14 @@ def test_frequency_scenario_defaults():
         apps.FrequencyScenario(noise_amplitude=-0.1)
 
 
+@pytest.mark.parametrize("field", ["amplitude", "omega", "phase", "noise_amplitude",
+                                   "noise_frequency", "r", "h"])
+def test_frequency_scenario_rejects_non_finite(field):
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            apps.FrequencyScenario(**{field: value})
+
+
 def test_estimate_frequency_clean():
     scn = apps.FrequencyScenario(phase=0.9)
     assert apps.estimate_frequency(scn) == pytest.approx(3.0, rel=1e-5)

@@ -102,6 +102,18 @@ def test_unreadable_config_path(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, literal):
+    # the literal goes in as text: json.dumps cannot write an overflowing one
+    text = json.dumps(scalar_config(str(tmp_path / "bad"), sensor={"amplitude": 0.5}))
+    for field in ('"amplitude": 0.5', '"c1": 0.0'):
+        path = tmp_path / "config.json"
+        path.write_text(text.replace(field, field.split(":")[0] + f": {literal}"))
+        assert main(["simulate", str(path)]) == EXIT_CONFIG
+        assert "error: invalid config" in capsys.readouterr().err
+        assert not (tmp_path / "bad_trace.csv").exists()
+
+
 def test_runtime_error_exit_code(tmp_path, capsys):
     prefix = str(tmp_path / "hot")
     cfg = {

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,40 @@ def test_batch_domain_exit_reports_earliest_member():
     assert "member 1" in str(exc.value)
 
 
+def test_batch_domain_exit_without_batch_predicate():
+    # the same node and member whether the batch is checked through
+    # in_domain_batch or row by row through in_domain
+    cfg = SimConfig(t_end=1.0, h=0.1, x0=[[1.0], [1.0], [1.0]], y0=[[0.0], [0.3], [0.1]])
+    plain = ramp_spec(0.55)
+    assert plain.in_domain_batch is None
+    batched = dataclasses.replace(plain, in_domain_batch=lambda X, Y: Y[:, 0] < 0.55)
+    messages = []
+    for spec in (plain, batched):
+        with pytest.raises(DomainExit) as exc:
+            simulate_plant(spec, None, cfg)
+        assert exc.value.index == 3
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "member 1" in messages[0]
+
+
+def test_batch_checks_domain_once_per_node():
+    spec, _, x0s, y0s = _frequency_batch()
+    calls = {"batch": 0, "point": 0}
+
+    def in_domain(x, y):
+        calls["point"] += 1
+        return spec.in_domain(x, y)
+
+    def in_domain_batch(X, Y):
+        calls["batch"] += 1
+        return spec.in_domain_batch(X, Y)
+
+    counted = dataclasses.replace(spec, in_domain=in_domain, in_domain_batch=in_domain_batch)
+    trace = simulate_plant(counted, None, SimConfig(t_end=0.5, h=1e-3, x0=x0s, y0=y0s))
+    assert calls == {"batch": trace.grid.count, "point": 0}
+
+
 def test_batch_initial_condition_outside_domain():
     spec, _, x0s, y0s = _frequency_batch()
     x0s[2] = [1.0, 4.0]
@@ -198,6 +234,14 @@ def test_sensor_model_validation():
     with pytest.raises(ValueError):
         SensorModel(amplitude=0.2, frequency=0.0)
     SensorModel(amplitude=0.0, frequency=0.0)  # frequency unused when clean
+
+
+@pytest.mark.parametrize("amplitude, frequency", [
+    (float("nan"), 1.0), (float("inf"), 1.0), (0.2, float("nan")), (0.0, float("inf")),
+])
+def test_sensor_model_rejects_non_finite(amplitude, frequency):
+    with pytest.raises(ValueError):
+        SensorModel(amplitude=amplitude, frequency=frequency)
 
 
 def test_sim_config_validation():
