@@ -10,9 +10,10 @@ set.  ``eval_C`` returns the n-by-k matrix whose transpose multiplies x in
 the output dynamics.
 
 The optional ``eval_batch(Y, U)`` evaluates all four maps at N points at
-once: given Y of shape (N, k) and U of shape (N, m) it returns (A, b, C, f)
-of shapes (N, n, n), (N, n), (N, n, k) and (N, k).  ``eval_coefficients``
+once: given (N, k) Y and (N, m) U it returns arrays (A, b, C, f) of
+shapes (N, n, n), (N, n), (N, n, k) and (N, k).  ``eval_coefficients``
 uses it when it is set and otherwise calls the per-point evaluators.
+``point_rate(spec, s, u)`` is the (x, y) rate at one stacked point.
 
 The optional ``in_domain_batch(X, Y)`` is the domain predicate at B points:
 given X of shape (B, n) and Y of shape (B, k) it returns a (B,) boolean mask
@@ -112,6 +113,17 @@ def eval_coefficients(spec, Y, U):
         C[i] = np.asarray(spec.eval_C(y), dtype=float).reshape(n, k)
         f[i] = spec.eval_f(y, u)
     return A, b, C, f
+
+
+def point_rate(spec, s, u):
+    """(A x + b, f + C^T x) at the stacked state s = (x, y) under input u."""
+    n, k = spec.n, spec.k
+    x, y = s[:n], s[n:]
+    A = np.asarray(spec.eval_A(y, u), dtype=float)
+    b = np.asarray(spec.eval_b(y, u), dtype=float)
+    C = np.asarray(spec.eval_C(y), dtype=float).reshape(n, k)
+    f = np.atleast_1d(np.asarray(spec.eval_f(y, u), dtype=float))
+    return np.concatenate([A @ x + b, f + C.T @ x])
 
 
 def domain_mask(spec, X, Y):

@@ -48,30 +48,42 @@ class Grid:
         return cls(t0, h, steps + 1)
 
 
-def integrate_rk4(field, init, grid):
-    """Classical fixed-step RK4 of ``d state/dt = field(t, state)`` on ``grid``.
+def rk4_step(field, t, s, h):
+    """One classical RK4 step of ``d s/dt = field(t, s)`` from t to t + h.
 
-    Returns an array of shape (grid.count, len(init)) with row 0 equal to
-    ``init``.  Raises NonFiniteState at the first node whose value is not
-    finite.
+    ``field`` sees the stage times t, t + h/2 and t + h and decides which
+    input holds there: the plant samples its input signal at each stage
+    time, the observer flows hold the input of the left node.
     """
-    x = np.asarray(init, dtype=float)
-    out = np.empty((grid.count, x.size))
-    out[0] = x
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteState(0)
-    h = grid.h
-    t = grid.t0
+    k1 = field(t, s)
+    k2 = field(t + 0.5 * h, s + 0.5 * h * k1)
+    k3 = field(t + 0.5 * h, s + 0.5 * h * k2)
+    k4 = field(t + h, s + h * k3)
+    return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _require_finite(s, j):
+    """Raise NonFiniteState(j) unless every entry of ``s`` is finite."""
+    if not np.all(np.isfinite(s)):
+        raise NonFiniteState(j)
+
+
+def integrate_rk4(field, init, grid, check=_require_finite):
+    """Fixed-step RK4 of ``d state/dt = field(t, state)`` on ``grid``.
+
+    Returns shape (grid.count,) + init.shape, row 0 equal to ``init``.
+    ``check(state, j)`` runs at every node j = 0..count-1 in order, and what
+    it raises propagates; the default raises NonFiniteState at the first
+    node whose value is not finite.
+    """
+    s = np.asarray(init, dtype=float)
+    check(s, 0)
+    out = np.empty((grid.count,) + s.shape)
+    out[0] = s
     for j in range(1, grid.count):
-        k1 = field(t, x)
-        k2 = field(t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = field(t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = field(t + h, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteState(j)
-        out[j] = x
-        t = grid.t0 + j * h
+        s = rk4_step(field, grid.t0 + (j - 1) * grid.h, s, grid.h)
+        check(s, j)
+        out[j] = s
     return out
 
 

@@ -15,6 +15,10 @@ matrix at ``ObserverConfig.rel_threshold``.  It is either skipped, keeping
 the flowed estimate and retrying one window later ("hold"), or raised as
 GramDegenerate ("fail").
 
+Both flows step with ``numerics.rk4_step`` and hold the input of the left
+node over the step, as ``window.compute_window`` does (the plant instead
+samples its input signal at every RK4 stage time).
+
 Streaming (``observer_init``/``observer_step``) advances one step of size h
 per measurement at a cost that does not grow with the window: it counts
 nodes from ``observer_init`` and resets at every M-th node (M = r/h), keeps
@@ -33,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation, GramDegenerate, NonFiniteState, NotPositiveDefinite
-from .model import domain_mask
-from .numerics import DEFAULT_REL_THRESHOLD, Grid
+from .model import domain_mask, point_rate
+from .numerics import DEFAULT_REL_THRESHOLD, Grid, rk4_step
 from .window import IoWindow, apply_P, end_state, flow_window
 
 FULL = "full"
@@ -182,27 +186,6 @@ def _window_samples(link, count):
     return Y, U
 
 
-def _full_flow_step(spec, h, z, w, u):
-    """One RK4 step of the full-order flow of (z, w) over [t, t+h] under input u."""
-    n, k = spec.n, spec.k
-
-    def rhs(state):
-        zc, wc = state[:n], state[n:]
-        A = np.asarray(spec.eval_A(wc, u), dtype=float)
-        b = np.asarray(spec.eval_b(wc, u), dtype=float)
-        C = np.asarray(spec.eval_C(wc), dtype=float).reshape(n, k)
-        f = np.atleast_1d(np.asarray(spec.eval_f(wc, u), dtype=float))
-        return np.concatenate([A @ zc + b, f + C.T @ zc])
-
-    s = np.concatenate([z, w])
-    k1 = rhs(s)
-    k2 = rhs(s + 0.5 * h * k1)
-    k3 = rhs(s + 0.5 * h * k2)
-    k4 = rhs(s + h * k3)
-    s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return s[:n], s[n:]
-
-
 def _coefficients(spec, y, u):
     return (np.asarray(spec.eval_A(y, u), dtype=float),
             np.asarray(spec.eval_b(y, u), dtype=float))
@@ -223,11 +206,13 @@ def _reduced_flow_step(spec, h, z, left, y_prev, y_new, u):
         A1, b1 = _coefficients(spec, y_prev, u)
     Am, bm = _coefficients(spec, 0.5 * (y_prev + y_new), u)
     A4, b4 = _coefficients(spec, y_new, u)
-    k1 = A1 @ z + b1
-    k2 = Am @ (z + 0.5 * h * k1) + bm
-    k3 = Am @ (z + 0.5 * h * k2) + bm
-    k4 = A4 @ (z + h * k3) + b4
-    return z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), (u, A4, b4)
+
+    def field(t, z):  # the stage times of a step from 0 are exactly 0.0, 0.5 * h and h
+        if t == 0.0:
+            return A1 @ z + b1
+        return Am @ z + bm if t < h else A4 @ z + b4
+
+    return rk4_step(field, 0.0, z, h), (u, A4, b4)
 
 
 def observer_step(spec, config, snap, y_meas, u):
@@ -260,8 +245,9 @@ def observer_step(spec, config, snap, y_meas, u):
         z, right = _reduced_flow_step(spec, config.h, snap.z, snap.right, link[0], y_meas, u)
         w = snap.w
     else:
-        z, w = _full_flow_step(spec, config.h, snap.z, snap.w, u)
-        right = None
+        s = rk4_step(lambda t, s: point_rate(spec, s, u), 0.0,
+                     np.concatenate([snap.z, snap.w]), config.h)
+        z, w, right = s[:spec.n], s[spec.n:], None
     if not (_finite(z) and _finite(w)):
         raise NonFiniteState(node, f"observer flow diverged at t = {t_new:.6g}")
 
@@ -367,8 +353,11 @@ def run_observer(spec, config, trace, z0, w0=None):
             if bad.size:
                 raise diverged(end)
         else:
+            s = np.concatenate([z[a], w[a]])
             for j in range(a + 1, b + 1):
-                z[j], w[j] = _full_flow_step(spec, config.h, z[j - 1], w[j - 1], u[j - 1])
+                u_held = u[j - 1]
+                s = rk4_step(lambda t, s: point_rate(spec, s, u_held), 0.0, s, config.h)
+                z[j], w[j] = s[:spec.n], s[spec.n:]
                 if not (_finite(z[j]) and _finite(w[j])):
                     raise diverged(j)
                 if j < b:

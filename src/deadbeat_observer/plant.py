@@ -2,12 +2,13 @@
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainExit, NonFiniteState
-from .model import InputSignal, domain_mask, eval_coefficients
-from .numerics import Grid
+from .model import InputSignal, domain_mask, eval_coefficients, point_rate
+from .numerics import Grid, integrate_rk4
 
 
 @dataclass(frozen=True)
@@ -70,11 +71,12 @@ class Trace:
 def simulate_plant(spec, input_signal, cfg):
     """Fixed-step RK4 of the coupled (x, y) dynamics over [0, t_end].
 
-    With (B, n) and (B, k) initial states in ``cfg`` the B trajectories share
-    the grid and the input signal and are stepped together; each stage then
-    evaluates the coefficients once for the whole batch through
-    ``eval_coefficients``.  A single trajectory keeps the per-point
-    evaluators, which are faster for one state.
+    The field samples ``input_signal`` at every RK4 stage time.  With (B, n)
+    and (B, k) initial states in ``cfg`` the B trajectories share the grid
+    and the input signal and are stepped together; each stage then evaluates
+    the coefficients once for the whole batch, and the shapes ``eval_batch``
+    returns are checked once, at node 0.  A single trajectory keeps the
+    per-point evaluators, which are faster for one state.
 
     Domain membership and finiteness are checked for every member at every
     node; a batch is checked with one ``domain_mask`` call per node.  The
@@ -109,41 +111,24 @@ def simulate_plant(spec, input_signal, cfg):
             where = ("initial condition outside the model domain" if j == 0
                      else f"solution left the model domain at grid index {j}")
             raise DomainExit(j, member(i) + where)
-
-    def point_field(t, s):
-        x, y = s[:n], s[n:]
-        u = input_signal(t)
-        A = np.asarray(spec.eval_A(y, u), dtype=float)
-        b = np.asarray(spec.eval_b(y, u), dtype=float)
-        C = np.asarray(spec.eval_C(y), dtype=float).reshape(n, k)
-        f = np.atleast_1d(np.asarray(spec.eval_f(y, u), dtype=float))
-        return np.concatenate([A @ x + b, f + C.T @ x])
-
-    def batch_field(t, s):
-        X = s[:, :n, None]
-        U[:] = input_signal(t)
-        A, b, C, f = eval_coefficients(spec, s[:, n:], U)
-        return np.concatenate([(A @ X)[:, :, 0] + b,
-                               f + (C.transpose(0, 2, 1) @ X)[:, :, 0]], axis=1)
+        if j == 0 and B > 1:
+            eval_coefficients(spec, s[:, n:], U)  # checks the eval_batch shapes
 
     if B == 1:
-        field, s = point_field, S0[0]
+        out = integrate_rk4(lambda t, s: point_rate(spec, s, input_signal(t)),
+                            S0[0], grid, check)[None]
     else:
-        U = np.empty((B, np.atleast_1d(input_signal(grid.t0)).size))
-        field, s = batch_field, S0
-    check(s, 0)
-    out = np.empty((B, grid.count, n + k))
-    out[:, 0] = s
-    h = cfg.h
-    for j in range(1, grid.count):
-        t = grid.t0 + (j - 1) * h
-        k1 = field(t, s)
-        k2 = field(t + 0.5 * h, s + 0.5 * h * k1)
-        k3 = field(t + 0.5 * h, s + 0.5 * h * k2)
-        k4 = field(t + h, s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        check(s, j)
-        out[:, j] = s
+        U = np.array([np.ravel(input_signal(grid.t0))] * B, dtype=float)
+        evaluate = spec.eval_batch or partial(eval_coefficients, spec)
+
+        def batch_field(t, s):
+            X = s[:, :n, None]
+            U[:] = input_signal(t)
+            A, b, C, f = evaluate(s[:, n:], U)
+            return np.concatenate([(A @ X)[:, :, 0] + b,
+                                   f + (C.transpose(0, 2, 1) @ X)[:, :, 0]], axis=1)
+
+        out = np.ascontiguousarray(integrate_rk4(batch_field, S0, grid, check).swapaxes(0, 1))
 
     if not batched:
         out = out[0]

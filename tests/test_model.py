@@ -11,26 +11,15 @@ from deadbeat_observer.model import (
     domain_mask,
     eval_coefficients,
     make_lti,
+    point_rate,
     scalar_oracle_spec,
 )
 from deadbeat_observer.numerics import Grid
 
 
-def eval_rhs(spec, x, y, u):
-    """Plant right-hand side (A x + b, f + C^T x) from the spec's evaluators."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    A = np.asarray(spec.eval_A(y, u), dtype=float)
-    b = np.asarray(spec.eval_b(y, u), dtype=float)
-    C = np.asarray(spec.eval_C(y), dtype=float).reshape(spec.n, spec.k)
-    f = np.atleast_1d(np.asarray(spec.eval_f(y, u), dtype=float))
-    return A @ x + b, f + C.T @ x
-
-
 def test_eval_rhs_frequency_system():
     spec = apps.freq_spec()
-    xdot, ydot = eval_rhs(spec, [0.0, -9.0], [2.0], np.zeros(1))
+    xdot, ydot = np.split(point_rate(spec, np.array([0.0, -9.0, 2.0]), np.zeros(1)), [2])
     assert np.allclose(xdot, [-18.0, 0.0])
     assert np.allclose(ydot, [0.0])
 
@@ -38,7 +27,7 @@ def test_eval_rhs_frequency_system():
 def test_eval_rhs_zero_state():
     spec = make_lti(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros(2),
                     np.array([[1.0], [0.0]]), np.zeros(1))
-    xdot, ydot = eval_rhs(spec, np.zeros(2), np.zeros(1), np.zeros(1))
+    xdot, ydot = np.split(point_rate(spec, np.zeros(3), np.zeros(1)), [2])
     assert np.allclose(xdot, 0.0)
     assert np.allclose(ydot, 0.0)
 
@@ -47,7 +36,8 @@ def test_eval_rhs_reactor_at_jacket_temperature():
     p = apps.canonical_reactor_params()
     spec = apps.reactor_spec(p)
     rate1 = p.k1 * np.exp(-p.E1 / p.Ts)
-    xdot, ydot = eval_rhs(spec, [1.0 - 1e-9, 1e-9], [p.Ts], np.zeros(1))
+    rate = point_rate(spec, np.array([1.0 - 1e-9, 1e-9, p.Ts]), np.zeros(1))
+    xdot, ydot = rate[:2], rate[2:]
     # c_B ~ 0 so the second-reaction terms vanish; f(Ts) = 0
     assert xdot[0] == pytest.approx(-rate1, rel=1e-6)
     assert xdot[1] == pytest.approx(rate1, rel=1e-6)
@@ -67,7 +57,7 @@ def test_eval_rhs_linear_in_x():
     u = np.zeros(1)
 
     def f(x):
-        return np.concatenate(eval_rhs(spec, x, y, u))
+        return point_rate(spec, np.concatenate([x, y]), u)
 
     for _ in range(10):
         x1 = rng.normal(size=2)
@@ -78,14 +68,14 @@ def test_eval_rhs_linear_in_x():
 
 def test_make_lti_scalar_oracle():
     spec = scalar_oracle_spec()
-    xdot, ydot = eval_rhs(spec, [2.0], [0.0], np.zeros(1))
+    xdot, ydot = np.split(point_rate(spec, np.array([2.0, 0.0]), np.zeros(1)), [1])
     assert xdot[0] == 0.0
     assert ydot[0] == 2.0
 
 
 def test_make_lti_unobservable_zero_C():
     spec = make_lti(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 1)), np.zeros(1))
-    _, ydot = eval_rhs(spec, [3.0, 4.0], [1.0], np.zeros(1))
+    _, ydot = np.split(point_rate(spec, np.array([3.0, 4.0, 1.0]), np.zeros(1)), [2])
     assert np.allclose(ydot, 0.0)
 
 

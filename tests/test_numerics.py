@@ -63,6 +63,41 @@ def test_rk4_nonfinite_reports_index():
     assert exc.value.index == 3
 
 
+def test_rk4_check_runs_at_every_node_in_order():
+    g = Grid.from_span(0.0, 1.0, 0.125)
+    seen = []
+    traj = integrate_rk4(lambda t, x: -x + t, np.array([1.0, 2.0]), g,
+                         check=lambda s, j: seen.append((j, s.copy())))
+    assert [j for j, _ in seen] == list(range(g.count))
+    for j, s in seen:
+        assert np.array_equal(s, traj[j])
+
+
+def test_rk4_check_exception_propagates_unchanged():
+    raised = LookupError("stop at node 3")
+
+    def check(s, j):
+        if j == 3:
+            raise raised
+
+    with pytest.raises(LookupError) as exc:
+        integrate_rk4(lambda t, x: x, np.array([1.0]), Grid.from_span(0.0, 1.0, 0.125), check)
+    assert exc.value is raised
+
+
+def test_rk4_batched_init_rows_equal_single_runs():
+    g = Grid.from_span(0.0, 1.0, 1e-2)
+
+    def field(t, x):
+        return np.stack([x[..., 1], -x[..., 0] - 0.1 * x[..., 0] ** 3 + t], axis=-1)
+
+    inits = np.array([[0.3, 0.0], [1.0, -0.5], [-2.0, 0.7]])
+    batch = integrate_rk4(field, inits, g)
+    assert batch.shape == (g.count, 3, 2)
+    for i, x0 in enumerate(inits):
+        assert np.array_equal(batch[:, i], integrate_rk4(field, x0, g))
+
+
 def test_rk4_fourth_order_convergence():
     # error on xdot = x over [0,1] drops by >= 12x when h is halved
     errs = []

@@ -273,6 +273,66 @@ def test_replay_matches_streaming():
     assert applied == 2 + 2 + 2 + 2 + 2 and held == 4 + 4
 
 
+def hand_written_full_flow_step(spec, h, z, w, u):
+    """The full-order flow step as it was written out by hand, stage by stage."""
+    n, k = spec.n, spec.k
+
+    def rhs(state):
+        zc, wc = state[:n], state[n:]
+        A = np.asarray(spec.eval_A(wc, u), dtype=float)
+        b = np.asarray(spec.eval_b(wc, u), dtype=float)
+        C = np.asarray(spec.eval_C(wc), dtype=float).reshape(n, k)
+        f = np.atleast_1d(np.asarray(spec.eval_f(wc, u), dtype=float))
+        return np.concatenate([A @ zc + b, f + C.T @ zc])
+
+    s = np.concatenate([z, w])
+    k1 = rhs(s)
+    k2 = rhs(s + 0.5 * h * k1)
+    k3 = rhs(s + 0.5 * h * k2)
+    k4 = rhs(s + h * k3)
+    s = s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return s[:n], s[n:]
+
+
+def test_full_mode_flows_bit_for_bit_as_the_hand_written_step():
+    cases = [case for case in replay_cases() if case[2].mode == FULL]
+    assert [name for name, *_ in cases] == [
+        "frequency, full", "scalar plant under a varying input, full"]
+    for name, spec, cfg, trace, z0, w0 in cases:
+        y, u = trace.y_meas, trace.u
+        M = cfg.steps_per_window
+        z, w = [np.asarray(z0, dtype=float)], [np.asarray(w0, dtype=float)]
+        for j in range(1, trace.grid.count):
+            zj, wj = hand_written_full_flow_step(spec, cfg.h, z[-1], w[-1], u[j - 1])
+            if j % M == 0:
+                io = window.IoWindow(numerics.Grid(0.0, cfg.h, M + 1),
+                                     y[j - M:j + 1], u[j - M:j + 1])
+                zj, wj = window.apply_P(spec, io, cfg.rel_threshold), y[j]
+            z.append(zj)
+            w.append(wj)
+        est = run_observer(spec, cfg, trace, z0, w0)
+        assert np.count_nonzero(est.reset_flags) == 2, name
+        streamed_z, streamed_w = stepped(spec, cfg, trace, z0, w0)[:2]
+        for got_z, got_w in ((est.z, est.w), (streamed_z, streamed_w)):
+            assert np.array_equal(got_z, np.array(z)), name
+            assert np.array_equal(got_w, np.array(w)), name
+
+
+def test_plant_samples_stage_times_and_observer_holds_left_input():
+    # y' = u(t) = t^3 and x' = 0; RK4 with u sampled at its stage times is
+    # Simpson's rule, exact for a cubic, while the observer holds u(t_j)
+    spec = build_scalar_spec({"a0": 0.0, "f0": 0.0, "input_gain": 1.0, "c0": 0.0})
+    signal = InputSignal.closure(lambda t: t ** 3, 1)
+    trace = simulate_plant(spec, signal, SimConfig(t_end=0.5, h=0.05, x0=[0.0], y0=[0.0]))
+    t = trace.grid.times()
+    assert np.allclose(trace.y_true[:, 0], t ** 4 / 4, rtol=0.0, atol=1e-15)
+    cfg = ObserverConfig(r=1.0, h=0.05, mode=FULL)  # no reset within the trace
+    est = run_observer(spec, cfg, trace, z0=[0.0], w0=[0.0])
+    held = np.concatenate([[0.0], np.cumsum(0.05 * t[:-1] ** 3)])
+    assert np.allclose(est.w[:, 0], held, rtol=0.0, atol=1e-15)
+    assert not np.allclose(est.w[-1], trace.y_true[-1], rtol=0.0, atol=1e-6)
+
+
 def test_replay_and_streaming_fail_alike():
     for spec, rel_threshold in degenerate_cases():
         trace = simulate_plant(spec, None, SimConfig(t_end=1.0, h=0.01, x0=[3.0], y0=[0.0]))

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from deadbeat_observer import applications as apps
+from deadbeat_observer import plant
 from deadbeat_observer.cli import build_scalar_spec
 from deadbeat_observer.errors import DimensionMismatch, DomainExit, NonFiniteState
-from deadbeat_observer.model import InputSignal, SystemSpec, scalar_oracle_spec
+from deadbeat_observer.model import (
+    InputSignal,
+    SystemSpec,
+    eval_coefficients,
+    scalar_oracle_spec,
+)
 from deadbeat_observer.plant import (
     SensorModel,
     SimConfig,
@@ -165,6 +171,25 @@ def test_batch_checks_domain_once_per_node():
     counted = dataclasses.replace(spec, in_domain=in_domain, in_domain_batch=in_domain_batch)
     trace = simulate_plant(counted, None, SimConfig(t_end=0.5, h=1e-3, x0=x0s, y0=y0s))
     assert calls == {"batch": trace.grid.count, "point": 0}
+
+
+def test_batch_checks_eval_batch_shapes_once(monkeypatch):
+    spec, _, x0s, y0s = _frequency_batch()
+    cfg = SimConfig(t_end=0.5, h=1e-3, x0=x0s, y0=y0s)
+    checked = []
+
+    def counted(*args):
+        checked.append(args)
+        return eval_coefficients(*args)
+
+    monkeypatch.setattr(plant, "eval_coefficients", counted)
+    simulate_plant(spec, None, cfg)
+    assert len(checked) == 1
+    wrong = dataclasses.replace(spec, eval_batch=lambda Y, U: (
+        np.zeros((len(Y), 2, 2)), np.zeros((len(Y), 2)), np.zeros((len(Y), 1, 2)),
+        np.zeros((len(Y), 1))))
+    with pytest.raises(DimensionMismatch):
+        simulate_plant(wrong, None, cfg)
 
 
 def test_batch_initial_condition_outside_domain():
