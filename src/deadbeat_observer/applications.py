@@ -126,6 +126,8 @@ def reactor_spec(p):
         return ((0.0 < X[:, 0]) & (X[:, 0] < p.c1_bar) & (0.0 < X[:, 1])
                 & (X[:, 1] < p.c2_bar) & (p.Tmin < Y[:, 0]) & (Y[:, 0] < p.Tmax))
 
+    in_domain_batch.mirrors = in_domain
+
     return SystemSpec(
         n=2, k=1, m=1,
         eval_A=eval_A,
@@ -336,6 +338,8 @@ def freq_spec(relaxed_domain=False):
         # written as ~(... <= 0) so that a NaN row reads as in_domain does
         nonzero = ~(Y[:, 0] * Y[:, 0] + X[:, 0] * X[:, 0] <= 0.0)
         return nonzero if relaxed_domain else nonzero & (X[:, 1] < 0.0)
+
+    in_domain_batch.mirrors = in_domain
 
     return SystemSpec(
         n=2, k=1, m=1,

@@ -102,8 +102,8 @@ def build_scalar_spec(sys_cfg):
         n=1, k=1, m=1,
         eval_A=lambda y, u: np.array([[a0]]),
         eval_b=lambda y, u: np.zeros(1),
-        eval_C=lambda y: np.array([[c0 + c1 * float(np.atleast_1d(y)[0])]]),
-        eval_f=lambda y, u: np.array([f0 + g * float(np.atleast_1d(u)[0])]),
+        eval_C=lambda y: np.array([[c0 + c1 * y[0]]]),
+        eval_f=lambda y, u: np.array([f0 + g * u[0]]),
         eval_batch=eval_batch,
     )
 

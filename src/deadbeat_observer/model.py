@@ -6,20 +6,25 @@ A SystemSpec packages the four evaluator maps
     y_i' = f_i(y, u) + sum_j C[j, i](y) x_j
 
 together with an explicit domain predicate ``in_domain(x, y)`` for the state
-set.  ``eval_C`` returns the n-by-k matrix whose transpose multiplies x in
-the output dynamics.
+set.  At a point y of shape (k,) and u of shape (m,), ``eval_A``, ``eval_b``,
+``eval_C`` and ``eval_f`` return ndarrays of shapes (n, n), (n,), (n, k) and
+(k,); ``eval_C`` is the n-by-k matrix whose transpose multiplies x in the
+output dynamics.  ``check_point_evaluators`` checks this contract once per
+run and raises DimensionMismatch otherwise; ``point_rate(spec, s, u)``, the
+(x, y) rate at one stacked point, then uses the arrays as they are.
 
 The optional ``eval_batch(Y, U)`` evaluates all four maps at N points at
 once: given (N, k) Y and (N, m) U it returns arrays (A, b, C, f) of
 shapes (N, n, n), (N, n), (N, n, k) and (N, k).  ``eval_coefficients``
 uses it when it is set and otherwise calls the per-point evaluators.
-``point_rate(spec, s, u)`` is the (x, y) rate at one stacked point.
 
 The optional ``in_domain_batch(X, Y)`` is the domain predicate at B points:
 given X of shape (B, n) and Y of shape (B, k) it returns a (B,) boolean mask
 that agrees with ``in_domain`` row by row.  ``domain_mask`` uses it when it
-is set and otherwise calls ``in_domain`` per row.  A copy of a spec that
-replaces ``in_domain`` must replace or clear ``in_domain_batch`` as well.
+is set and otherwise calls ``in_domain`` per row.  A batch predicate whose
+``mirrors`` attribute names the scalar predicate it agrees with is dropped
+from a copy of the spec that replaces ``in_domain`` alone; an untagged one
+is kept as given.
 """
 
 from dataclasses import dataclass, field
@@ -42,6 +47,11 @@ class SystemSpec:
     eval_batch: Callable = None
     in_domain: Callable = field(default=lambda x, y: True)
     in_domain_batch: Callable = None
+
+    def __post_init__(self):
+        mirrors = getattr(self.in_domain_batch, "mirrors", None)
+        if mirrors is not None and mirrors is not self.in_domain:
+            object.__setattr__(self, "in_domain_batch", None)  # stale after a replace
 
 
 class InputSignal:
@@ -115,15 +125,31 @@ def eval_coefficients(spec, Y, U):
     return A, b, C, f
 
 
-def point_rate(spec, s, u):
-    """(A x + b, f + C^T x) at the stacked state s = (x, y) under input u."""
+def check_point_evaluators(spec, y, u):
+    """Call the four per-point evaluators once at (y, u) and check their results.
+
+    Raises DimensionMismatch unless ``eval_A``, ``eval_b``, ``eval_C`` and
+    ``eval_f`` return ndarrays of shapes (n, n), (n,), (n, k) and (k,).
+    """
     n, k = spec.n, spec.k
-    x, y = s[:n], s[n:]
-    A = np.asarray(spec.eval_A(y, u), dtype=float)
-    b = np.asarray(spec.eval_b(y, u), dtype=float)
-    C = np.asarray(spec.eval_C(y), dtype=float).reshape(n, k)
-    f = np.atleast_1d(np.asarray(spec.eval_f(y, u), dtype=float))
-    return np.concatenate([A @ x + b, f + C.T @ x])
+    for name, value, shape in (("eval_A", spec.eval_A(y, u), (n, n)),
+                               ("eval_b", spec.eval_b(y, u), (n,)),
+                               ("eval_C", spec.eval_C(y), (n, k)),
+                               ("eval_f", spec.eval_f(y, u), (k,))):
+        if not isinstance(value, np.ndarray) or value.shape != shape:
+            got = value.shape if isinstance(value, np.ndarray) else type(value).__name__
+            raise DimensionMismatch(f"{name} returned {got}, expected an ndarray of shape {shape}")
+
+
+def point_rate(spec, s, u):
+    """(A x + b, f + C^T x) at the stacked state s = (x, y) under input u.
+
+    The evaluators' arrays are used as they are, so run
+    ``check_point_evaluators`` once before stepping with this rate.
+    """
+    x, y = s[:spec.n], s[spec.n:]
+    return np.concatenate((spec.eval_A(y, u).dot(x) + spec.eval_b(y, u),
+                           spec.eval_f(y, u) + x.dot(spec.eval_C(y))))
 
 
 def domain_mask(spec, X, Y):

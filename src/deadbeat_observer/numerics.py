@@ -5,6 +5,7 @@ problem sizes are tiny (state dimension <= ~10), so no sparse or adaptive
 machinery is needed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,15 @@ def rk4_step(field, t, s, h):
     k3 = field(t + 0.5 * h, s + 0.5 * h * k2)
     k4 = field(t + h, s + h * k3)
     return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def all_finite(x):
+    """Whether every entry of a small array is finite.
+
+    For the few entries of a state or a sample, this is several times
+    cheaper than a numpy reduction such as ``np.isfinite(x).all()``.
+    """
+    return all(map(math.isfinite, x.ravel().tolist()))
 
 
 def _require_finite(s, j):

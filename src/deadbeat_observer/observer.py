@@ -30,15 +30,14 @@ window at a time, cutting each window straight from the trace: in reduced
 mode one window computation gives both the flow and the reset.
 """
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainViolation, GramDegenerate, NonFiniteState, NotPositiveDefinite
-from .model import domain_mask, point_rate
-from .numerics import DEFAULT_REL_THRESHOLD, Grid, rk4_step
+from .model import check_point_evaluators, domain_mask, point_rate
+from .numerics import DEFAULT_REL_THRESHOLD, Grid, all_finite, rk4_step
 from .window import IoWindow, apply_P, end_state, flow_window
 
 FULL = "full"
@@ -132,7 +131,7 @@ def _initial_estimate(spec, config, z0, w0, y0):
             else np.zeros(spec.k)
     w0 = np.atleast_1d(np.asarray(w0, dtype=float))
     y_ref = np.atleast_1d(np.asarray(y0, dtype=float)) if y0 is not None else w0
-    if y0 is not None and not _finite(y_ref):
+    if y0 is not None and not all_finite(y_ref):
         raise NonFiniteState(0, f"non-finite measurement at the initial node (y={y_ref})")
     if not spec.in_domain(z0, y_ref):
         raise DomainViolation(f"initial estimate (z0={z0}, y={y_ref}) outside the model domain")
@@ -145,27 +144,18 @@ def observer_init(spec, config, z0, w0=None, t0=0.0, y0=None, u0=None):
     ``y0``/``u0`` are the measurement and input at t0 (required when the
     snapshot will be stepped, so that the first reset window spans exactly
     [t0, t0 + r]).  In full mode ``w0`` may differ from the measured output.
+    The evaluators' shapes are checked here, once per stream, at (y0, u0).
     """
     z0, w0 = _initial_estimate(spec, config, z0, w0, y0)
-    link = None
-    if y0 is not None:
-        u0 = _vector(u0) if u0 is not None else np.zeros(max(spec.m, 1))
-        link = (_vector(y0), u0, None)
+    u0 = _vector(u0) if u0 is not None else np.zeros(max(spec.m, 1))
+    link = None if y0 is None else (_vector(y0), u0, None)
+    check_point_evaluators(spec, w0 if link is None else link[0], u0)
     return ObserverSnapshot(z0, w0, 0, float(t0), config, link, None)
 
 
 def _vector(x):
     """``x`` as a new float array of at least one dimension."""
     return np.array(x, dtype=float, ndmin=1)
-
-
-def _finite(x):
-    """Whether every entry of a small array is finite.
-
-    For the few entries of a state or a sample, this is several times
-    cheaper than a numpy reduction such as ``np.isfinite(x).all()``.
-    """
-    return all(map(math.isfinite, x.ravel().tolist()))
 
 
 def _window_samples(link, count):
@@ -187,8 +177,7 @@ def _window_samples(link, count):
 
 
 def _coefficients(spec, y, u):
-    return (np.asarray(spec.eval_A(y, u), dtype=float),
-            np.asarray(spec.eval_b(y, u), dtype=float))
+    return spec.eval_A(y, u), spec.eval_b(y, u)
 
 
 def _reduced_flow_step(spec, h, z, left, y_prev, y_new, u):
@@ -209,8 +198,8 @@ def _reduced_flow_step(spec, h, z, left, y_prev, y_new, u):
 
     def field(t, z):  # the stage times of a step from 0 are exactly 0.0, 0.5 * h and h
         if t == 0.0:
-            return A1 @ z + b1
-        return Am @ z + bm if t < h else A4 @ z + b4
+            return A1.dot(z) + b1
+        return Am.dot(z) + bm if t < h else A4.dot(z) + b4
 
     return rk4_step(field, 0.0, z, h), (u, A4, b4)
 
@@ -237,7 +226,7 @@ def observer_step(spec, config, snap, y_meas, u):
     t_new = snap.t0 + node * config.h
     y_meas = _vector(y_meas)
     u = _vector(u)
-    if not _finite(y_meas):
+    if not all_finite(y_meas):
         raise NonFiniteState(node, f"non-finite measurement at t = {t_new:.6g}")
 
     reduced = config.mode == REDUCED
@@ -248,7 +237,7 @@ def observer_step(spec, config, snap, y_meas, u):
         s = rk4_step(lambda t, s: point_rate(spec, s, u), 0.0,
                      np.concatenate([snap.z, snap.w]), config.h)
         z, w, right = s[:spec.n], s[spec.n:], None
-    if not (_finite(z) and _finite(w)):
+    if not (all_finite(z) and all_finite(w)):
         raise NonFiniteState(node, f"observer flow diverged at t = {t_new:.6g}")
 
     degenerate_events = snap.degenerate_events
@@ -301,7 +290,8 @@ def run_observer(spec, config, trace, z0, w0=None):
     step by step and resets go through ``window.apply_P``.  The domain is
     checked at every node; in reduced mode the flowed nodes of a window take
     one ``model.domain_mask`` call.  A NonFiniteState from the window engine
-    carries the trace node.  Fully deterministic.
+    carries the trace node.  Full mode checks the evaluators' shapes once,
+    before it flows.  Fully deterministic.
     """
     grid = trace.grid
     if abs(grid.h - config.h) > 1e-12 * max(grid.h, config.h):
@@ -320,6 +310,7 @@ def run_observer(spec, config, trace, z0, w0=None):
     else:
         w = np.empty((count, spec.k))
         w[0] = w_init
+        check_point_evaluators(spec, w_init, u[0])
     reset_flags = np.zeros(count, dtype=int)
     degen_flags = np.zeros(count, dtype=int)
 
@@ -358,7 +349,7 @@ def run_observer(spec, config, trace, z0, w0=None):
                 u_held = u[j - 1]
                 s = rk4_step(lambda t, s: point_rate(spec, s, u_held), 0.0, s, config.h)
                 z[j], w[j] = s[:spec.n], s[spec.n:]
-                if not (_finite(z[j]) and _finite(w[j])):
+                if not (all_finite(z[j]) and all_finite(w[j])):
                     raise diverged(j)
                 if j < b:
                     check_domain(j)

@@ -7,8 +7,9 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatch, DomainExit, NonFiniteState
-from .model import InputSignal, domain_mask, eval_coefficients, point_rate
-from .numerics import Grid, integrate_rk4
+from .model import (InputSignal, check_point_evaluators, domain_mask, eval_coefficients,
+                    point_rate)
+from .numerics import Grid, all_finite, integrate_rk4
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,8 @@ def simulate_plant(spec, input_signal, cfg):
     and the input signal and are stepped together; each stage then evaluates
     the coefficients once for the whole batch, and the shapes ``eval_batch``
     returns are checked once, at node 0.  A single trajectory keeps the
-    per-point evaluators, which are faster for one state.
+    per-point evaluators, which are faster for one state; their shapes are
+    checked once, at node 0, by ``model.check_point_evaluators``.
 
     Domain membership and finiteness are checked for every member at every
     node; a batch is checked with one ``domain_mask`` call per node.  The
@@ -103,7 +105,7 @@ def simulate_plant(spec, input_signal, cfg):
         return None if inside.all() else int(np.argmin(inside))
 
     def check(s, j):
-        if not np.isfinite(s).all():
+        if not (all_finite(s) if B == 1 else np.isfinite(s).all()):
             i = int(np.argmin(np.isfinite(s.reshape(B, n + k)).all(axis=1)))
             raise NonFiniteState(j, f"{member(i)}non-finite state at grid index {j}")
         i = outside(s)
@@ -111,7 +113,9 @@ def simulate_plant(spec, input_signal, cfg):
             where = ("initial condition outside the model domain" if j == 0
                      else f"solution left the model domain at grid index {j}")
             raise DomainExit(j, member(i) + where)
-        if j == 0 and B > 1:
+        if j == 0 and B == 1:
+            check_point_evaluators(spec, s[n:], input_signal(grid.t0))
+        elif j == 0:
             eval_coefficients(spec, s[:, n:], U)  # checks the eval_batch shapes
 
     if B == 1:
@@ -133,7 +137,7 @@ def simulate_plant(spec, input_signal, cfg):
     if not batched:
         out = out[0]
     times = grid.times()
-    u_samples = np.vstack([np.atleast_1d(input_signal(t)) for t in times])
+    u_samples = np.array([input_signal(t) for t in times], dtype=float)
     y_true = out[..., n:]
     return Trace(grid=grid, x_true=out[..., :n], y_true=y_true,
                  y_meas=y_true.copy(), u=u_samples)

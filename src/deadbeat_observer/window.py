@@ -283,19 +283,17 @@ class Example26Spec:
         from .model import SystemSpec
 
         def eval_A(y, u):
-            yv = float(np.atleast_1d(y)[0])
-            return np.diag([self.a1(yv), self.a2(yv)])
+            return np.array([[self.a1(y[0]), 0.0], [0.0, self.a2(y[0])]])
 
         def eval_C(y):
-            yv = float(np.atleast_1d(y)[0])
-            return np.array([[self.c1(yv)], [self.c2(yv)]])
+            return np.array([[self.c1(y[0])], [self.c2(y[0])]])
 
         return SystemSpec(
             n=2, k=1, m=1,
             eval_A=eval_A,
             eval_b=lambda y, u: np.zeros(2),
             eval_C=eval_C,
-            eval_f=lambda y, u: np.atleast_1d(np.asarray(u, dtype=float))[:1],
+            eval_f=lambda y, u: np.array([u[0]]),
         )
 
 

@@ -8,6 +8,7 @@ from deadbeat_observer.cli import build_scalar_spec
 from deadbeat_observer.errors import DimensionMismatch
 from deadbeat_observer.model import (
     InputSignal,
+    check_point_evaluators,
     domain_mask,
     eval_coefficients,
     make_lti,
@@ -132,6 +133,18 @@ def test_eval_batch_agrees_with_point_evaluators(name):
     for got, ref in zip(batched, pointwise):
         assert got.shape == ref.shape
         assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eval_A", lambda y, u: [[0.0]]),
+    ("eval_b", lambda y, u: np.zeros((1, 1))),
+    ("eval_C", lambda y: np.ones(1)),
+    ("eval_f", lambda y, u: 0.0),
+])
+def test_point_contract_rejects_other_results(field, value):
+    spec = dataclasses.replace(scalar_oracle_spec(), **{field: value})
+    with pytest.raises(DimensionMismatch, match=field):
+        check_point_evaluators(spec, np.zeros(1), np.zeros(1))
 
 
 def test_eval_batch_wrong_shape_rejected():

@@ -7,7 +7,12 @@ import pytest
 from deadbeat_observer import applications as apps
 from deadbeat_observer import numerics, window
 from deadbeat_observer.cli import build_scalar_spec
-from deadbeat_observer.errors import DomainViolation, GramDegenerate, NonFiniteState
+from deadbeat_observer.errors import (
+    DimensionMismatch,
+    DomainViolation,
+    GramDegenerate,
+    NonFiniteState,
+)
 from deadbeat_observer.model import InputSignal, SystemSpec, make_lti, scalar_oracle_spec
 from deadbeat_observer.observer import (
     FAIL,
@@ -294,28 +299,77 @@ def hand_written_full_flow_step(spec, h, z, w, u):
     return s[:n], s[n:]
 
 
+def assert_full_mode_as_hand_written(name, spec, cfg, trace, z0, w0):
+    """Full-mode replay and streaming equal the hand-written step bit for bit."""
+    y, u = trace.y_meas, trace.u
+    M = cfg.steps_per_window
+    z, w = [np.asarray(z0, dtype=float)], [np.asarray(w0, dtype=float)]
+    for j in range(1, trace.grid.count):
+        zj, wj = hand_written_full_flow_step(spec, cfg.h, z[-1], w[-1], u[j - 1])
+        if j % M == 0:
+            io = window.IoWindow(numerics.Grid(0.0, cfg.h, M + 1),
+                                 y[j - M:j + 1], u[j - M:j + 1])
+            zj, wj = window.apply_P(spec, io, cfg.rel_threshold), y[j]
+        z.append(zj)
+        w.append(wj)
+    est = run_observer(spec, cfg, trace, z0, w0)
+    assert np.count_nonzero(est.reset_flags) == 2, name
+    streamed_z, streamed_w = stepped(spec, cfg, trace, z0, w0)[:2]
+    for got_z, got_w in ((est.z, est.w), (streamed_z, streamed_w)):
+        assert np.array_equal(got_z, np.array(z)), name
+        assert np.array_equal(got_w, np.array(w)), name
+
+
 def test_full_mode_flows_bit_for_bit_as_the_hand_written_step():
     cases = [case for case in replay_cases() if case[2].mode == FULL]
     assert [name for name, *_ in cases] == [
         "frequency, full", "scalar plant under a varying input, full"]
-    for name, spec, cfg, trace, z0, w0 in cases:
-        y, u = trace.y_meas, trace.u
-        M = cfg.steps_per_window
-        z, w = [np.asarray(z0, dtype=float)], [np.asarray(w0, dtype=float)]
-        for j in range(1, trace.grid.count):
-            zj, wj = hand_written_full_flow_step(spec, cfg.h, z[-1], w[-1], u[j - 1])
-            if j % M == 0:
-                io = window.IoWindow(numerics.Grid(0.0, cfg.h, M + 1),
-                                     y[j - M:j + 1], u[j - M:j + 1])
-                zj, wj = window.apply_P(spec, io, cfg.rel_threshold), y[j]
-            z.append(zj)
-            w.append(wj)
-        est = run_observer(spec, cfg, trace, z0, w0)
-        assert np.count_nonzero(est.reset_flags) == 2, name
-        streamed_z, streamed_w = stepped(spec, cfg, trace, z0, w0)[:2]
-        for got_z, got_w in ((est.z, est.w), (streamed_z, streamed_w)):
-            assert np.array_equal(got_z, np.array(z)), name
-            assert np.array_equal(got_w, np.array(w)), name
+    for case in cases:
+        assert_full_mode_as_hand_written(*case)
+
+
+def test_full_mode_on_the_reactor_and_lti_plants_as_the_hand_written_step():
+    spec = apps.reactor_spec(apps.canonical_reactor_params())
+    trace = simulate_plant(spec, None, SimConfig(t_end=0.6, h=2.5e-3,
+                                                 x0=[0.8, 0.5], y0=[315.0]))
+    assert_full_mode_as_hand_written("reactor", spec,
+                                     ObserverConfig(r=0.25, h=2.5e-3, mode=FULL),
+                                     trace, [0.5, 1.0], [316.0])
+    rng = np.random.default_rng(77)
+    for n, k in ((1, 3), (3, 2), (4, 3)):
+        A = rng.normal(size=(n, n))
+        spec = make_lti(A / np.linalg.norm(A, 2), rng.normal(size=n),
+                        rng.normal(size=(n, k)), rng.normal(size=k))
+        trace = simulate_plant(spec, None, SimConfig(t_end=2.3, h=0.01,
+                                                     x0=rng.normal(size=n),
+                                                     y0=rng.normal(size=k)))
+        assert_full_mode_as_hand_written(f"lti n={n} k={k}", spec,
+                                         ObserverConfig(r=1.0, h=0.01, mode=FULL),
+                                         trace, np.zeros(n), rng.normal(size=k))
+
+
+@pytest.mark.parametrize("wrong_C", [lambda y: [[1.0], [0.0]], lambda y: np.array([1.0, 0.0])],
+                         ids=["list", "(n,) array"])
+def test_evaluator_shapes_checked_before_any_step(wrong_C):
+    good = apps.freq_spec()
+    scn = apps.FrequencyScenario(phase=1.0, h=1e-3)
+    x0, y0 = scn.initial_state()
+    trace = simulate_plant(good, None, SimConfig(t_end=0.3, h=scn.h, x0=x0, y0=y0))
+    calls = []
+
+    def eval_A(y, u):
+        calls.append(1)
+        return good.eval_A(y, u)
+
+    spec = dataclasses.replace(good, eval_A=eval_A, eval_C=wrong_C)
+    for mode in (REDUCED, FULL):
+        cfg = ObserverConfig(r=0.1, h=scn.h, mode=mode)
+        with pytest.raises(DimensionMismatch, match="eval_C"):
+            observer_init(spec, cfg, [1.0, -4.0], y0, y0=y0, u0=trace.u[0])
+    with pytest.raises(DimensionMismatch, match="eval_C"):
+        run_observer(spec, ObserverConfig(r=0.1, h=scn.h, mode=FULL), trace,
+                     [1.0, -4.0], y0)
+    assert len(calls) == 3  # one check per call, no flow step
 
 
 def test_plant_samples_stage_times_and_observer_holds_left_input():

@@ -5,20 +5,23 @@ import pytest
 
 from deadbeat_observer import applications as apps
 from deadbeat_observer import plant
-from deadbeat_observer.cli import build_scalar_spec
+from deadbeat_observer.cli import build_scalar_spec, canonical_example26
 from deadbeat_observer.errors import DimensionMismatch, DomainExit, NonFiniteState
 from deadbeat_observer.model import (
     InputSignal,
     SystemSpec,
     eval_coefficients,
+    make_lti,
     scalar_oracle_spec,
 )
+from deadbeat_observer.numerics import Grid, integrate_rk4
 from deadbeat_observer.plant import (
     SensorModel,
     SimConfig,
     corrupt,
     simulate_plant,
 )
+from deadbeat_observer.window import indistinguishing_input
 
 
 def test_simulate_scalar_oracle():
@@ -272,3 +275,116 @@ def test_sensor_model_rejects_non_finite(amplitude, frequency):
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(t_end=0.0, h=0.1, x0=[1.0], y0=[0.0])
+
+
+def coercing_point_rate(spec, s, u):
+    """The (x, y) rate as it was written before the evaluator contract was
+    checked once per run: every result coerced and reshaped at every call."""
+    n, k = spec.n, spec.k
+    x, y = s[:n], s[n:]
+    A = np.asarray(spec.eval_A(y, u), dtype=float)
+    b = np.asarray(spec.eval_b(y, u), dtype=float)
+    C = np.asarray(spec.eval_C(y), dtype=float).reshape(n, k)
+    f = np.atleast_1d(np.asarray(spec.eval_f(y, u), dtype=float))
+    return np.concatenate([A @ x + b, f + C.T @ x])
+
+
+def single_plant_cases():
+    """(name, spec, input signal, SimConfig) of single-trajectory plant runs."""
+    cases = [("reactor", apps.reactor_spec(apps.canonical_reactor_params()), None,
+              SimConfig(t_end=0.5, h=2.5e-3, x0=[0.8, 0.5], y0=[315.0]))]
+    scn = apps.FrequencyScenario(phase=0.7, h=1e-3)
+    x0, y0 = scn.initial_state()
+    cases.append(("frequency", apps.freq_spec(), None,
+                  SimConfig(t_end=0.5, h=scn.h, x0=x0, y0=y0)))
+    cases.append(("scalar plant under sin(7t)",
+                  build_scalar_spec({"a0": -0.4, "f0": 0.2, "input_gain": 0.7,
+                                     "c0": 1.1, "c1": -0.3}),
+                  InputSignal.closure(lambda t: np.sin(7.0 * t), 1),
+                  SimConfig(t_end=1.0, h=0.005, x0=[1.5], y0=[0.2])))
+    ex = canonical_example26()
+    grid = Grid.from_span(0.0, 1.0, 1e-3)
+    u_s, _ = indistinguishing_input(ex, np.array([0.5, -0.3]), 0.2, grid)
+    cases.append(("example26 under its indistinguishing input", ex.to_system_spec(),
+                  InputSignal.sampled(grid, u_s),
+                  SimConfig(t_end=1.0, h=1e-3, x0=[0.5, -0.3], y0=[0.2])))
+    rng = np.random.default_rng(2024)
+    for n in range(1, 7):
+        for k in range(1, 4):
+            A = rng.normal(size=(n, n))
+            spec = make_lti(A / np.linalg.norm(A, 2), rng.normal(size=n),
+                            rng.normal(size=(n, k)), rng.normal(size=k))
+            cases.append((f"lti n={n} k={k}", spec, None,
+                          SimConfig(t_end=0.2, h=0.01, x0=rng.normal(size=n),
+                                    y0=rng.normal(size=k))))
+    return cases
+
+
+def test_single_trajectory_bit_for_bit_as_the_coercing_rate():
+    for name, spec, signal, cfg in single_plant_cases():
+        trace = simulate_plant(spec, signal, cfg)
+        signal = signal or InputSignal.zero(spec.m)
+        expected = integrate_rk4(lambda t, s: coercing_point_rate(spec, s, signal(t)),
+                                 np.concatenate([cfg.x0, cfg.y0]), trace.grid)
+        assert np.array_equal(trace.x_true, expected[:, :spec.n]), name
+        assert np.array_equal(trace.y_true, expected[:, spec.n:]), name
+
+
+def test_single_trajectory_makes_sixteen_evaluator_calls_a_step():
+    spec = apps.reactor_spec(apps.canonical_reactor_params())
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(1)
+            return fn(*args)
+        return wrapper
+
+    counting = dataclasses.replace(spec, eval_A=counted(spec.eval_A),
+                                   eval_b=counted(spec.eval_b),
+                                   eval_C=counted(spec.eval_C),
+                                   eval_f=counted(spec.eval_f))
+    assert counting.in_domain_batch is spec.in_domain_batch
+    trace = simulate_plant(counting, None, SimConfig(t_end=0.25, h=2.5e-3,
+                                                     x0=[0.8, 0.5], y0=[315.0]))
+    steps = trace.grid.count - 1
+    assert steps == 100
+    assert len(calls) == 16 * steps + 4  # four stages of four, plus the node-0 check
+
+
+@pytest.mark.parametrize("wrong_C", [lambda y: [[1.0], [0.0]], lambda y: np.array([1.0, 0.0])],
+                         ids=["list", "(n,) array"])
+def test_single_trajectory_checks_evaluator_shapes_before_any_step(wrong_C):
+    good = apps.freq_spec()
+    calls = []
+
+    def eval_A(y, u):
+        calls.append(1)
+        return good.eval_A(y, u)
+
+    scn = apps.FrequencyScenario(phase=0.7, h=1e-3)
+    x0, y0 = scn.initial_state()
+    with pytest.raises(DimensionMismatch, match="eval_C"):
+        simulate_plant(dataclasses.replace(good, eval_A=eval_A, eval_C=wrong_C), None,
+                       SimConfig(t_end=0.5, h=scn.h, x0=x0, y0=y0))
+    assert len(calls) == 1
+
+
+def test_replaced_in_domain_drops_the_batch_predicate_it_mirrored():
+    # a two-phase batch leaves the domain at node 0, as the single run does
+    spec = dataclasses.replace(apps.freq_spec(), in_domain=lambda x, y: False)
+    assert spec.in_domain_batch is None
+    states = [apps.FrequencyScenario(phase=phase).initial_state() for phase in (0.3, 1.1)]
+    x0s, y0s = np.array([x for x, _ in states]), np.array([y for _, y in states])
+    for x0, y0 in ((x0s[0], y0s[0]), (x0s, y0s)):
+        with pytest.raises(DomainExit) as exc:
+            simulate_plant(spec, None, SimConfig(t_end=0.1, h=1e-3, x0=x0, y0=y0))
+        assert exc.value.index == 0
+    # a replace that keeps in_domain keeps the batch predicate, as does an
+    # untagged one given together with its own in_domain
+    for spec in (apps.freq_spec(), apps.reactor_spec(apps.canonical_reactor_params())):
+        kept = dataclasses.replace(spec, eval_A=spec.eval_A)
+        assert kept.in_domain_batch is spec.in_domain_batch
+        untagged = dataclasses.replace(spec, in_domain=lambda x, y: True,
+                                       in_domain_batch=lambda X, Y: np.ones(len(X), bool))
+        assert untagged.in_domain_batch is not None
