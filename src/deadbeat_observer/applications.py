@@ -24,6 +24,7 @@ from .numerics import Grid, cumulative_trapezoid, trapezoid
 from .plant import SensorModel, SimConfig, corrupt, simulate_plant
 from .window import IoWindow
 
+_DEN_TOL = 1e-12  # a closed-form denominator at or below this share of its scale is singular
 
 # ---------------------------------------------------------------------------
 # Batch reactor
@@ -158,8 +159,8 @@ def _margin_expression(p, T):
     return T * T / ((p.E2 - p.E1) * p.J1) * np.exp(-p.E2 / T) * bracket
 
 
-def check_hypothesis(p, which="A1", T_grid=None):
-    """Observability-margin hypothesis check over a temperature grid.
+def check_hypothesis(p, which="A1"):
+    """Observability-margin hypothesis check inside a 10001-point grid on [Tmin, Tmax].
 
     For equal activation temperatures the condition is algebraic:
     (J1 + J2) k2 != J1 k1.  Otherwise the signed drift expression is scanned
@@ -176,9 +177,7 @@ def check_hypothesis(p, which="A1", T_grid=None):
         if gap <= 1e-12 * ref:
             return HypothesisFailsAt(worst_T=p.Tmin, worst_value=0.0)
         return HypothesisHolds(margin=gap, gated_points=0)
-    if T_grid is None:
-        T_grid = np.linspace(p.Tmin, p.Tmax, 10001)[1:-1]
-    T_grid = np.asarray(T_grid, dtype=float)
+    T_grid = np.linspace(p.Tmin, p.Tmax, 10001)[1:-1]
     drift = _margin_expression(p, T_grid)
     gated = drift / p.h_coef + T_grid > p.Ts
     active = T_grid[gated] if np.any(gated) else T_grid
@@ -201,7 +200,7 @@ def check_hypothesis(p, which="A1", T_grid=None):
 DEFAULT_EQUAL_E_WINDOW = 1.0  # any r > 0 works when E1 = E2; a documented default
 
 
-def min_window_reactor(p, which="A1", default_r=DEFAULT_EQUAL_E_WINDOW):
+def min_window_reactor(p, which="A1"):
     """Smallest window length guaranteeing strong observability."""
     result = check_hypothesis(p, which)
     if isinstance(result, HypothesisFailsAt):
@@ -210,7 +209,7 @@ def min_window_reactor(p, which="A1", default_r=DEFAULT_EQUAL_E_WINDOW):
             f"(value {result.worst_value:.6g})"
         )
     if p.E1 == p.E2:
-        return default_r
+        return DEFAULT_EQUAL_E_WINDOW
     a = min(p.a_margin, result.margin)
     return (p.Tmax - p.Tmin) / a
 
@@ -224,7 +223,7 @@ class ReactorGains:
     state_estimate: np.ndarray  # Phi_r @ G: concentrations at the window end
 
 
-def reactor_gains(T_window, p, grid, den_tol=1e-12):
+def reactor_gains(T_window, p, grid):
     """Closed-form reduced-order reconstruction from a temperature window.
 
     Builds the two kernel functions phi1, phi2 by nested quadrature, solves
@@ -253,7 +252,7 @@ def reactor_gains(T_window, p, grid, den_tol=1e-12):
     b1 = trapezoid(psi * phi1, grid)
     b2 = trapezoid(psi * phi2, grid)
     den = s11 * s22 - s12 * s12
-    if den <= den_tol * max(s11 * s22, 1e-300):
+    if den <= _DEN_TOL * max(s11 * s22, 1e-300):
         raise SingularDenominator(
             f"kernel Gram determinant {den:.3e} is numerically singular"
         )
@@ -353,7 +352,7 @@ def freq_spec(relaxed_domain=False):
     )
 
 
-def freq_closed_form(window, den_tol=1e-12):
+def freq_closed_form(window):
     """Closed-form window reconstruction (z1, z2) for the frequency plant.
 
     phi(t) is the double integral of the output; the two quotients realize
@@ -371,7 +370,7 @@ def freq_closed_form(window, den_tol=1e-12):
     I_yp = trapezoid((y - y[0]) * phi, grid)
     den = r ** 3 * I_pp - 3.0 * I_tp ** 2
     scale = max(r ** 3 * I_pp, 1e-300)
-    if den <= den_tol * scale:
+    if den <= _DEN_TOL * scale:
         raise SingularDenominator(
             f"window denominator {den:.3e} is numerically singular"
         )
@@ -450,7 +449,7 @@ def horizon_sweep(scn, r_grid):
 # Scalar reduced-order observer
 # ---------------------------------------------------------------------------
 
-def scalar_observer_P(window, a_eval, f_eval, c_eval, den_tol=1e-12):
+def scalar_observer_P(window, a_eval, f_eval, c_eval):
     """Closed-form reconstruction for scalar plants x' = a(y,u) x, y' = f + c(y) x.
 
     Evaluates the single-fraction formula by nested quadrature:
@@ -468,6 +467,6 @@ def scalar_observer_P(window, a_eval, f_eval, c_eval, den_tol=1e-12):
     p = y - y[0] - cumulative_trapezoid(f_s, grid)
     num = trapezoid(p * g, grid)
     den = trapezoid(g * g, grid)
-    if den <= den_tol * max(np.max(g * g) * grid.span, 1e-300):
+    if den <= _DEN_TOL * max(np.max(g * g) * grid.span, 1e-300):
         raise SingularDenominator(f"kernel energy {den:.3e} is numerically singular")
     return float(np.exp(int_a[-1]) * num / den)

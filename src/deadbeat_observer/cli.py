@@ -21,7 +21,7 @@ from .errors import (
     NonFiniteState,
 )
 from .model import InputSignal, make_lti, SystemSpec
-from .numerics import DEFAULT_REL_THRESHOLD, Grid, cholesky_pivots
+from .numerics import DEFAULT_REL_THRESHOLD, Grid
 from .observer import FULL, ObserverConfig, run_observer
 from .plant import SensorModel, SimConfig, corrupt, simulate_plant
 from .window import (
@@ -149,22 +149,18 @@ def build_system(cfg):
     raise ConfigError(f"unknown system.kind {kind!r}")
 
 
-def _window_grid(r, h, step_name):
-    """Grid of one observer window; r must be an integer multiple (>= 2) of h."""
-    try:
-        grid = Grid.from_span(0.0, r, h)
-        if grid.count >= 3:
-            return grid
-    except ValueError:
-        pass
-    raise ConfigError(
-        f"`observer.r` ({r}) must be an integer multiple (>= 2) of {step_name} ({h})")
-
-
-def build_observer_config(cfg, h):
-    obs_cfg = _require(cfg, "observer")
+def build_observer_config(cfg):
+    """ObserverConfig from `observer` and `sim.h`; r must be an integer multiple (>= 2) of h."""
+    obs_cfg = cfg.get("observer", {})
     r = float(_require(obs_cfg, "r", "observer"))
-    _window_grid(r, h, "the grid step")
+    h = float(_require(cfg.get("sim", {}), "h", "sim"))
+    try:
+        multiple = Grid.from_span(0.0, r, h).count >= 3
+    except ValueError:
+        multiple = False
+    if not multiple:
+        raise ConfigError(
+            f"`observer.r` ({r}) must be an integer multiple (>= 2) of `sim.h` ({h})")
     return ObserverConfig(
         r=r, h=h,
         mode=obs_cfg.get("mode", "reduced"),
@@ -189,15 +185,19 @@ def build_input(cfg, spec):
     raise ConfigError(f"unknown input.kind {kind!r}")
 
 
+def _initial_state(sim, extras, kind):
+    """(x0, y0) of the `sim` section; a frequency scenario supplies them when x0 is absent."""
+    if kind == "frequency" and "x0" not in sim:
+        return extras["scenario"].initial_state()
+    return (np.asarray(_require(sim, "x0", "sim"), dtype=float),
+            np.atleast_1d(np.asarray(_require(sim, "y0", "sim"), dtype=float)))
+
+
 def sim_section(cfg, extras, kind):
     sim = cfg.get("sim", {})
     h = float(_require(sim, "h", "sim"))
     t_end = float(_require(sim, "t_end", "sim"))
-    if kind == "frequency" and "x0" not in sim:
-        x0, y0 = extras["scenario"].initial_state()
-    else:
-        x0 = np.asarray(_require(sim, "x0", "sim"), dtype=float)
-        y0 = np.atleast_1d(np.asarray(_require(sim, "y0", "sim"), dtype=float))
+    x0, y0 = _initial_state(sim, extras, kind)
     return SimConfig(t_end=t_end, h=h, x0=x0, y0=y0)
 
 
@@ -258,7 +258,7 @@ def write_json(path, payload):
 def cmd_simulate(cfg, prefix):
     spec, kind, extras = build_system(cfg)
     sim_cfg = sim_section(cfg, extras, kind)
-    obs_cfg = build_observer_config(cfg, sim_cfg.h)
+    obs_cfg = build_observer_config(cfg)
     sensor = build_sensor(cfg)
     signal = build_input(cfg, spec)
 
@@ -331,37 +331,23 @@ def cmd_sweep(cfg, prefix, mode):
 
 def cmd_observability(cfg, prefix):
     spec, kind, extras = build_system(cfg)
-    obs = cfg.get("observer", {})
-    r = float(_require(obs, "r", "observer"))
-    sim = cfg.get("sim", {})
-    h = float(_require(sim, "h", "sim"))
-    grid = _window_grid(r, h, "`sim.h`")
-
+    obs_cfg = build_observer_config(cfg)
+    r, h = obs_cfg.r, obs_cfg.h
+    grid = Grid(0.0, h, obs_cfg.steps_per_window + 1)
+    x0, y0 = _initial_state(cfg.get("sim", {}), extras, kind)
     if kind == "example26":
-        ex = extras["example26"]
-        x0 = np.asarray(_require(sim, "x0", "sim"), dtype=float)
-        y0 = float(np.atleast_1d(np.asarray(_require(sim, "y0", "sim"), dtype=float))[0])
-        u_s, _ = indistinguishing_input(ex, x0, y0, grid)
+        u_s, _ = indistinguishing_input(extras["example26"], x0, float(y0[0]), grid)
         signal = InputSignal.sampled(grid, u_s)
-        trace = simulate_plant(spec, signal,
-                               SimConfig(t_end=r, h=h, x0=x0, y0=np.array([y0])))
     else:
-        if kind == "frequency" and "x0" not in sim:
-            x0, y0 = extras["scenario"].initial_state()
-        else:
-            x0 = np.asarray(_require(sim, "x0", "sim"), dtype=float)
-            y0 = np.atleast_1d(np.asarray(_require(sim, "y0", "sim"), dtype=float))
         signal = build_input(cfg, spec)
-        trace = simulate_plant(spec, signal,
-                               SimConfig(t_end=r, h=h, x0=x0, y0=y0))
+    trace = simulate_plant(spec, signal, SimConfig(t_end=r, h=h, x0=x0, y0=y0))
     trace = corrupt(trace, build_sensor(cfg))
 
     window = IoWindow(grid=trace.grid, y_samples=trace.y_meas, u_samples=trace.u)
     wc = compute_window(spec, window)
     gs = gram(wc)
-    verdict = observability_certificate(
-        gs, float(obs.get("rel_threshold", DEFAULT_REL_THRESHOLD)))
-    eigvals = np.linalg.eigvalsh(gs.Q)
+    verdict = observability_certificate(gs, obs_cfg.rel_threshold)
+    eigvals = verdict.eigenvalues
     cond = eigvals[-1] / eigvals[0] if eigvals[0] > 0 else np.inf
     report = {
         "system": kind,
@@ -369,7 +355,7 @@ def cmd_observability(cfg, prefix):
         "h": h,
         "eigenvalues": [float(v) for v in eigvals],
         "trace": float(np.trace(gs.Q)),
-        "smallest_pivot": float(cholesky_pivots(gs.Q)[1]),
+        "smallest_pivot": float(verdict.smallest_pivot),
         "condition_estimate": float(cond) if np.isfinite(cond) else None,
         "certificate": ("strongly_observable"
                         if not isinstance(verdict, Degenerate) else "degenerate"),
@@ -382,8 +368,8 @@ def cmd_observability(cfg, prefix):
             nodes = [round(i * (grid.count - 1) / max(spec.n - 1, 1))
                      for i in range(spec.n)]
         report["det_nodes"] = [int(i) for i in nodes]
-        report["determinant_condition"] = determinant_condition(
-            spec, window, wc, [int(i) for i in nodes])
+        report["determinant_condition"] = determinant_condition(spec, window, wc,
+                                                                report["det_nodes"])
     write_json(f"{prefix}_observability.json", report)
     print(f"certificate: {report['certificate']}  "
           f"(smallest eigenvalue {eigvals[0]:.6e}, trace {report['trace']:.6e})")

@@ -74,7 +74,7 @@ def all_finite(x):
 
 def _require_finite(s, j):
     """Raise NonFiniteState(j) unless every entry of ``s`` is finite."""
-    if not np.all(np.isfinite(s)):
+    if not all_finite(s):
         raise NonFiniteState(j)
 
 

@@ -30,7 +30,6 @@ window at a time, cutting each window straight from the trace: in reduced
 mode one window computation gives both the flow and the reset.
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +58,8 @@ class ObserverConfig:
             raise ValueError(f"mode must be '{FULL}' or '{REDUCED}', got {self.mode!r}")
         if self.on_degenerate not in (HOLD, FAIL):
             raise ValueError(f"on_degenerate must be '{HOLD}' or '{FAIL}'")
+        if not self.rel_threshold >= 0:
+            raise ValueError(f"rel_threshold must be >= 0, got {self.rel_threshold}")
         if Grid.from_span(0.0, self.r, self.h).count < 3:
             raise ValueError(
                 f"window length r={self.r} must be an integer multiple (>= 2) of h={self.h}"
@@ -211,7 +212,8 @@ def observer_step(spec, config, snap, y_meas, u):
     the window length M: it adds one link to the window chain, and only at
     the reset nodes (every M-th node from ``observer_init``) is the chain
     read into the window fed to the reconstruction operator.  A non-finite
-    measurement or flow raises NonFiniteState with the stream node.
+    measurement, flow or reset window raises NonFiniteState with the stream
+    node.
     """
     link = snap.link
     if link is None:
@@ -238,7 +240,7 @@ def observer_step(spec, config, snap, y_meas, u):
                      np.concatenate([snap.z, snap.w]), config.h)
         z, w, right = s[:spec.n], s[spec.n:], None
     if not (all_finite(z) and all_finite(w)):
-        raise NonFiniteState(node, f"observer flow diverged at t = {t_new:.6g}")
+        raise _diverged(node, t_new)
 
     degenerate_events = snap.degenerate_events
     reset_applied = False
@@ -249,33 +251,46 @@ def observer_step(spec, config, snap, y_meas, u):
         window = IoWindow(Grid(0.0, config.h, M + 1),
                           *_window_samples((y_meas, u, link), M + 1))
         link = (y_meas, u, None)  # the next window starts at this node
-        try:
-            z = apply_P(spec, window, config.rel_threshold)
-            if not reduced:
-                w = y_meas.copy()
-            reset_applied = True
-        except NotPositiveDefinite as exc:
-            if config.on_degenerate == FAIL:
-                raise GramDegenerate(
-                    f"degenerate reset window at t = {t_new:.6g}: {exc}"
-                ) from exc
+        z_reset = _reset(config, node - M, t_new, apply_P, spec, window)
+        reset_applied = z_reset is not None
+        if reset_applied:
+            z, w = z_reset, (w if reduced else y_meas.copy())
+        else:
             degenerate_events += 1
 
     if not spec.in_domain(z, y_meas if reduced else w):
-        raise DomainViolation(
-            f"observer state left the model domain at t = {t_new:.6g} (z={z})"
-        )
+        raise _left_domain(t_new, z)
     return ObserverSnapshot(z, w, node, snap.t0, snap.config, link, right,
                             degenerate_events, reset_applied)
 
 
-@contextmanager
-def _at_trace_nodes(start):
-    """Re-base the window-local node of a NonFiniteState to the trace node."""
+def _at_trace_nodes(start, window_fn, *args):
+    """``window_fn(*args)`` for the window from node ``start``; the window-local
+    node of a NonFiniteState it raises is re-based to the stream or trace node."""
     try:
-        yield
+        return window_fn(*args)
     except NonFiniteState as exc:
         raise NonFiniteState(start + exc.index) from exc
+
+
+def _reset(config, start, t, reconstruct, *args):
+    """Reset state ``reconstruct(*args, config.rel_threshold)`` of the window
+    from node ``start`` that ends at time t, or None when it is degenerate and
+    held; under FAIL a degenerate window raises GramDegenerate."""
+    try:
+        return _at_trace_nodes(start, reconstruct, *args, config.rel_threshold)
+    except NotPositiveDefinite as exc:
+        if config.on_degenerate == FAIL:
+            raise GramDegenerate(f"degenerate reset window at t = {t:.6g}: {exc}") from exc
+        return None
+
+
+def _diverged(node, t):
+    return NonFiniteState(node, f"observer flow diverged at t = {t:.6g}")
+
+
+def _left_domain(t, z):
+    return DomainViolation(f"observer state left the model domain at t = {t:.6g} (z={z})")
 
 
 def run_observer(spec, config, trace, z0, w0=None):
@@ -317,32 +332,25 @@ def run_observer(spec, config, trace, z0, w0=None):
     def t_at(j):
         return grid.t0 + j * grid.h
 
-    def diverged(j):
-        return NonFiniteState(j, f"observer flow diverged at t = {t_at(j):.6g}")
-
-    def left_domain(j):
-        return DomainViolation(
-            f"observer state left the model domain at t = {t_at(j):.6g} (z={z[j]})")
-
     def check_domain(j):
         if not spec.in_domain(z[j], y[j] if reduced else w[j]):
-            raise left_domain(j)
+            raise _left_domain(t_at(j), z[j])
 
     for a in range(0, count - 1, M):
         b = min(a + M, count - 1)
         window = IoWindow(grid=Grid(0.0, config.h, b - a + 1),
                           y_samples=y[a:b + 1], u_samples=u[a:b + 1])
         if reduced:
-            with _at_trace_nodes(a):
-                flow, wc = flow_window(spec, window, z[a])
+            flow, wc = _at_trace_nodes(a, flow_window, spec, window, z[a])
             z[a + 1:b + 1] = flow[1:]
             bad = np.flatnonzero(~np.isfinite(flow[1:]).all(axis=1))
             end = a + 1 + int(bad[0]) if bad.size else b
             inside = domain_mask(spec, z[a + 1:end], y[a + 1:end])
             if not inside.all():
-                raise left_domain(a + 1 + int(np.argmin(inside)))
+                j = a + 1 + int(np.argmin(inside))
+                raise _left_domain(t_at(j), z[j])
             if bad.size:
-                raise diverged(end)
+                raise _diverged(end, t_at(end))
         else:
             s = np.concatenate([z[a], w[a]])
             for j in range(a + 1, b + 1):
@@ -350,22 +358,17 @@ def run_observer(spec, config, trace, z0, w0=None):
                 s = rk4_step(lambda t, s: point_rate(spec, s, u_held), 0.0, s, config.h)
                 z[j], w[j] = s[:spec.n], s[spec.n:]
                 if not (all_finite(z[j]) and all_finite(w[j])):
-                    raise diverged(j)
+                    raise _diverged(j, t_at(j))
                 if j < b:
                     check_domain(j)
         if b - a == M:
-            try:
-                with _at_trace_nodes(a):
-                    z[b] = (end_state(wc, config.rel_threshold) if reduced
-                            else apply_P(spec, window, config.rel_threshold))
-                w[b] = y[b]
-                reset_flags[b] = 1
-            except NotPositiveDefinite as exc:
-                if config.on_degenerate == FAIL:
-                    raise GramDegenerate(
-                        f"degenerate reset window at t = {t_at(b):.6g}: {exc}"
-                    ) from exc
+            z_reset = (_reset(config, a, t_at(b), end_state, wc) if reduced
+                       else _reset(config, a, t_at(b), apply_P, spec, window))
+            if z_reset is None:
                 degen_flags[b] = 1
+            else:
+                z[b], w[b] = z_reset, y[b]
+                reset_flags[b] = 1
         check_domain(b)
     return EstimateTrace(grid=grid, z=z, w=w, reset_flags=reset_flags,
                          degenerate_flags=degen_flags,

@@ -29,6 +29,8 @@ x0 = Q^{-1} v, and the reconstruction operator maps the window to the state
 at its end: Phi(r) x0 + theta(r).  The window is strongly observable when Q
 is positive definite; resets and certificates alike decide this by one
 ``spd_solve``: one Cholesky, its smallest pivot against rel_threshold * trace(Q)/n.
+A Q or v that is not finite is no verdict: ``gram`` raises NonFiniteState at
+the window's last node instead.
 
 Between grid nodes, y is interpolated linearly (it is a continuous state)
 while u holds the value of the left node (inputs may be discontinuous).
@@ -48,7 +50,10 @@ from .errors import (
 )
 from .model import eval_coefficients
 # cholesky_pivots is not called here; perfbench/spans.py counts calls through this name
-from .numerics import DEFAULT_REL_THRESHOLD, Grid, cholesky_pivots, spd_solve, trapezoid
+from .numerics import (DEFAULT_REL_THRESHOLD, Grid, all_finite, cholesky_pivots, spd_solve,
+                       trapezoid)
+
+_KAPPA_TOL = 1e-9  # |kappa| at or below this counts as vanished
 
 
 @dataclass(frozen=True)
@@ -94,11 +99,14 @@ class GramSummary:
 @dataclass(frozen=True)
 class Degenerate:
     null_direction: np.ndarray
+    eigenvalues: np.ndarray  # of Q, ascending
+    smallest_pivot: float
 
 
 @dataclass(frozen=True)
 class StronglyObservableOnWindow:
-    smallest_eigenvalue: float
+    eigenvalues: np.ndarray  # of Q, ascending
+    smallest_pivot: float
 
 
 def compute_window(spec, window):
@@ -183,16 +191,19 @@ def compute_window(spec, window):
     return WindowComputation(grid=grid, phi=phi, theta=theta, q=q, xi=xi, p=p)
 
 
-def gram(wc, grid=None):
-    """Gram matrix Q = int q q' dt and right-hand side v = int q p dt."""
-    grid = grid or wc.grid
+def gram(wc):
+    """Q = int q q' dt and v = int q p dt; NonFiniteState at the last node if either overflows."""
+    grid = wc.grid
     q = wc.q  # (count, n, k)
     p = wc.p  # (count, k)
-    qq = np.einsum("tik,tjk->tij", q, q)
-    Q = trapezoid(qq.reshape(grid.count, -1), grid).reshape(q.shape[1], q.shape[1])
-    Q = 0.5 * (Q + Q.T)  # enforce exact symmetry
-    qp = np.einsum("tik,tk->ti", q, p)
-    v = np.asarray(trapezoid(qp, grid))
+    with np.errstate(all="ignore"):
+        qq = np.einsum("tik,tjk->tij", q, q)
+        Q = trapezoid(qq.reshape(grid.count, -1), grid).reshape(q.shape[1], q.shape[1])
+        Q = 0.5 * (Q + Q.T)  # enforce exact symmetry
+        qp = np.einsum("tik,tk->ti", q, p)
+        v = np.asarray(trapezoid(qp, grid))
+    if not (all_finite(Q) and all_finite(v)):
+        raise NonFiniteState(grid.count - 1)
     return GramSummary(Q=Q, v=v)
 
 
@@ -231,18 +242,19 @@ def flow_window(spec, window, z0):
 def observability_certificate(gs, rel_threshold=DEFAULT_REL_THRESHOLD):
     """Strong-distinguishability verdict on the window.
 
-    Decided exactly as a reset is, by ``spd_solve`` with rel_threshold.
-    Returns StronglyObservableOnWindow with the smallest eigenvalue of Q, or
-    Degenerate carrying the approximate null direction (eigenvector of the
-    smallest eigenvalue; e0 when Q is zero).
+    Decided exactly as a reset is, by ``spd_solve`` with rel_threshold.  Both
+    verdicts carry the eigenvalues of Q and the smallest Cholesky pivot;
+    Degenerate also carries the approximate null direction (eigenvector of
+    the smallest eigenvalue; e0 when Q is zero), the only use of ``eigh``.
     """
-    eigvals, eigvecs = np.linalg.eigh(gs.Q)
+    eigenvalues = np.linalg.eigvalsh(gs.Q)
     try:
-        spd_solve(gs.Q, gs.v, rel_threshold)
-    except NotPositiveDefinite:
-        null = eigvecs[:, 0] if np.trace(gs.Q) > 0 else np.eye(len(gs.Q))[0]
-        return Degenerate(null_direction=null)
-    return StronglyObservableOnWindow(smallest_eigenvalue=float(eigvals[0]))
+        _, smallest_pivot = spd_solve(gs.Q, gs.v, rel_threshold)
+    except NotPositiveDefinite as exc:
+        null = (np.linalg.eigh(gs.Q)[1][:, 0] if np.trace(gs.Q) > 0
+                else np.eye(len(gs.Q))[0])
+        return Degenerate(null, eigenvalues, exc.smallest_pivot)
+    return StronglyObservableOnWindow(eigenvalues, smallest_pivot)
 
 
 def determinant_condition(spec, window, wc, node_indices):
@@ -297,7 +309,7 @@ class Example26Spec:
         )
 
 
-def indistinguishing_input(ex, x0, y0, grid, kappa_tol=1e-9):
+def indistinguishing_input(ex, x0, y0, grid):
     """Construct the input under which the state (x0, y0) is not distinguished.
 
     Integrates y' = (a2(y) - a1(y)) / kappa(y) from y0 and evaluates
@@ -309,7 +321,7 @@ def indistinguishing_input(ex, x0, y0, grid, kappa_tol=1e-9):
     """
     x0 = np.asarray(x0, dtype=float)
     y0 = float(y0)
-    if abs(ex.kappa(y0)) <= kappa_tol:
+    if abs(ex.kappa(y0)) <= _KAPPA_TOL:
         raise KappaVanished(f"kappa({y0}) = {ex.kappa(y0):.3e}")
 
     from .numerics import integrate_rk4
@@ -317,7 +329,7 @@ def indistinguishing_input(ex, x0, y0, grid, kappa_tol=1e-9):
     def field(t, s):
         y, _ = s
         kap = ex.kappa(y)
-        if abs(kap) <= kappa_tol:
+        if abs(kap) <= _KAPPA_TOL:
             raise KappaVanished(f"kappa vanished at y = {y:.6g}")
         return np.array([(ex.a2(y) - ex.a1(y)) / kap, ex.a2(y)])
 
@@ -326,7 +338,7 @@ def indistinguishing_input(ex, x0, y0, grid, kappa_tol=1e-9):
     int_a2 = traj[:, 1]
     mix = x0[1] + x0[0] * ex.c1(y0) / ex.c2(y0)
     kap = np.array([ex.kappa(v) for v in y])
-    if np.any(np.abs(kap) <= kappa_tol):
+    if np.any(np.abs(kap) <= _KAPPA_TOL):
         raise KappaVanished("kappa crossed zero along the constructed trajectory")
     drift = np.array([(ex.a2(v) - ex.a1(v)) for v in y]) / kap
     c2_along = np.array([ex.c2(v) for v in y])

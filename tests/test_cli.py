@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from deadbeat_observer import cli, numerics
 from deadbeat_observer.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -10,6 +12,8 @@ from deadbeat_observer.cli import (
     EXIT_RUNTIME,
     main,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -183,6 +187,82 @@ def test_observability_report_degenerate_scalar(tmp_path):
         assert report["certificate"] == "degenerate"
         assert report["condition_estimate"] == condition
         assert report["null_direction"] in ([1.0], [-1.0])
+
+
+def counting(monkeypatch, owner, name, calls):
+    """Replace ``owner.name`` by a wrapper that appends ``name`` to ``calls``."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("name, degenerate", [("scalar_oracle", False), ("reactor", False),
+                                              ("example26", True)])
+def test_observability_decomposes_the_gram_matrix_once_each_way(tmp_path, monkeypatch,
+                                                                name, degenerate):
+    calls = []
+    counting(monkeypatch, numerics, "cholesky_pivots", calls)
+    counting(monkeypatch, np.linalg, "eigvalsh", calls)
+    counting(monkeypatch, np.linalg, "eigh", calls)
+    assert main(["observability", str(CONFIG_DIR / f"{name}.json"),
+                 "--out-prefix", str(tmp_path / name)]) == EXIT_OK
+    expected = ["eigvalsh", "cholesky_pivots"] + (["eigh"] if degenerate else [])
+    assert sorted(calls) == sorted(expected)
+
+
+@pytest.mark.parametrize("name", ["scalar_oracle", "example26"])
+def test_observability_report_reads_the_verdict(tmp_path, monkeypatch, name):
+    verdicts = []
+    certificate = cli.observability_certificate
+
+    def kept(*args):
+        verdicts.append(certificate(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(cli, "observability_certificate", kept)
+    assert main(["observability", str(CONFIG_DIR / f"{name}.json"),
+                 "--out-prefix", str(tmp_path / name)]) == EXIT_OK
+    report = json.loads((tmp_path / f"{name}_observability.json").read_text())
+    (verdict,) = verdicts
+    assert report["eigenvalues"] == [float(v) for v in verdict.eigenvalues]
+    assert report["smallest_pivot"] == float(verdict.smallest_pivot)
+
+
+def overflowing_gram_config(prefix):
+    """LTI plant q' = 2000 q: the first reset window's Gram matrix overflows."""
+    return {
+        "system": {"kind": "lti", "A": [[2000.0]], "b": [0.0], "C": [[1.0]], "f": [0.0]},
+        "sim": {"t_end": 1.0, "h": 0.01, "x0": [0.0], "y0": [0.0]},
+        "observer": {"r": 0.5, "z0": [1.0]},
+        "output_prefix": prefix,
+    }
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_gram_is_a_runtime_error(tmp_path, capsys):
+    hold = overflowing_gram_config(str(tmp_path / "ovf"))
+    fail = overflowing_gram_config(str(tmp_path / "ovf"))
+    fail["observer"]["on_degenerate"] = "fail"
+    for command, cfg in (("simulate", hold), ("simulate", fail), ("observability", hold)):
+        assert main([command, write_config(tmp_path, cfg)]) == EXIT_RUNTIME
+        assert "grid index 50" in capsys.readouterr().err
+    assert not list(tmp_path.glob("ovf_*"))
+
+
+@pytest.mark.parametrize("field, value", [("rel_threshold", -1.0), ("mode", "adaptive"),
+                                          ("on_degenerate", "retry")])
+def test_bad_observer_field_is_a_config_error(tmp_path, capsys, field, value):
+    cfg = scalar_config(str(tmp_path / "bad"))
+    cfg["observer"][field] = value
+    cfg_path = write_config(tmp_path, cfg)
+    for command in ("simulate", "observability"):
+        assert main([command, cfg_path]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+    assert not list(tmp_path.glob("bad_*"))
 
 
 def test_zero_step_is_a_config_error(tmp_path, capsys):

@@ -35,6 +35,9 @@ def test_config_validation():
         ObserverConfig(r=1.0, h=0.3)  # r not a multiple of h
     with pytest.raises(ValueError):
         ObserverConfig(r=0.1, h=0.1)  # fewer than 2 steps per window
+    for rel_threshold in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="rel_threshold must be >= 0"):
+            ObserverConfig(r=0.1, h=0.01, rel_threshold=rel_threshold)
     cfg = ObserverConfig(r=1.0, h=0.01)
     assert cfg.steps_per_window == 100
 
@@ -441,6 +444,42 @@ def test_nan_measurement_reports_trace_node():
                 stepped(spec, cfg, bad, z0, w0)
         assert replayed.value.index == j
         assert streamed.value.index == j
+
+
+def test_overflowing_gram_raises_at_the_reset_node():
+    # q' = 2000 q grows about 8221-fold per RK4 step, so int q q' dt overflows
+    # at the first reset, before the flow from z0 = 1 does
+    spec = make_lti([[2000.0]], [0.0], [[1.0]], [0.0])
+    trace = simulate_plant(spec, None, SimConfig(t_end=1.0, h=0.01, x0=[0.0], y0=[0.0]))
+    for mode, w0 in ((REDUCED, None), (FULL, [0.0])):
+        for on_degenerate in ("hold", FAIL):
+            cfg = ObserverConfig(r=0.5, h=0.01, mode=mode, on_degenerate=on_degenerate)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteState) as replayed:
+                    run_observer(spec, cfg, trace, [1.0], w0)
+                with pytest.raises(NonFiniteState) as streamed:
+                    stepped(spec, cfg, trace, [1.0], w0)
+            assert replayed.value.index == streamed.value.index == 50, cfg
+
+
+def test_reset_window_overflow_reports_the_stream_node():
+    # A = 2e4 u: the flow from the exact reset at node 50 stays 0, while the
+    # second window's transition matrix overflows at its node 40
+    spec = SystemSpec(n=1, k=1, m=1,
+                      eval_A=lambda y, u: np.array([[2e4 * u[0]]]),
+                      eval_b=lambda y, u: np.zeros(1),
+                      eval_C=lambda y: np.ones((1, 1)),
+                      eval_f=lambda y, u: np.ones(1))
+    step = InputSignal.closure(lambda t: 0.0 if t < 0.5 else 1.0, 1)
+    trace = simulate_plant(spec, step, SimConfig(t_end=1.5, h=0.01, x0=[0.0], y0=[0.0]))
+    for mode, w0 in ((REDUCED, None), (FULL, [0.0])):
+        cfg = ObserverConfig(r=0.5, h=0.01, mode=mode)
+        with pytest.raises(NonFiniteState) as replayed:
+            run_observer(spec, cfg, trace, [0.0], w0)
+        with pytest.raises(NonFiniteState) as streamed:
+            stepped(spec, cfg, trace, [0.0], w0)
+        assert replayed.value.index == streamed.value.index == 90, mode
 
 
 def test_domain_exit_at_the_streaming_time():

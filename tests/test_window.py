@@ -306,7 +306,7 @@ def test_certificate_scalar_oracle():
     spec, window = scalar_window()
     verdict = observability_certificate(gram(compute_window(spec, window)))
     assert isinstance(verdict, StronglyObservableOnWindow)
-    assert verdict.smallest_eigenvalue == pytest.approx(1.0 / 3.0, abs=1e-6)
+    assert verdict.eigenvalues[0] == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
 def test_certificate_null_direction_unit_norm():
