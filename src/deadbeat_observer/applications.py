@@ -128,11 +128,12 @@ def reactor_spec(p):
                 & (X[:, 1] < p.c2_bar) & (p.Tmin < Y[:, 0]) & (Y[:, 0] < p.Tmax))
 
     in_domain_batch.mirrors = in_domain
+    b = np.zeros(2)
 
     return SystemSpec(
         n=2, k=1, m=1,
         eval_A=eval_A,
-        eval_b=lambda y, u: np.zeros(2),
+        eval_b=lambda y, u: b,
         eval_C=eval_C,
         eval_f=eval_f,
         eval_batch=eval_batch,
@@ -339,13 +340,14 @@ def freq_spec(relaxed_domain=False):
         return nonzero if relaxed_domain else nonzero & (X[:, 1] < 0.0)
 
     in_domain_batch.mirrors = in_domain
+    b, C, f = np.zeros(2), np.array([[1.0], [0.0]]), np.zeros(1)
 
     return SystemSpec(
         n=2, k=1, m=1,
         eval_A=eval_A,
-        eval_b=lambda y, u: np.zeros(2),
-        eval_C=lambda y: np.array([[1.0], [0.0]]),
-        eval_f=lambda y, u: np.zeros(1),
+        eval_b=lambda y, u: b,
+        eval_C=lambda y: C,
+        eval_f=lambda y, u: f,
         eval_batch=eval_batch,
         in_domain=in_domain,
         in_domain_batch=in_domain_batch,
@@ -432,13 +434,13 @@ def phase_sweep(scn, phi_grid=None):
 def horizon_sweep(scn, r_grid):
     """Relative frequency-estimation error as a function of the window length.
 
-    Each window length uses a grid step of r/2000 unless the scenario pins h.
-    Returns (r_values, omega_hats, rel_errors).
+    Each window length uses a grid step of r/2000, except the scenario's own r,
+    which uses the scenario's h.  Returns (r_values, omega_hats, rel_errors).
     """
     r_grid = np.asarray(r_grid, dtype=float)
     omegas = []
     for r in r_grid:
-        h = scn.h if scn.h is not None and abs(scn.r - r) < 1e-12 else r / 2000.0
+        h = scn.h if abs(scn.r - r) < 1e-12 else r / 2000.0
         omegas.append(estimate_frequency(scn, r=float(r), h=h))
     omegas = np.array(omegas)
     errors = np.abs(omegas - scn.omega) / scn.omega

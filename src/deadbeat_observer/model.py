@@ -11,7 +11,11 @@ set.  At a point y of shape (k,) and u of shape (m,), ``eval_A``, ``eval_b``,
 (k,); ``eval_C`` is the n-by-k matrix whose transpose multiplies x in the
 output dynamics.  ``check_point_evaluators`` checks this contract once per
 run and raises DimensionMismatch otherwise; ``point_rate(spec, s, u)``, the
-(x, y) rate at one stacked point, then uses the arrays as they are.
+(x, y) rate at one stacked point, then uses the arrays as they are.  A
+constant block may be one array returned by every call, since no caller
+writes into a result: ``point_rate``, the observer's reduced flow step and its
+kept right-node A and b, ``check_point_evaluators`` and ``eval_coefficients``
+only read it.
 
 The optional ``eval_batch(Y, U)`` evaluates all four maps at N points at
 once: given (N, k) Y and (N, m) U it returns arrays (A, b, C, f) of
@@ -102,8 +106,8 @@ class InputSignal:
 def eval_coefficients(spec, Y, U):
     """(A, b, C, f) at each row of (Y, U), stacked along a leading axis.
 
-    Calls ``spec.eval_batch`` once when it is set; otherwise fills the stacks
-    point by point from the four per-point evaluators.
+    Calls ``spec.eval_batch`` once when it is set; otherwise checks the four
+    per-point evaluators at the first row and fills the stacks point by point.
     """
     n, k = spec.n, spec.k
     N = Y.shape[0]
@@ -115,12 +119,13 @@ def eval_coefficients(spec, Y, U):
                 raise DimensionMismatch(
                     f"eval_batch returned shape {a.shape}, expected {shape}")
         return out
+    check_point_evaluators(spec, Y[0], U[0])
     A, b, C, f = (np.empty(shape) for shape in shapes)
     for i in range(N):
         y, u = Y[i], U[i]
         A[i] = spec.eval_A(y, u)
         b[i] = spec.eval_b(y, u)
-        C[i] = np.asarray(spec.eval_C(y), dtype=float).reshape(n, k)
+        C[i] = spec.eval_C(y)
         f[i] = spec.eval_f(y, u)
     return A, b, C, f
 

@@ -25,9 +25,10 @@ nodes from ``observer_init`` and resets at every M-th node (M = r/h), keeps
 the current window's (y, u) samples as an immutable linked chain that a
 reset reads once, and in reduced mode reuses the previous step's right-node
 A and b as its left-node ones.
-Replay (``run_observer``) takes a whole recorded trace and works one reset
-window at a time, cutting each window straight from the trace: in reduced
-mode one window computation gives both the flow and the reset.
+Replay (``run_observer``) takes a whole recorded trace.  Full mode steps it
+through ``observer_step``; reduced mode works one reset window at a time,
+cutting each window straight from the trace, and one window computation
+gives both the flow and the reset.
 """
 
 from dataclasses import dataclass
@@ -119,7 +120,10 @@ class EstimateTrace:
     w: np.ndarray  # (count, k); mirrors measurements in reduced mode
     reset_flags: np.ndarray  # (count,), 1 at nodes where the jump map fired
     degenerate_flags: np.ndarray  # (count,), 1 at skipped (degenerate) resets
-    degenerate_events: int
+
+    @property
+    def degenerate_events(self):
+        return int(self.degenerate_flags.sum())
 
 
 def _initial_estimate(spec, config, z0, w0, y0):
@@ -266,11 +270,12 @@ def observer_step(spec, config, snap, y_meas, u):
 
 def _at_trace_nodes(start, window_fn, *args):
     """``window_fn(*args)`` for the window from node ``start``; the window-local
-    node of a NonFiniteState it raises is re-based to the stream or trace node."""
+    node of a NonFiniteState it raises is re-based to the stream or trace node,
+    keeping the error's type (an overflowing Gram matrix says so)."""
     try:
         return window_fn(*args)
     except NonFiniteState as exc:
-        raise NonFiniteState(start + exc.index) from exc
+        raise type(exc)(start + exc.index) from exc
 
 
 def _reset(config, start, t, reconstruct, *args):
@@ -294,19 +299,17 @@ def _left_domain(t, z):
 
 
 def run_observer(spec, config, trace, z0, w0=None):
-    """Replay a recorded trace through the observer, one reset window at a time.
+    """Replay a recorded trace through the observer.
 
     Gives the estimates, flags and errors of stepping ``observer_step``
-    through the trace from ``observer_init``, without its history buffer:
-    resets fire at the nodes i*M (M = r/h), and each reset window is the
-    trace slice [j - M, j].  In reduced mode one ``window.flow_window`` per
-    window gives the flow z_j = Phi_j z_a + theta_j from the window start a
-    and, through ``window.end_state``, the reset.  In full mode (z, w) flows
-    step by step and resets go through ``window.apply_P``.  The domain is
-    checked at every node; in reduced mode the flowed nodes of a window take
-    one ``model.domain_mask`` call.  A NonFiniteState from the window engine
-    carries the trace node.  Full mode checks the evaluators' shapes once,
-    before it flows.  Fully deterministic.
+    through the trace from ``observer_init``.  Full mode does exactly that,
+    node by node.  Reduced mode works one reset window at a time, without the
+    history buffer: resets fire at the nodes i*M (M = r/h), each reset window
+    is the trace slice [j - M, j], and one ``window.flow_window`` per window
+    gives the flow z_j = Phi_j z_a + theta_j from the window start a and,
+    through ``window.end_state``, the reset.  The flowed nodes of a window
+    take one ``model.domain_mask`` call, and a NonFiniteState from the
+    window engine carries the trace node.  Fully deterministic.
     """
     grid = trace.grid
     if abs(grid.h - config.h) > 1e-12 * max(grid.h, config.h):
@@ -314,62 +317,47 @@ def run_observer(spec, config, trace, z0, w0=None):
             f"trace step {grid.h} does not match observer step {config.h}"
         )
     y, u = trace.y_meas, trace.u
-    reduced = config.mode == REDUCED
-    z_init, w_init = _initial_estimate(spec, config, z0, w0, y[0])
     count = grid.count
-    M = config.steps_per_window
     z = np.empty((count, spec.n))
-    z[0] = z_init
-    if reduced:
-        w = np.array(y, dtype=float)
-    else:
-        w = np.empty((count, spec.k))
-        w[0] = w_init
-        check_point_evaluators(spec, w_init, u[0])
     reset_flags = np.zeros(count, dtype=int)
     degen_flags = np.zeros(count, dtype=int)
+    if config.mode == FULL:
+        w = np.empty((count, spec.k))
+        snap = observer_init(spec, config, z0, w0, t0=grid.t0, y0=y[0], u0=u[0])
+        z[0], w[0] = snap.z, snap.w
+        for j in range(1, count):
+            events = snap.degenerate_events
+            snap = observer_step(spec, config, snap, y[j], u[j - 1])
+            z[j], w[j] = snap.z, snap.w
+            reset_flags[j] = snap.last_reset_applied
+            degen_flags[j] = snap.degenerate_events - events
+        return EstimateTrace(grid, z, w, reset_flags, degen_flags)
 
-    def t_at(j):
-        return grid.t0 + j * grid.h
-
-    def check_domain(j):
-        if not spec.in_domain(z[j], y[j] if reduced else w[j]):
-            raise _left_domain(t_at(j), z[j])
-
+    z[0], _ = _initial_estimate(spec, config, z0, w0, y[0])
+    w = np.array(y, dtype=float)
+    M = config.steps_per_window
+    t = grid.times()
     for a in range(0, count - 1, M):
         b = min(a + M, count - 1)
         window = IoWindow(grid=Grid(0.0, config.h, b - a + 1),
                           y_samples=y[a:b + 1], u_samples=u[a:b + 1])
-        if reduced:
-            flow, wc = _at_trace_nodes(a, flow_window, spec, window, z[a])
-            z[a + 1:b + 1] = flow[1:]
-            bad = np.flatnonzero(~np.isfinite(flow[1:]).all(axis=1))
-            end = a + 1 + int(bad[0]) if bad.size else b
-            inside = domain_mask(spec, z[a + 1:end], y[a + 1:end])
-            if not inside.all():
-                j = a + 1 + int(np.argmin(inside))
-                raise _left_domain(t_at(j), z[j])
-            if bad.size:
-                raise _diverged(end, t_at(end))
-        else:
-            s = np.concatenate([z[a], w[a]])
-            for j in range(a + 1, b + 1):
-                u_held = u[j - 1]
-                s = rk4_step(lambda t, s: point_rate(spec, s, u_held), 0.0, s, config.h)
-                z[j], w[j] = s[:spec.n], s[spec.n:]
-                if not (all_finite(z[j]) and all_finite(w[j])):
-                    raise _diverged(j, t_at(j))
-                if j < b:
-                    check_domain(j)
+        flow, wc = _at_trace_nodes(a, flow_window, spec, window, z[a])
+        z[a + 1:b + 1] = flow[1:]
+        bad = np.flatnonzero(~np.isfinite(flow[1:]).all(axis=1))
+        end = a + 1 + int(bad[0]) if bad.size else b
+        inside = domain_mask(spec, z[a + 1:end], y[a + 1:end])
+        if not inside.all():
+            j = a + 1 + int(np.argmin(inside))
+            raise _left_domain(t[j], z[j])
+        if bad.size:
+            raise _diverged(end, t[end])
         if b - a == M:
-            z_reset = (_reset(config, a, t_at(b), end_state, wc) if reduced
-                       else _reset(config, a, t_at(b), apply_P, spec, window))
+            z_reset = _reset(config, a, t[b], end_state, wc)
             if z_reset is None:
                 degen_flags[b] = 1
             else:
-                z[b], w[b] = z_reset, y[b]
+                z[b] = z_reset
                 reset_flags[b] = 1
-        check_domain(b)
-    return EstimateTrace(grid=grid, z=z, w=w, reset_flags=reset_flags,
-                         degenerate_flags=degen_flags,
-                         degenerate_events=int(degen_flags.sum()))
+        if not spec.in_domain(z[b], y[b]):
+            raise _left_domain(t[b], z[b])
+    return EstimateTrace(grid, z, w, reset_flags, degen_flags)

@@ -116,7 +116,7 @@ def simulate_plant(spec, input_signal, cfg):
         if j == 0 and B == 1:
             check_point_evaluators(spec, s[n:], input_signal(grid.t0))
         elif j == 0:
-            eval_coefficients(spec, s[:, n:], U)  # checks the eval_batch shapes
+            eval_coefficients(spec, s[:, n:], U)  # checks the evaluator shapes
 
     if B == 1:
         out = integrate_rk4(lambda t, s: point_rate(spec, s, input_signal(t)),

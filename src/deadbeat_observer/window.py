@@ -30,7 +30,7 @@ at its end: Phi(r) x0 + theta(r).  The window is strongly observable when Q
 is positive definite; resets and certificates alike decide this by one
 ``spd_solve``: one Cholesky, its smallest pivot against rel_threshold * trace(Q)/n.
 A Q or v that is not finite is no verdict: ``gram`` raises NonFiniteState at
-the window's last node instead.
+the window's last node instead, with a message that names the Gram matrix.
 
 Between grid nodes, y is interpolated linearly (it is a continuous state)
 while u holds the value of the left node (inputs may be discontinuous).
@@ -54,6 +54,12 @@ from .numerics import (DEFAULT_REL_THRESHOLD, Grid, all_finite, cholesky_pivots,
                        trapezoid)
 
 _KAPPA_TOL = 1e-9  # |kappa| at or below this counts as vanished
+
+
+class _GramOverflow(NonFiniteState):
+    def __init__(self, index):
+        super().__init__(
+            index, f"non-finite Gram matrix of the window ending at grid index {index}")
 
 
 @dataclass(frozen=True)
@@ -203,7 +209,7 @@ def gram(wc):
         qp = np.einsum("tik,tk->ti", q, p)
         v = np.asarray(trapezoid(qp, grid))
     if not (all_finite(Q) and all_finite(v)):
-        raise NonFiniteState(grid.count - 1)
+        raise _GramOverflow(grid.count - 1)
     return GramSummary(Q=Q, v=v)
 
 
@@ -270,8 +276,7 @@ def determinant_condition(spec, window, wc, node_indices):
         raise DimensionMismatch(f"need exactly {n} node indices, got {len(node_indices)}")
     rows = np.empty((n, n))
     for i, j in enumerate(node_indices):
-        C = np.asarray(spec.eval_C(window.y_samples[j]), dtype=float).reshape(n, 1)
-        rows[i] = C[:, 0] @ wc.phi[j]
+        rows[i] = spec.eval_C(window.y_samples[j])[:, 0] @ wc.phi[j]
     return float(np.linalg.det(rows))
 
 
@@ -300,10 +305,11 @@ class Example26Spec:
         def eval_C(y):
             return np.array([[self.c1(y[0])], [self.c2(y[0])]])
 
+        b = np.zeros(2)
         return SystemSpec(
             n=2, k=1, m=1,
             eval_A=eval_A,
-            eval_b=lambda y, u: np.zeros(2),
+            eval_b=lambda y, u: b,
             eval_C=eval_C,
             eval_f=lambda y, u: np.array([u[0]]),
         )

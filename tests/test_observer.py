@@ -351,28 +351,37 @@ def test_full_mode_on_the_reactor_and_lti_plants_as_the_hand_written_step():
                                          trace, np.zeros(n), rng.normal(size=k))
 
 
-@pytest.mark.parametrize("wrong_C", [lambda y: [[1.0], [0.0]], lambda y: np.array([1.0, 0.0])],
-                         ids=["list", "(n,) array"])
-def test_evaluator_shapes_checked_before_any_step(wrong_C):
+@pytest.mark.parametrize("wrong", [{"eval_C": lambda y: [[1.0], [0.0]]},
+                                   {"eval_C": lambda y: np.array([1.0, 0.0])},
+                                   {"eval_A": lambda y, u: np.array([0.0])}],
+                         ids=["list", "(n,) array", "(1,) eval_A"])
+def test_evaluator_shapes_checked_before_any_step(wrong):
     good = apps.freq_spec()
     scn = apps.FrequencyScenario(phase=1.0, h=1e-3)
     x0, y0 = scn.initial_state()
     trace = simulate_plant(good, None, SimConfig(t_end=0.3, h=scn.h, x0=x0, y0=y0))
+    name, = wrong
     calls = []
 
-    def eval_A(y, u):
+    def eval_b(y, u):
         calls.append(1)
-        return good.eval_A(y, u)
+        return good.eval_b(y, u)
 
-    spec = dataclasses.replace(good, eval_A=eval_A, eval_C=wrong_C)
+    spec = dataclasses.replace(good, eval_b=eval_b, **wrong)
     for mode in (REDUCED, FULL):
         cfg = ObserverConfig(r=0.1, h=scn.h, mode=mode)
-        with pytest.raises(DimensionMismatch, match="eval_C"):
+        with pytest.raises(DimensionMismatch, match=name):
             observer_init(spec, cfg, [1.0, -4.0], y0, y0=y0, u0=trace.u[0])
-    with pytest.raises(DimensionMismatch, match="eval_C"):
+    with pytest.raises(DimensionMismatch, match=name):
         run_observer(spec, ObserverConfig(r=0.1, h=scn.h, mode=FULL), trace,
                      [1.0, -4.0], y0)
-    assert len(calls) == 3  # one check per call, no flow step
+    # without eval_batch the window engine checks the per-point evaluators too
+    batchless = dataclasses.replace(spec, eval_batch=None)
+    with pytest.raises(DimensionMismatch, match=name):
+        run_observer(batchless, ObserverConfig(r=0.1, h=scn.h), trace, [1.0, -4.0])
+    with pytest.raises(DimensionMismatch, match=name):
+        window.compute_window(batchless, window.IoWindow(trace.grid, trace.y_meas, trace.u))
+    assert len(calls) == 5  # one check per call, no flow step
 
 
 def test_plant_samples_stage_times_and_observer_holds_left_input():
@@ -461,6 +470,9 @@ def test_overflowing_gram_raises_at_the_reset_node():
                 with pytest.raises(NonFiniteState) as streamed:
                     stepped(spec, cfg, trace, [1.0], w0)
             assert replayed.value.index == streamed.value.index == 50, cfg
+            for raised in (replayed, streamed):
+                assert str(raised.value) == ("non-finite Gram matrix of the window "
+                                             "ending at grid index 50"), cfg
 
 
 def test_reset_window_overflow_reports_the_stream_node():
