@@ -4,7 +4,6 @@ from .errors import (
     DeadbeatError,
     DimensionMismatch,
     DomainExit,
-    DomainViolation,
     GramDegenerate,
     HypothesisFails,
     InvalidParams,

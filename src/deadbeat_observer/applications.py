@@ -46,7 +46,7 @@ class ReactorParams:
     Tmax: float  # upper temperature bound (K)
     a_margin: float  # claimed observability margin (K/s)
 
-    def validate(self):
+    def __post_init__(self):
         vals = [self.k1, self.k2, self.E1, self.E2, self.J1, self.J2,
                 self.h_coef, self.Ts, self.c1_bar, self.c2_bar,
                 self.Tmin, self.Tmax, self.a_margin]
@@ -70,7 +70,6 @@ class ReactorParams:
                 raise InvalidParams(
                     "need (k1/k2) exp((E2-E1)/Tmin) c1_bar < c2_bar when E1 < E2"
                 )
-        return self
 
 
 def canonical_reactor_params():
@@ -84,12 +83,11 @@ def canonical_reactor_params():
         k1=0.8, k2=0.3, E1=300.0, E2=400.0, J1=30.0, J2=10.0,
         h_coef=1.0, Ts=310.0, c1_bar=1.0, c2_bar=4.0,
         Tmin=300.0, Tmax=350.0, a_margin=150.0,
-    ).validate()
+    )
 
 
 def reactor_spec(p):
     """SystemSpec for the reactor: x = (c_A, c_B), y = T, no input."""
-    p.validate()
     k1, k2, E1, E2 = p.k1, p.k2, p.E1, p.E2
 
     def rate1(T):

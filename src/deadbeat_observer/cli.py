@@ -16,7 +16,6 @@ from . import applications as apps
 from .errors import (
     DeadbeatError,
     DomainExit,
-    DomainViolation,
     GramDegenerate,
     NonFiniteState,
 )
@@ -132,7 +131,6 @@ def build_system(cfg):
             p = apps.canonical_reactor_params()
         else:
             p = apps.ReactorParams(**{k: float(v) for k, v in params.items()})
-            p.validate()
         extras["reactor_params"] = p
         return apps.reactor_spec(p), kind, extras
     if kind == "lti":
@@ -299,6 +297,7 @@ def cmd_sweep(cfg, prefix, mode):
         raise ConfigError("sweeps require `system.kind` = \"frequency\"")
     scn = extras["scenario"]
     sweep_cfg = cfg.get("sweep", {})
+    mode = mode or sweep_cfg.get("mode", "phase")
     if mode == "phase":
         phases = sweep_cfg.get("phases", 64)
         phi_grid = (np.linspace(0.0, 2.0 * np.pi, int(phases))
@@ -389,7 +388,8 @@ def main(argv=None):
         p.add_argument("--out-prefix", default=None,
                        help="override the output file prefix")
         if name == "sweep":
-            p.add_argument("--mode", choices=("phase", "horizon"), default="phase")
+            p.add_argument("--mode", choices=("phase", "horizon"), default=None,
+                           help="sweep kind (default: the config's `sweep.mode`, else phase)")
     args = parser.parse_args(argv)
 
     try:
@@ -419,7 +419,7 @@ def main(argv=None):
     except GramDegenerate as exc:
         print(f"error: degenerate reset window: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (DomainExit, DomainViolation, NonFiniteState) as exc:
+    except (DomainExit, NonFiniteState) as exc:
         print(f"error: runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except DeadbeatError as exc:

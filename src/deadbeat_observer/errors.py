@@ -31,10 +31,6 @@ class NotPositiveDefinite(DeadbeatError):
         )
 
 
-class DomainViolation(DeadbeatError):
-    pass
-
-
 class DomainExit(DeadbeatError):
     """The simulated solution left the open set where the model is defined."""
 

@@ -7,8 +7,12 @@ error).  Two variants:
 
   * full: internal output copy w drives the flow; measured y enters only
     through the jump w <- y at resets.
-  * reduced: the flow is driven directly by the measured output (requires
-    the product-domain hypothesis on the model).
+  * reduced: the flow is driven directly by the measured output, and w is
+    that output (requires the product-domain hypothesis on the model).
+
+Every run, streamed or replayed, starts at ``observer_init``: the initial
+estimate at the first measurement y0.  Leaving the model domain raises
+DomainExit with the stream or trace node.
 
 A reset window is degenerate when ``numerics.spd_solve`` rejects its Gram
 matrix at ``ObserverConfig.rel_threshold``.  It is either skipped, keeping
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, GramDegenerate, NonFiniteState, NotPositiveDefinite
+from .errors import DomainExit, GramDegenerate, NonFiniteState, NotPositiveDefinite
 from .model import check_point_evaluators, domain_mask, point_rate
 from .numerics import DEFAULT_REL_THRESHOLD, Grid, all_finite, rk4_step
 from .window import IoWindow, apply_P, end_state, flow_window
@@ -82,11 +86,11 @@ class ObserverSnapshot:
     """
 
     z: np.ndarray
-    w: np.ndarray  # unused in reduced mode
+    w: np.ndarray  # output estimate: the flowed copy (full) or the measurement (reduced)
     node: int  # nodes stepped since observer_init; resets fire at node % M == 0
     t0: float
     config: ObserverConfig  # the one observer_init was given
-    link: tuple  # (y, u, parent) of this node, or None when not seeded with y0
+    link: tuple  # (y, u, parent) of this node
     right: tuple  # reduced mode: (u, A, b) with A, b at (y, u) of this node, or None
     degenerate_events: int = 0
     last_reset_applied: bool = False
@@ -107,8 +111,6 @@ class ObserverSnapshot:
         u is the input held from that node; the newest node repeats the input
         of the step into it.
         """
-        if self.link is None:
-            return ()
         y, u = _window_samples(self.link, self.node % self.config.steps_per_window + 1)
         return tuple(zip(y, u))
 
@@ -126,36 +128,27 @@ class EstimateTrace:
         return int(self.degenerate_flags.sum())
 
 
-def _initial_estimate(spec, config, z0, w0, y0):
-    """(z0, w0) as float arrays, with y0 checked finite and z0 in the model domain."""
-    z0 = np.atleast_1d(np.asarray(z0, dtype=float))
-    if w0 is None:
-        if config.mode == FULL:
-            raise ValueError("full mode requires an initial output estimate w0")
-        w0 = np.atleast_1d(np.asarray(y0, dtype=float)) if y0 is not None \
-            else np.zeros(spec.k)
-    w0 = np.atleast_1d(np.asarray(w0, dtype=float))
-    y_ref = np.atleast_1d(np.asarray(y0, dtype=float)) if y0 is not None else w0
-    if y0 is not None and not all_finite(y_ref):
-        raise NonFiniteState(0, f"non-finite measurement at the initial node (y={y_ref})")
-    if not spec.in_domain(z0, y_ref):
-        raise DomainViolation(f"initial estimate (z0={z0}, y={y_ref}) outside the model domain")
-    return z0, w0
+def observer_init(spec, config, z0, w0=None, t0=0.0, *, y0, u0=None):
+    """Snapshot at t0 (node 0): the initial estimate at the first measurement.
 
-
-def observer_init(spec, config, z0, w0=None, t0=0.0, y0=None, u0=None):
-    """Snapshot at t0 (node 0); the initial measurement starts the window chain.
-
-    ``y0``/``u0`` are the measurement and input at t0 (required when the
-    snapshot will be stepped, so that the first reset window spans exactly
-    [t0, t0 + r]).  In full mode ``w0`` may differ from the measured output.
-    The evaluators' shapes are checked here, once per stream, at (y0, u0).
+    ``y0``/``u0`` are the measurement and input at t0; y0 starts the window
+    chain, so the first reset window spans exactly [t0, t0 + r].  Full mode
+    requires ``w0``, which may differ from y0; reduced mode ignores it, as w
+    is the measurement there.  The evaluators' shapes are checked here, once
+    per run, at (y0, u0).
     """
-    z0, w0 = _initial_estimate(spec, config, z0, w0, y0)
+    z0, y0 = _vector(z0), _vector(y0)
+    if config.mode == REDUCED:
+        w0 = y0
+    if w0 is None:
+        raise ValueError("full mode requires an initial output estimate w0")
+    if not all_finite(y0):
+        raise NonFiniteState(0, f"non-finite measurement at the initial node (y={y0})")
+    if not spec.in_domain(z0, y0):
+        raise DomainExit(0, f"initial estimate (z0={z0}, y={y0}) outside the model domain")
     u0 = _vector(u0) if u0 is not None else np.zeros(max(spec.m, 1))
-    link = None if y0 is None else (_vector(y0), u0, None)
-    check_point_evaluators(spec, w0 if link is None else link[0], u0)
-    return ObserverSnapshot(z0, w0, 0, float(t0), config, link, None)
+    check_point_evaluators(spec, y0, u0)
+    return ObserverSnapshot(z0, _vector(w0), 0, float(t0), config, (y0, u0, None), None)
 
 
 def _vector(x):
@@ -220,9 +213,6 @@ def observer_step(spec, config, snap, y_meas, u):
     node.
     """
     link = snap.link
-    if link is None:
-        raise ValueError("snapshot has no buffered measurement at its own time; "
-                         "initialize with y0")
     if config is not snap.config and (config.r, config.h) != (snap.config.r, snap.config.h):
         raise ValueError(
             f"snapshot was initialized with r={snap.config.r}, h={snap.config.h}; "
@@ -235,10 +225,9 @@ def observer_step(spec, config, snap, y_meas, u):
     if not all_finite(y_meas):
         raise NonFiniteState(node, f"non-finite measurement at t = {t_new:.6g}")
 
-    reduced = config.mode == REDUCED
-    if reduced:
+    if config.mode == REDUCED:
         z, right = _reduced_flow_step(spec, config.h, snap.z, snap.right, link[0], y_meas, u)
-        w = snap.w
+        w = y_meas
     else:
         s = rk4_step(lambda t, s: point_rate(spec, s, u), 0.0,
                      np.concatenate([snap.z, snap.w]), config.h)
@@ -258,12 +247,12 @@ def observer_step(spec, config, snap, y_meas, u):
         z_reset = _reset(config, node - M, t_new, apply_P, spec, window)
         reset_applied = z_reset is not None
         if reset_applied:
-            z, w = z_reset, (w if reduced else y_meas.copy())
+            z, w = z_reset, y_meas
         else:
             degenerate_events += 1
 
-    if not spec.in_domain(z, y_meas if reduced else w):
-        raise _left_domain(t_new, z)
+    if not spec.in_domain(z, w):
+        raise _left_domain(node, t_new, z)
     return ObserverSnapshot(z, w, node, snap.t0, snap.config, link, right,
                             degenerate_events, reset_applied)
 
@@ -294,8 +283,8 @@ def _diverged(node, t):
     return NonFiniteState(node, f"observer flow diverged at t = {t:.6g}")
 
 
-def _left_domain(t, z):
-    return DomainViolation(f"observer state left the model domain at t = {t:.6g} (z={z})")
+def _left_domain(node, t, z):
+    return DomainExit(node, f"observer state left the model domain at t = {t:.6g} (z={z})")
 
 
 def run_observer(spec, config, trace, z0, w0=None):
@@ -321,10 +310,11 @@ def run_observer(spec, config, trace, z0, w0=None):
     z = np.empty((count, spec.n))
     reset_flags = np.zeros(count, dtype=int)
     degen_flags = np.zeros(count, dtype=int)
+    snap = observer_init(spec, config, z0, w0, t0=grid.t0, y0=y[0], u0=u[0])
+    z[0] = snap.z
     if config.mode == FULL:
         w = np.empty((count, spec.k))
-        snap = observer_init(spec, config, z0, w0, t0=grid.t0, y0=y[0], u0=u[0])
-        z[0], w[0] = snap.z, snap.w
+        w[0] = snap.w
         for j in range(1, count):
             events = snap.degenerate_events
             snap = observer_step(spec, config, snap, y[j], u[j - 1])
@@ -333,7 +323,6 @@ def run_observer(spec, config, trace, z0, w0=None):
             degen_flags[j] = snap.degenerate_events - events
         return EstimateTrace(grid, z, w, reset_flags, degen_flags)
 
-    z[0], _ = _initial_estimate(spec, config, z0, w0, y[0])
     w = np.array(y, dtype=float)
     M = config.steps_per_window
     t = grid.times()
@@ -348,7 +337,7 @@ def run_observer(spec, config, trace, z0, w0=None):
         inside = domain_mask(spec, z[a + 1:end], y[a + 1:end])
         if not inside.all():
             j = a + 1 + int(np.argmin(inside))
-            raise _left_domain(t[j], z[j])
+            raise _left_domain(j, t[j], z[j])
         if bad.size:
             raise _diverged(end, t[end])
         if b - a == M:
@@ -359,5 +348,5 @@ def run_observer(spec, config, trace, z0, w0=None):
                 z[b] = z_reset
                 reset_flags[b] = 1
         if not spec.in_domain(z[b], y[b]):
-            raise _left_domain(t[b], z[b])
+            raise _left_domain(b, t[b], z[b])
     return EstimateTrace(grid, z, w, reset_flags, degen_flags)

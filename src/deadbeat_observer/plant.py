@@ -72,7 +72,8 @@ class Trace:
 def simulate_plant(spec, input_signal, cfg):
     """Fixed-step RK4 of the coupled (x, y) dynamics over [0, t_end].
 
-    The field samples ``input_signal`` at every RK4 stage time.  With (B, n)
+    The field samples ``input_signal`` at every RK4 stage time; its value at
+    t = 0 must have shape (max(m, 1),), else DimensionMismatch.  With (B, n)
     and (B, k) initial states in ``cfg`` the B trajectories share the grid
     and the input signal and are stepped together; each stage then evaluates
     the coefficients once for the whole batch, and the shapes ``eval_batch``
@@ -89,6 +90,10 @@ def simulate_plant(spec, input_signal, cfg):
     if input_signal is None:
         input_signal = InputSignal.zero(spec.m)
     grid = Grid.from_span(0.0, cfg.t_end, cfg.h)
+    width = np.shape(input_signal(grid.t0))
+    if width != (max(spec.m, 1),):
+        raise DimensionMismatch(f"input has shape {width} at t = {grid.t0:g}, "
+                                f"expected ({max(spec.m, 1)},) for m = {spec.m}")
     n, k = spec.n, spec.k
     batched = cfg.x0.ndim == 2
     S0 = np.concatenate([np.atleast_2d(cfg.x0), np.atleast_2d(cfg.y0)], axis=1)

@@ -48,7 +48,7 @@ from .errors import (
     NotPositiveDefinite,
     WrongOutputDimension,
 )
-from .model import eval_coefficients
+from .model import check_point_evaluators, eval_coefficients
 # cholesky_pivots is not called here; perfbench/spans.py counts calls through this name
 from .numerics import (DEFAULT_REL_THRESHOLD, Grid, all_finite, cholesky_pivots, spd_solve,
                        trapezoid)
@@ -267,13 +267,17 @@ def determinant_condition(spec, window, wc, node_indices):
     """Determinant of the stacked rows C'(t_i) Phi(t_i) (single-output plants).
 
     A nonzero value certifies that the window's generating input strongly
-    distinguishes the generating state.
+    distinguishes the generating state.  The per-point evaluators are checked
+    once, at the first requested node, so a spec that breaks their contract
+    raises DimensionMismatch.
     """
     if spec.k != 1:
         raise WrongOutputDimension(f"determinant condition requires k = 1, got k = {spec.k}")
     n = spec.n
     if len(node_indices) != n:
         raise DimensionMismatch(f"need exactly {n} node indices, got {len(node_indices)}")
+    first = node_indices[0]
+    check_point_evaluators(spec, window.y_samples[first], window.u_samples[first])
     rows = np.empty((n, n))
     for i, j in enumerate(node_indices):
         rows[i] = spec.eval_C(window.y_samples[j])[:, 0] @ wc.phi[j]

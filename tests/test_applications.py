@@ -19,7 +19,7 @@ def lumped_reactor_params(k2=0.3):
         k1=0.4, k2=k2, E1=350.0, E2=350.0, J1=30.0, J2=10.0,
         h_coef=1.0, Ts=310.0, c1_bar=1.0, c2_bar=4.0,
         Tmin=300.0, Tmax=350.0, a_margin=1.0,
-    ).validate()
+    )
 
 
 def reactor_window(p, x0, y0, r, h):
@@ -38,15 +38,15 @@ def test_canonical_reactor_params_valid():
 def test_reactor_params_rejections():
     p = apps.canonical_reactor_params()
     with pytest.raises(InvalidParams):
-        apps.ReactorParams(**{**p.__dict__, "k1": -1.0}).validate()
+        apps.ReactorParams(**{**p.__dict__, "k1": -1.0})
     with pytest.raises(InvalidParams):
         # heat release exceeds the upper temperature bound
-        apps.ReactorParams(**{**p.__dict__, "Tmax": 312.0}).validate()
+        apps.ReactorParams(**{**p.__dict__, "Tmax": 312.0})
     with pytest.raises(InvalidParams):
         # concentration-bound inequality for E1 < E2
-        apps.ReactorParams(**{**p.__dict__, "c2_bar": 1.0, "Tmax": 400.0}).validate()
+        apps.ReactorParams(**{**p.__dict__, "c2_bar": 1.0, "Tmax": 400.0})
     with pytest.raises(InvalidParams):
-        apps.ReactorParams(**{**p.__dict__, "Tmin": 320.0}).validate()
+        apps.ReactorParams(**{**p.__dict__, "Tmin": 320.0})
 
 
 def test_check_hypothesis_canonical_margin():

@@ -292,6 +292,33 @@ def test_sweep_phase_small_grid(tmp_path):
     assert len(lines) == 10  # header + 8 rows + trailing newline
 
 
+def test_sweep_mode_comes_from_the_config(tmp_path):
+    cfg = {
+        "system": {"kind": "frequency", "scenario": {"r": 1.0, "h": 0.002}},
+        "sweep": {"mode": "horizon", "r_values": [0.5, 1.0], "phases": 3},
+        "output_prefix": str(tmp_path / "s"),
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    csv = tmp_path / "s_sweep.csv"
+    for argv, label, rows in ((["sweep", cfg_path], "r", 2),
+                              (["sweep", cfg_path, "--mode", "phase"], "phase", 3)):
+        assert main(argv) == EXIT_OK
+        lines = csv.read_text().split("\n")
+        assert lines[0] == f"{label},omega_hat,rel_error"
+        assert len(lines) == rows + 2
+    del cfg["sweep"]["mode"]
+    assert main(["sweep", write_config(tmp_path, cfg)]) == EXIT_OK
+    assert csv.read_text().startswith("phase,")
+
+
+def test_input_of_the_wrong_width_is_an_error(tmp_path, capsys):
+    prefix = str(tmp_path / "wide")
+    cfg = scalar_config(prefix, input={"kind": "constant", "value": [1.0, 2.0]})
+    assert main(["simulate", write_config(tmp_path, cfg)]) == EXIT_RUNTIME
+    assert "input has shape (2,)" in capsys.readouterr().err
+    assert not (tmp_path / "wide_trace.csv").exists()
+
+
 def test_sweep_requires_frequency_system(tmp_path, capsys):
     cfg_path = write_config(tmp_path, scalar_config(str(tmp_path / "x")))
     assert main(["sweep", cfg_path]) == EXIT_CONFIG

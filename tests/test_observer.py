@@ -9,7 +9,7 @@ from deadbeat_observer import numerics, window
 from deadbeat_observer.cli import build_scalar_spec
 from deadbeat_observer.errors import (
     DimensionMismatch,
-    DomainViolation,
+    DomainExit,
     GramDegenerate,
     NonFiniteState,
 )
@@ -46,8 +46,8 @@ def test_init_requires_w0_in_full_mode():
     spec = scalar_oracle_spec()
     cfg = ObserverConfig(r=1.0, h=0.1, mode=FULL)
     with pytest.raises(ValueError):
-        observer_init(spec, cfg, z0=[0.0])
-    snap = observer_init(spec, cfg, z0=[0.0], w0=[1.0])
+        observer_init(spec, cfg, z0=[0.0], y0=[0.0])
+    snap = observer_init(spec, cfg, z0=[0.0], w0=[1.0], y0=[0.0])
     assert snap.w[0] == 1.0
     assert snap.next_reset == pytest.approx(1.0)
 
@@ -55,8 +55,6 @@ def test_init_requires_w0_in_full_mode():
 def test_init_seeds_history():
     spec = scalar_oracle_spec()
     cfg = ObserverConfig(r=1.0, h=0.1)
-    empty = observer_init(spec, cfg, z0=[0.0])
-    assert empty.history == ()
     seeded = observer_init(spec, cfg, z0=[0.0], y0=[0.5], u0=[0.0])
     assert len(seeded.history) == 1
     assert seeded.history[0][0][0] == 0.5
@@ -65,16 +63,28 @@ def test_init_seeds_history():
 def test_init_rejects_out_of_domain_estimate():
     spec = apps.freq_spec()
     cfg = ObserverConfig(r=1.0, h=0.1)
-    with pytest.raises(DomainViolation):
+    with pytest.raises(DomainExit) as exc:
         observer_init(spec, cfg, z0=[1.0, 4.0], y0=[1.0])
+    assert exc.value.index == 0
 
 
-def test_step_without_seed_raises():
+def test_init_requires_the_initial_measurement():
     spec = scalar_oracle_spec()
     cfg = ObserverConfig(r=1.0, h=0.1)
-    snap = observer_init(spec, cfg, z0=[0.0])
-    with pytest.raises(ValueError):
-        observer_step(spec, cfg, snap, y_meas=[0.1], u=[0.0])
+    with pytest.raises(TypeError):
+        observer_init(spec, cfg, z0=[0.0])
+    with pytest.raises(TypeError):  # y0 is keyword-only
+        observer_init(spec, cfg, [0.0], None, 0.0, [0.5])
+
+
+def test_reduced_init_ignores_w0():
+    spec = scalar_oracle_spec()
+    cfg = ObserverConfig(r=1.0, h=0.1)
+    for w0 in (None, [7.0]):
+        snap = observer_init(spec, cfg, z0=[0.0], w0=w0, y0=[0.5], u0=[0.0])
+        assert np.array_equal(snap.w, [0.5])
+        snap = observer_step(spec, cfg, snap, y_meas=[0.6], u=[0.0])
+        assert np.array_equal(snap.w, [0.6])
 
 
 def test_step_advances_clock_and_history():
@@ -217,13 +227,13 @@ def stepped(spec, cfg, trace, z0, w0=None):
     snap = observer_init(spec, cfg, z0, w0, t0=trace.grid.t0,
                          y0=trace.y_meas[0], u0=trace.u[0])
     count = trace.grid.count
-    z, w = [snap.z], [snap.w if cfg.mode == FULL else trace.y_meas[0]]
+    z, w = [snap.z], [snap.w]
     reset_flags, degenerate_flags = np.zeros(count, dtype=int), np.zeros(count, dtype=int)
     for j in range(1, count):
         before = snap.degenerate_events
         snap = observer_step(spec, cfg, snap, trace.y_meas[j], trace.u[j - 1])
         z.append(snap.z)
-        w.append(snap.w if cfg.mode == FULL else trace.y_meas[j])
+        w.append(snap.w)
         reset_flags[j] = int(snap.last_reset_applied)
         degenerate_flags[j] = int(snap.degenerate_events > before)
     return np.array(z), np.array(w), reset_flags, degenerate_flags, snap.degenerate_events
@@ -503,13 +513,12 @@ def test_domain_exit_at_the_streaming_time():
         cfg = ObserverConfig(r=0.5, h=0.01, mode=mode)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainViolation) as replayed:
+            with pytest.raises(DomainExit) as replayed:
                 run_observer(spec, cfg, trace, [0.1], w0)
-            with pytest.raises(DomainViolation) as streamed:
+            with pytest.raises(DomainExit) as streamed:
                 stepped(spec, cfg, trace, [0.1], w0)
         assert "at t = 0.7 " in str(replayed.value)
-        assert (str(replayed.value).split(" (z=")[0]
-                == str(streamed.value).split(" (z=")[0])
+        assert replayed.value.index == streamed.value.index == 70, mode
 
 
 def scalar_oracle_line(h, count):

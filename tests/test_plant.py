@@ -225,6 +225,18 @@ def test_batch_leading_sizes_must_agree():
         SimConfig(t_end=1.0, h=0.1, x0=np.zeros((0, 2)), y0=np.zeros((0, 1)))
 
 
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+def test_input_width_must_match_the_spec(batch):
+    spec = scalar_oracle_spec()  # m = 1
+    x0, y0 = ([[2.0], [1.0]], [[0.0], [0.0]]) if batch else ([2.0], [0.0])
+    cfg = SimConfig(t_end=0.1, h=0.01, x0=x0, y0=y0)
+    for signal in (InputSignal.constant([1.0, 2.0]), InputSignal.zero(3),
+                   lambda t: 0.0):
+        with pytest.raises(DimensionMismatch, match="input has shape"):
+            simulate_plant(spec, signal, cfg)
+    simulate_plant(spec, InputSignal.constant([1.0]), cfg)
+
+
 def test_corrupt_batched_trace_shares_noise():
     trace = simulate_plant(scalar_oracle_spec(), None, SimConfig(
         t_end=1.0, h=0.01, x0=[[2.0], [-1.0], [0.5]], y0=[[0.0], [1.0], [2.0]]))

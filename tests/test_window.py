@@ -376,6 +376,26 @@ def test_determinant_condition_errors():
         determinant_condition(spec1, window1, wc1, [0, 4])
 
 
+def test_determinant_condition_checks_the_evaluators_once():
+    spec = apps.reactor_spec(apps.canonical_reactor_params())
+    trace = simulate_plant(spec, None, SimConfig(t_end=0.25, h=2.5e-3,
+                                                 x0=[0.8, 0.5], y0=[315.0]))
+    window = IoWindow(grid=trace.grid, y_samples=trace.y_meas, u_samples=trace.u)
+    wc = compute_window(spec, window)
+    calls = []
+
+    def eval_C(y):
+        calls.append(1)
+        return spec.eval_C(y)
+
+    good = dataclasses.replace(spec, eval_C=eval_C)
+    assert determinant_condition(good, window, wc, [0, 50]) != 0.0
+    assert len(calls) == 3  # the check at node 0, then one per row
+    listed = dataclasses.replace(spec, eval_C=lambda y: spec.eval_C(y).tolist())
+    with pytest.raises(DimensionMismatch, match="eval_C"):
+        determinant_condition(listed, window, wc, [0, 50])
+
+
 def test_indistinguishing_input_output_trajectory():
     # for the canonical planar instance the constructed output is y0 - t
     ex = canonical_planar_example()
