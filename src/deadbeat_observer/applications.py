@@ -387,9 +387,9 @@ def omega_hat(z2):
     return float(np.sqrt(-z2))
 
 
-def _windows_from_scenario(scn, phases, r, h):
-    """Simulate one plant trajectory per phase, corrupt the outputs and cut
-    the windows [0, r].
+def _windows_from_scenario(scn, phases):
+    """Simulate one plant trajectory per phase on the scenario's grid, corrupt
+    the outputs and cut the windows [0, r].
 
     All phases are integrated in one ``simulate_plant`` call and corrupted by
     one ``corrupt`` call; a single phase takes the one-trajectory path.
@@ -397,18 +397,15 @@ def _windows_from_scenario(scn, phases, r, h):
     states = [replace(scn, phase=ph).initial_state() for ph in phases]
     x0 = np.stack([x for x, _ in states])
     y0 = np.stack([y for _, y in states])
-    trace = simulate_plant(freq_spec(), None, SimConfig(t_end=r, h=h, x0=x0, y0=y0))
+    trace = simulate_plant(freq_spec(), None, SimConfig(t_end=scn.r, h=scn.h, x0=x0, y0=y0))
     trace = corrupt(trace, scn.sensor())
     return [IoWindow(grid=trace.grid, y_samples=y, u_samples=trace.u)
             for y in trace.y_meas]
 
 
-def estimate_frequency(scn, phase=None, r=None, h=None):
+def estimate_frequency(scn):
     """Frequency estimate from a single window of the (possibly noisy) signal."""
-    phase = scn.phase if phase is None else phase
-    r = scn.r if r is None else r
-    h = scn.h if h is None else h
-    (window,) = _windows_from_scenario(scn, [phase], r, h)
+    (window,) = _windows_from_scenario(scn, [scn.phase])
     _, z2 = freq_closed_form(window)
     return omega_hat(z2)
 
@@ -423,7 +420,7 @@ def phase_sweep(scn, phi_grid=None):
     if phi_grid is None:
         phi_grid = np.linspace(0.0, 2.0 * np.pi, 64)
     phi_grid = np.asarray(phi_grid, dtype=float)
-    windows = _windows_from_scenario(scn, phi_grid, scn.r, scn.h)
+    windows = _windows_from_scenario(scn, phi_grid)
     omegas = np.array([omega_hat(freq_closed_form(w)[1]) for w in windows])
     errors = np.abs(omegas - scn.omega) / scn.omega
     return phi_grid, omegas, errors, float(np.max(errors))
@@ -439,7 +436,7 @@ def horizon_sweep(scn, r_grid):
     omegas = []
     for r in r_grid:
         h = scn.h if abs(scn.r - r) < 1e-12 else r / 2000.0
-        omegas.append(estimate_frequency(scn, r=float(r), h=h))
+        omegas.append(estimate_frequency(replace(scn, r=float(r), h=h)))
     omegas = np.array(omegas)
     errors = np.abs(omegas - scn.omega) / scn.omega
     return r_grid, omegas, errors

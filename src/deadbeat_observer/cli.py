@@ -19,7 +19,7 @@ from .errors import (
     GramDegenerate,
     NonFiniteState,
 )
-from .model import InputSignal, make_lti, SystemSpec
+from .model import make_lti, sampled_input, SystemSpec
 from .numerics import DEFAULT_REL_THRESHOLD, Grid
 from .observer import FULL, ObserverConfig, run_observer
 from .plant import SensorModel, SimConfig, corrupt, simulate_plant
@@ -173,13 +173,15 @@ def build_sensor(cfg):
                        float(sen.get("frequency", 1.0)))
 
 
-def build_input(cfg, spec):
+def build_input(cfg):
+    """The `input` section as a function of time, or None (the zero input) without one."""
     inp = cfg.get("input")
     if inp is None:
-        return InputSignal.zero(spec.m)
+        return None
     kind = inp.get("kind", "constant")
     if kind == "constant":
-        return InputSignal.constant(inp.get("value", [0.0]))
+        value = np.atleast_1d(np.asarray(inp.get("value", [0.0]), dtype=float))
+        return lambda t: value
     raise ConfigError(f"unknown input.kind {kind!r}")
 
 
@@ -258,7 +260,7 @@ def cmd_simulate(cfg, prefix):
     sim_cfg = sim_section(cfg, extras, kind)
     obs_cfg = build_observer_config(cfg)
     sensor = build_sensor(cfg)
-    signal = build_input(cfg, spec)
+    signal = build_input(cfg)
 
     trace = simulate_plant(spec, signal, sim_cfg)
     trace = corrupt(trace, sensor)
@@ -335,9 +337,9 @@ def cmd_observability(cfg, prefix):
     x0, y0 = _initial_state(cfg.get("sim", {}), extras, kind)
     if kind == "example26":
         u_s, _ = indistinguishing_input(extras["example26"], x0, float(y0[0]), grid)
-        signal = InputSignal.sampled(grid, u_s)
+        signal = sampled_input(grid, u_s)
     else:
-        signal = build_input(cfg, spec)
+        signal = build_input(cfg)
     trace = simulate_plant(spec, signal, SimConfig(t_end=r, h=h, x0=x0, y0=y0))
     trace = corrupt(trace, build_sensor(cfg))
 

@@ -29,6 +29,9 @@ is set and otherwise calls ``in_domain`` per row.  A batch predicate whose
 ``mirrors`` attribute names the scalar predicate it agrees with is dropped
 from a copy of the spec that replaces ``in_domain`` alone; an untagged one
 is kept as given.
+
+An input is any function u(t) that returns an ndarray of shape (m,);
+``sampled_input`` holds recorded per-node samples.
 """
 
 from dataclasses import dataclass, field
@@ -58,49 +61,24 @@ class SystemSpec:
             object.__setattr__(self, "in_domain_batch", None)  # stale after a replace
 
 
-class InputSignal:
-    """Admissible input as a function of time.
+def sampled_input(grid, values):
+    """Input u(t) that holds the sample of the most recent node of ``grid``.
 
-    Constant and closure inputs are evaluated exactly at any t; sampled
-    piecewise-constant inputs hold the value of the most recent node.
+    ``values`` is (count, m), or (count,) for m = 1; another count raises
+    DimensionMismatch.
     """
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        values = values[:, None]
+    if values.ndim != 2 or values.shape[0] != grid.count:
+        raise DimensionMismatch(
+            f"input samples of shape {values.shape} for a {grid.count}-node grid")
 
-    def __init__(self, fn, m):
-        self._fn = fn
-        self.m = m
+    def u(t):
+        j = int(np.floor((t - grid.t0) / grid.h + 1e-9))
+        return values[min(max(j, 0), grid.count - 1)]
 
-    def __call__(self, t):
-        return self._fn(t)
-
-    @classmethod
-    def constant(cls, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        return cls(lambda t: u, u.size)
-
-    @classmethod
-    def zero(cls, m):
-        u = np.zeros(max(m, 1))
-        return cls(lambda t: u, m)
-
-    @classmethod
-    def sampled(cls, grid, values):
-        """Piecewise-constant hold of per-node samples on ``grid``."""
-        values = np.atleast_2d(np.asarray(values, dtype=float))
-        if values.shape[0] != grid.count:
-            raise DimensionMismatch(
-                f"{values.shape[0]} input samples for a {grid.count}-node grid"
-            )
-
-        def fn(t):
-            j = int(np.floor((t - grid.t0) / grid.h + 1e-9))
-            j = min(max(j, 0), grid.count - 1)
-            return values[j]
-
-        return cls(fn, values.shape[1])
-
-    @classmethod
-    def closure(cls, fn, m):
-        return cls(lambda t: np.atleast_1d(np.asarray(fn(t), dtype=float)), m)
+    return u
 
 
 def eval_coefficients(spec, Y, U):

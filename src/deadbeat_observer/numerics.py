@@ -33,10 +33,6 @@ class Grid:
     def span(self):
         return self.h * (self.count - 1)
 
-    @property
-    def t_end(self):
-        return self.t0 + self.span
-
     def times(self):
         return self.t0 + self.h * np.arange(self.count)
 

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainExit, GramDegenerate, NonFiniteState, NotPositiveDefinite
+from .errors import (DimensionMismatch, DomainExit, GramDegenerate, NonFiniteState,
+                     NotPositiveDefinite)
 from .model import check_point_evaluators, domain_mask, point_rate
 from .numerics import DEFAULT_REL_THRESHOLD, Grid, all_finite, rk4_step
 from .window import IoWindow, apply_P, end_state, flow_window
@@ -134,21 +135,27 @@ def observer_init(spec, config, z0, w0=None, t0=0.0, *, y0, u0=None):
     ``y0``/``u0`` are the measurement and input at t0; y0 starts the window
     chain, so the first reset window spans exactly [t0, t0 + r].  Full mode
     requires ``w0``, which may differ from y0; reduced mode ignores it, as w
-    is the measurement there.  The evaluators' shapes are checked here, once
-    per run, at (y0, u0).
+    is the measurement there.  z0, y0, w0 and u0 (zeros by default) must have
+    shapes (n,), (k,), (k,) and (m,), else DimensionMismatch; the evaluators'
+    shapes are checked here, once per run, at (y0, u0).
     """
     z0, y0 = _vector(z0), _vector(y0)
     if config.mode == REDUCED:
         w0 = y0
     if w0 is None:
         raise ValueError("full mode requires an initial output estimate w0")
+    w0 = _vector(w0)
+    u0 = _vector(u0) if u0 is not None else np.zeros(spec.m)
+    for name, value, size in (("z0", z0, spec.n), ("y0", y0, spec.k), ("w0", w0, spec.k),
+                              ("u0", u0, spec.m)):
+        if value.shape != (size,):
+            raise DimensionMismatch(f"{name} has shape {value.shape}, expected ({size},)")
     if not all_finite(y0):
         raise NonFiniteState(0, f"non-finite measurement at the initial node (y={y0})")
     if not spec.in_domain(z0, y0):
         raise DomainExit(0, f"initial estimate (z0={z0}, y={y0}) outside the model domain")
-    u0 = _vector(u0) if u0 is not None else np.zeros(max(spec.m, 1))
     check_point_evaluators(spec, y0, u0)
-    return ObserverSnapshot(z0, _vector(w0), 0, float(t0), config, (y0, u0, None), None)
+    return ObserverSnapshot(z0, w0, 0, float(t0), config, (y0, u0, None), None)
 
 
 def _vector(x):

@@ -7,8 +7,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatch, DomainExit, NonFiniteState
-from .model import (InputSignal, check_point_evaluators, domain_mask, eval_coefficients,
-                    point_rate)
+from .model import check_point_evaluators, domain_mask, eval_coefficients, point_rate
 from .numerics import Grid, all_finite, integrate_rk4
 
 
@@ -53,10 +52,6 @@ class SensorModel:
         if self.amplitude > 0 and self.frequency <= 0:
             raise ValueError("noise frequency must be > 0")
 
-    @classmethod
-    def clean(cls):
-        return cls(0.0, 1.0)
-
 
 @dataclass(frozen=True)
 class Trace:
@@ -69,17 +64,19 @@ class Trace:
     u: np.ndarray  # (count, m), shared by every member
 
 
-def simulate_plant(spec, input_signal, cfg):
+def simulate_plant(spec, u, cfg):
     """Fixed-step RK4 of the coupled (x, y) dynamics over [0, t_end].
 
-    The field samples ``input_signal`` at every RK4 stage time; its value at
-    t = 0 must have shape (max(m, 1),), else DimensionMismatch.  With (B, n)
-    and (B, k) initial states in ``cfg`` the B trajectories share the grid
-    and the input signal and are stepped together; each stage then evaluates
-    the coefficients once for the whole batch, and the shapes ``eval_batch``
-    returns are checked once, at node 0.  A single trajectory keeps the
-    per-point evaluators, which are faster for one state; their shapes are
-    checked once, at node 0, by ``model.check_point_evaluators``.
+    The input ``u`` is a function of time, or None for the zero input; the
+    field samples it at every RK4 stage time.  Before any step, u(0) must
+    have shape (m,) and the last axes of the initial states in ``cfg`` must
+    be n and k, else DimensionMismatch.  With (B, n) and (B, k) initial
+    states the B trajectories share the grid and the input and are stepped
+    together; each stage then evaluates the coefficients once for the whole
+    batch, and the shapes ``eval_batch`` returns are checked once, at node 0.
+    A single trajectory keeps the per-point evaluators, which are faster for
+    one state; their shapes are checked once, at node 0, by
+    ``model.check_point_evaluators``.
 
     Domain membership and finiteness are checked for every member at every
     node; a batch is checked with one ``domain_mask`` call per node.  The
@@ -87,13 +84,21 @@ def simulate_plant(spec, input_signal, cfg):
     model domain) or NonFiniteState, with the node index and, for a batch,
     the first failing member named in the message.
     """
-    if input_signal is None:
-        input_signal = InputSignal.zero(spec.m)
+    if u is None:
+        zero = np.zeros(spec.m)
+
+        def u(t):
+            return zero
+
     grid = Grid.from_span(0.0, cfg.t_end, cfg.h)
-    width = np.shape(input_signal(grid.t0))
-    if width != (max(spec.m, 1),):
+    width = np.shape(u(grid.t0))
+    if width != (spec.m,):
         raise DimensionMismatch(f"input has shape {width} at t = {grid.t0:g}, "
-                                f"expected ({max(spec.m, 1)},) for m = {spec.m}")
+                                f"expected ({spec.m},)")
+    if (cfg.x0.shape[-1], cfg.y0.shape[-1]) != (spec.n, spec.k):
+        raise DimensionMismatch(f"initial states of shapes x0 {cfg.x0.shape} and y0 "
+                                f"{cfg.y0.shape}, expected last axes n = {spec.n} and "
+                                f"k = {spec.k}")
     n, k = spec.n, spec.k
     batched = cfg.x0.ndim == 2
     S0 = np.concatenate([np.atleast_2d(cfg.x0), np.atleast_2d(cfg.y0)], axis=1)
@@ -119,20 +124,20 @@ def simulate_plant(spec, input_signal, cfg):
                      else f"solution left the model domain at grid index {j}")
             raise DomainExit(j, member(i) + where)
         if j == 0 and B == 1:
-            check_point_evaluators(spec, s[n:], input_signal(grid.t0))
+            check_point_evaluators(spec, s[n:], u(grid.t0))
         elif j == 0:
             eval_coefficients(spec, s[:, n:], U)  # checks the evaluator shapes
 
     if B == 1:
-        out = integrate_rk4(lambda t, s: point_rate(spec, s, input_signal(t)),
+        out = integrate_rk4(lambda t, s: point_rate(spec, s, u(t)),
                             S0[0], grid, check)[None]
     else:
-        U = np.array([np.ravel(input_signal(grid.t0))] * B, dtype=float)
+        U = np.array([u(grid.t0)] * B, dtype=float)
         evaluate = spec.eval_batch or partial(eval_coefficients, spec)
 
         def batch_field(t, s):
             X = s[:, :n, None]
-            U[:] = input_signal(t)
+            U[:] = u(t)
             A, b, C, f = evaluate(s[:, n:], U)
             return np.concatenate([(A @ X)[:, :, 0] + b,
                                    f + (C.transpose(0, 2, 1) @ X)[:, :, 0]], axis=1)
@@ -142,7 +147,7 @@ def simulate_plant(spec, input_signal, cfg):
     if not batched:
         out = out[0]
     times = grid.times()
-    u_samples = np.array([input_signal(t) for t in times], dtype=float)
+    u_samples = np.array([u(t) for t in times], dtype=float)
     y_true = out[..., n:]
     return Trace(grid=grid, x_true=out[..., :n], y_true=y_true,
                  y_meas=y_true.copy(), u=u_samples)

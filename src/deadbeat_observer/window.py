@@ -68,7 +68,7 @@ class IoWindow:
 
     grid: Grid
     y_samples: np.ndarray  # (count, k)
-    u_samples: np.ndarray  # (count, m), m >= 1 (zero column for inputless plants)
+    u_samples: np.ndarray  # (count, m)
 
     def __post_init__(self):
         y = np.atleast_2d(np.asarray(self.y_samples, dtype=float))
@@ -80,10 +80,6 @@ class IoWindow:
             )
         object.__setattr__(self, "y_samples", y)
         object.__setattr__(self, "u_samples", u)
-
-    @property
-    def r(self):
-        return self.grid.span
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,14 @@ and prints a single pass/fail line (visible with ``pytest -s`` or on failure).
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from deadbeat_observer import applications as apps
 from deadbeat_observer.cli import EXIT_OK, main as cli_main
-from deadbeat_observer.model import InputSignal, make_lti, scalar_oracle_spec
+from deadbeat_observer.model import make_lti, scalar_oracle_spec
 from deadbeat_observer.numerics import trapezoid
 from deadbeat_observer.observer import FULL, ObserverConfig, run_observer
 from deadbeat_observer.plant import SimConfig, simulate_plant
@@ -119,8 +120,8 @@ def test_criterion_3_noisy_sweeps_f100_f1000():
 def test_criterion_4_longer_window_beats_short():
     scn = apps.FrequencyScenario(phase=1.9, noise_amplitude=0.2,
                                  noise_frequency=10.0)
-    err1 = abs(apps.estimate_frequency(scn, r=1.0, h=5e-4) - 3.0) / 3.0
-    err3 = abs(apps.estimate_frequency(scn, r=3.0, h=1.5e-3) - 3.0) / 3.0
+    err1 = abs(apps.estimate_frequency(replace(scn, r=1.0, h=5e-4)) - 3.0) / 3.0
+    err3 = abs(apps.estimate_frequency(replace(scn, r=3.0, h=1.5e-3)) - 3.0) / 3.0
     ok = 0.0005 <= err3 <= 0.0009 and err3 <= err1 / 50.0
     _line(4, "window-length payoff", ok,
           f"error {100 * err3:.3f}% at r=3 in [0.05%, 0.09%], "
@@ -200,7 +201,7 @@ def test_criterion_6_indistinguishing_counterexample():
     def u_exact(t):
         return -1.0 - math.exp(-2.0 * t) * mix
 
-    signal = InputSignal.closure(u_exact, 1)
+    signal = lambda t: np.array([u_exact(t)])
     cfg = SimConfig(t_end=1.0, h=5e-4, x0=x0, y0=[y0])
     trace = simulate_plant(spec, signal, cfg)
     gs = gram(compute_window(spec, IoWindow(grid=trace.grid,
@@ -271,7 +272,8 @@ def test_criterion_7_closed_form_cross_validation():
         u_val = float(rng.uniform(-0.5, 0.5))
         spec_s = build_scalar_spec({"a0": a0, "f0": f0, "input_gain": g,
                                     "c0": c0, "c1": c1})
-        trace = simulate_plant(spec_s, InputSignal.constant([u_val]),
+        u = np.array([u_val])
+        trace = simulate_plant(spec_s, lambda t: u,
                                SimConfig(t_end=1.0, h=5e-4,
                                          x0=[rng.uniform(0.5, 2.0)],
                                          y0=[rng.uniform(-0.5, 0.5)]))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -176,7 +178,8 @@ def test_phase_sweep_matches_per_phase_loop():
                                  noise_frequency=10.0, r=1.0, h=5e-4)
     phases = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False) + 0.3
     _, omegas, errors, max_err = apps.phase_sweep(scn, phases)
-    ref = np.array([apps.estimate_frequency(scn, phase=ph) for ph in phases])
+    ref = np.array([apps.estimate_frequency(dataclasses.replace(scn, phase=ph))
+                    for ph in phases])
     assert np.max(np.abs(omegas - ref) / ref) <= 1e-12
     assert np.allclose(errors, np.abs(ref - 3.0) / 3.0, rtol=1e-12, atol=0.0)
     assert max_err == np.max(errors)
@@ -190,7 +193,7 @@ def test_horizon_sweep_error_drops_with_window_length():
 
 
 def test_scalar_observer_matches_generic_reconstruction():
-    from deadbeat_observer.model import InputSignal, SystemSpec
+    from deadbeat_observer.model import SystemSpec
 
     a0, c0, c1v, f0 = -0.5, 1.0, 0.1, 0.2
     spec = SystemSpec(
@@ -200,7 +203,8 @@ def test_scalar_observer_matches_generic_reconstruction():
         eval_C=lambda y: np.array([[c0 + c1v * float(np.atleast_1d(y)[0])]]),
         eval_f=lambda y, u: np.array([f0 + float(np.atleast_1d(u)[0])]),
     )
-    trace = simulate_plant(spec, InputSignal.constant([0.3]),
+    u = np.array([0.3])
+    trace = simulate_plant(spec, lambda t: u,
                            SimConfig(t_end=1.0, h=5e-4, x0=[1.4], y0=[0.2]))
     window = IoWindow(grid=trace.grid, y_samples=trace.y_meas, u_samples=trace.u)
     z_closed = apps.scalar_observer_P(

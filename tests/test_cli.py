@@ -319,6 +319,21 @@ def test_input_of_the_wrong_width_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "wide_trace.csv").exists()
 
 
+@pytest.mark.parametrize("section, field, commands", [
+    ("sim", "x0", ("simulate", "observability")), ("observer", "z0", ("simulate",))],
+    ids=["x0", "z0"])
+def test_initial_state_of_the_wrong_width_is_a_runtime_error(tmp_path, capsys, section, field,
+                                                              commands):
+    cfg = json.loads((CONFIG_DIR / "scalar_oracle.json").read_text())
+    cfg[section][field] = [2.0, 1.0]
+    cfg["output_prefix"] = str(tmp_path / "wide")
+    for command in commands:
+        assert main([command, write_config(tmp_path, cfg)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "error: " in err and "shape" in err and "broadcast" not in err
+    assert not list(tmp_path.glob("wide_*"))
+
+
 def test_sweep_requires_frequency_system(tmp_path, capsys):
     cfg_path = write_config(tmp_path, scalar_config(str(tmp_path / "x")))
     assert main(["sweep", cfg_path]) == EXIT_CONFIG

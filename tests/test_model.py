@@ -7,12 +7,12 @@ from deadbeat_observer import applications as apps
 from deadbeat_observer.cli import build_scalar_spec
 from deadbeat_observer.errors import DimensionMismatch
 from deadbeat_observer.model import (
-    InputSignal,
     check_point_evaluators,
     domain_mask,
     eval_coefficients,
     make_lti,
     point_rate,
+    sampled_input,
     scalar_oracle_spec,
 )
 from deadbeat_observer.numerics import Grid
@@ -98,14 +98,16 @@ def test_make_lti_constant_across_probes():
 
 
 def test_input_signals():
-    const = InputSignal.constant([1.5])
-    assert const(0.0)[0] == 1.5 and const(7.0)[0] == 1.5
+    # a recorded input holds the sample of the previous node
     grid = Grid.from_span(0.0, 1.0, 0.25)
-    sampled = InputSignal.sampled(grid, np.arange(5.0).reshape(-1, 1))
-    assert sampled(0.1)[0] == 0.0  # previous-node hold
-    assert sampled(0.26)[0] == 1.0
-    closure = InputSignal.closure(lambda t: 2.0 * t, 1)
-    assert closure(0.5)[0] == 1.0
+    for values in (np.arange(5.0), np.arange(5.0).reshape(-1, 1)):
+        u = sampled_input(grid, values)
+        for t, held in ((0.0, 0.0), (0.1, 0.0), (0.26, 1.0), (1.0, 4.0), (2.0, 4.0)):
+            assert np.array_equal(u(t), [held])
+    assert sampled_input(grid, np.ones((5, 2)))(0.5).shape == (2,)
+    for values in (np.arange(4.0), np.ones((6, 1)), np.ones((5, 1, 1))):
+        with pytest.raises(DimensionMismatch, match="input samples"):
+            sampled_input(grid, values)
 
 
 BATCH_FACTORIES = {

@@ -13,7 +13,7 @@ from deadbeat_observer.errors import (
     GramDegenerate,
     NonFiniteState,
 )
-from deadbeat_observer.model import InputSignal, SystemSpec, make_lti, scalar_oracle_spec
+from deadbeat_observer.model import SystemSpec, make_lti, scalar_oracle_spec
 from deadbeat_observer.observer import (
     FAIL,
     FULL,
@@ -75,6 +75,27 @@ def test_init_requires_the_initial_measurement():
         observer_init(spec, cfg, z0=[0.0])
     with pytest.raises(TypeError):  # y0 is keyword-only
         observer_init(spec, cfg, [0.0], None, 0.0, [0.5])
+
+
+@pytest.mark.parametrize("mode, field, value", [
+    (REDUCED, "z0", [0.0, -4.0, 1.0]), (REDUCED, "y0", [1.0, 0.0]), (FULL, "w0", [1.0, 0.0]),
+    (REDUCED, "u0", [0.0, 0.0]), (FULL, "u0", []),
+], ids=["z0", "y0", "w0", "u0 wide", "u0 empty"])
+def test_init_checks_the_widths_of_its_initial_values(mode, field, value):
+    spec = apps.freq_spec()  # n = 2, k = 1, m = 1
+    cfg = ObserverConfig(r=1.0, h=0.1, mode=mode)
+    good = {"z0": [0.0, -4.0], "w0": [1.0], "y0": [1.0], "u0": [0.0]}
+    with pytest.raises(DimensionMismatch, match=f"{field} has shape"):
+        observer_init(spec, cfg, **{**good, field: value})
+    observer_init(spec, cfg, **good)
+
+
+def test_replay_checks_the_estimate_width_before_any_step():
+    spec = scalar_oracle_spec()
+    trace = simulate_plant(spec, None, SimConfig(t_end=1.0, h=0.1, x0=[2.0], y0=[0.0]))
+    for mode, w0 in ((REDUCED, None), (FULL, [0.0])):
+        with pytest.raises(DimensionMismatch, match="z0 has shape"):
+            run_observer(spec, ObserverConfig(r=0.5, h=0.1, mode=mode), trace, [0.0, 1.0], w0)
 
 
 def test_reduced_init_ignores_w0():
@@ -258,7 +279,7 @@ def replay_cases():
     cases.append(("frequency, full", spec, ObserverConfig(r=1.0, h=scn.h, mode=FULL),
                   trace, [1.0, -4.0], y0))
     spec = build_scalar_spec({"a0": -0.4, "f0": 0.2, "input_gain": 0.7, "c0": 1.1, "c1": -0.3})
-    trace = simulate_plant(spec, InputSignal.closure(lambda t: np.sin(7.0 * t), 1),
+    trace = simulate_plant(spec, lambda t: np.array([np.sin(7.0 * t)]),
                            SimConfig(t_end=1.3, h=0.005, x0=[1.5], y0=[0.2]))
     for mode in (REDUCED, FULL):
         cases.append((f"scalar plant under a varying input, {mode}", spec,
@@ -398,7 +419,7 @@ def test_plant_samples_stage_times_and_observer_holds_left_input():
     # y' = u(t) = t^3 and x' = 0; RK4 with u sampled at its stage times is
     # Simpson's rule, exact for a cubic, while the observer holds u(t_j)
     spec = build_scalar_spec({"a0": 0.0, "f0": 0.0, "input_gain": 1.0, "c0": 0.0})
-    signal = InputSignal.closure(lambda t: t ** 3, 1)
+    signal = lambda t: np.array([t ** 3])
     trace = simulate_plant(spec, signal, SimConfig(t_end=0.5, h=0.05, x0=[0.0], y0=[0.0]))
     t = trace.grid.times()
     assert np.allclose(trace.y_true[:, 0], t ** 4 / 4, rtol=0.0, atol=1e-15)
@@ -493,7 +514,7 @@ def test_reset_window_overflow_reports_the_stream_node():
                       eval_b=lambda y, u: np.zeros(1),
                       eval_C=lambda y: np.ones((1, 1)),
                       eval_f=lambda y, u: np.ones(1))
-    step = InputSignal.closure(lambda t: 0.0 if t < 0.5 else 1.0, 1)
+    step = lambda t: np.array([0.0 if t < 0.5 else 1.0])
     trace = simulate_plant(spec, step, SimConfig(t_end=1.5, h=0.01, x0=[0.0], y0=[0.0]))
     for mode, w0 in ((REDUCED, None), (FULL, [0.0])):
         cfg = ObserverConfig(r=0.5, h=0.01, mode=mode)

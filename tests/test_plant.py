@@ -8,10 +8,10 @@ from deadbeat_observer import plant
 from deadbeat_observer.cli import build_scalar_spec, canonical_example26
 from deadbeat_observer.errors import DimensionMismatch, DomainExit, NonFiniteState
 from deadbeat_observer.model import (
-    InputSignal,
     SystemSpec,
     eval_coefficients,
     make_lti,
+    sampled_input,
     scalar_oracle_spec,
 )
 from deadbeat_observer.numerics import Grid, integrate_rk4
@@ -115,7 +115,7 @@ BATCH_CASES = {
     # the input is shared by the batch and must be sampled at each stage time
     "scalar_input": lambda: (
         build_scalar_spec({"a0": -0.4, "f0": 0.2, "input_gain": 0.7, "c0": 1.1, "c1": -0.3}),
-        InputSignal.closure(lambda t: np.sin(7.0 * t), 1),
+        lambda t: np.array([np.sin(7.0 * t)]),
         [[2.0], [-1.0], [0.5]], [[0.0], [1.0], [-0.5]]),
 }
 
@@ -230,11 +230,28 @@ def test_input_width_must_match_the_spec(batch):
     spec = scalar_oracle_spec()  # m = 1
     x0, y0 = ([[2.0], [1.0]], [[0.0], [0.0]]) if batch else ([2.0], [0.0])
     cfg = SimConfig(t_end=0.1, h=0.01, x0=x0, y0=y0)
-    for signal in (InputSignal.constant([1.0, 2.0]), InputSignal.zero(3),
+    for signal in (lambda t: np.array([1.0, 2.0]), lambda t: np.zeros(3),
                    lambda t: 0.0):
         with pytest.raises(DimensionMismatch, match="input has shape"):
             simulate_plant(spec, signal, cfg)
-    simulate_plant(spec, InputSignal.constant([1.0]), cfg)
+    simulate_plant(spec, lambda t: np.array([1.0]), cfg)
+
+
+@pytest.mark.parametrize("x0, y0", [([1.0], [-4.0, 2.0]), ([1.0, -4.0, 2.0], []),
+                                    ([[1.0, -4.0]] * 2, [[2.0, 0.0]] * 2)],
+                         ids=["x0 short", "y0 empty", "batch y0 wide"])
+def test_initial_state_widths_must_match_the_spec(x0, y0):
+    good = apps.freq_spec(relaxed_domain=True)  # n = 2, k = 1
+    calls = []
+
+    def in_domain(x, y):
+        calls.append(1)
+        return True
+
+    spec = dataclasses.replace(good, in_domain=in_domain)
+    with pytest.raises(DimensionMismatch, match="initial states"):
+        simulate_plant(spec, None, SimConfig(t_end=0.01, h=0.001, x0=x0, y0=y0))
+    assert not calls
 
 
 def test_corrupt_batched_trace_shares_noise():
@@ -264,7 +281,7 @@ def test_corrupt_clean_sensor_is_identity():
     spec = scalar_oracle_spec()
     trace = simulate_plant(spec, None, SimConfig(t_end=1.0, h=0.1,
                                                  x0=[2.0], y0=[0.0]))
-    clean = corrupt(trace, SensorModel.clean())
+    clean = corrupt(trace, SensorModel())
     assert np.array_equal(clean.y_meas, trace.y_true)
 
 
@@ -312,13 +329,13 @@ def single_plant_cases():
     cases.append(("scalar plant under sin(7t)",
                   build_scalar_spec({"a0": -0.4, "f0": 0.2, "input_gain": 0.7,
                                      "c0": 1.1, "c1": -0.3}),
-                  InputSignal.closure(lambda t: np.sin(7.0 * t), 1),
+                  lambda t: np.array([np.sin(7.0 * t)]),
                   SimConfig(t_end=1.0, h=0.005, x0=[1.5], y0=[0.2])))
     ex = canonical_example26()
     grid = Grid.from_span(0.0, 1.0, 1e-3)
     u_s, _ = indistinguishing_input(ex, np.array([0.5, -0.3]), 0.2, grid)
     cases.append(("example26 under its indistinguishing input", ex.to_system_spec(),
-                  InputSignal.sampled(grid, u_s),
+                  sampled_input(grid, u_s),
                   SimConfig(t_end=1.0, h=1e-3, x0=[0.5, -0.3], y0=[0.2])))
     rng = np.random.default_rng(2024)
     for n in range(1, 7):
@@ -335,7 +352,7 @@ def single_plant_cases():
 def test_single_trajectory_bit_for_bit_as_the_coercing_rate():
     for name, spec, signal, cfg in single_plant_cases():
         trace = simulate_plant(spec, signal, cfg)
-        signal = signal or InputSignal.zero(spec.m)
+        signal = signal or (lambda t: np.zeros(spec.m))
         expected = integrate_rk4(lambda t, s: coercing_point_rate(spec, s, signal(t)),
                                  np.concatenate([cfg.x0, cfg.y0]), trace.grid)
         assert np.array_equal(trace.x_true, expected[:, :spec.n]), name

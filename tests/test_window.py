@@ -13,7 +13,7 @@ from deadbeat_observer.errors import (
     NotPositiveDefinite,
     WrongOutputDimension,
 )
-from deadbeat_observer.model import InputSignal, make_lti, scalar_oracle_spec
+from deadbeat_observer.model import make_lti, scalar_oracle_spec
 from deadbeat_observer.numerics import Grid, cumulative_trapezoid
 from deadbeat_observer.plant import SimConfig, simulate_plant
 from deadbeat_observer.window import (
@@ -420,7 +420,7 @@ def test_indistinguishing_input_degenerate_gram():
     def u_exact(t):
         return -1.0 - math.exp(-2.0 * t) * (x0[1] + x0[0] * math.exp(y0))
 
-    trace = simulate_plant(spec, InputSignal.closure(u_exact, 1),
+    trace = simulate_plant(spec, lambda t: np.array([u_exact(t)]),
                            SimConfig(t_end=1.0, h=5e-4, x0=x0, y0=[y0]))
     gs = gram(compute_window(spec, IoWindow(grid=trace.grid,
                                             y_samples=trace.y_meas,
