@@ -16,12 +16,14 @@ import numpy as np
 from .errors import (
     HypothesisFails,
     InvalidParams,
+    NonFiniteState,
     NonNegativeZ2,
     SingularDenominator,
 )
 from .model import SystemSpec
 from .numerics import Grid, cumulative_trapezoid, trapezoid
-from .plant import SensorModel, SimConfig, corrupt, simulate_plant
+# simulate_plant and corrupt are not called here; perfbench/spans.py times calls through these names
+from .plant import SensorModel, corrupt, simulate_plant
 from .window import IoWindow
 
 _DEN_TOL = 1e-12  # a closed-form denominator at or below this share of its scale is singular
@@ -121,11 +123,6 @@ def reactor_spec(p):
         return (0.0 < x[0] < p.c1_bar and 0.0 < x[1] < p.c2_bar
                 and p.Tmin < y[0] < p.Tmax)
 
-    def in_domain_batch(X, Y):
-        return ((0.0 < X[:, 0]) & (X[:, 0] < p.c1_bar) & (0.0 < X[:, 1])
-                & (X[:, 1] < p.c2_bar) & (p.Tmin < Y[:, 0]) & (Y[:, 0] < p.Tmax))
-
-    in_domain_batch.mirrors = in_domain
     b = np.zeros(2)
 
     return SystemSpec(
@@ -136,7 +133,6 @@ def reactor_spec(p):
         eval_f=eval_f,
         eval_batch=eval_batch,
         in_domain=in_domain,
-        in_domain_batch=in_domain_batch,
     )
 
 
@@ -332,12 +328,6 @@ def freq_spec(relaxed_domain=False):
             return False
         return True if relaxed_domain else x[1] < 0.0
 
-    def in_domain_batch(X, Y):
-        # written as ~(... <= 0) so that a NaN row reads as in_domain does
-        nonzero = ~(Y[:, 0] * Y[:, 0] + X[:, 0] * X[:, 0] <= 0.0)
-        return nonzero if relaxed_domain else nonzero & (X[:, 1] < 0.0)
-
-    in_domain_batch.mirrors = in_domain
     b, C, f = np.zeros(2), np.array([[1.0], [0.0]]), np.zeros(1)
 
     return SystemSpec(
@@ -348,7 +338,6 @@ def freq_spec(relaxed_domain=False):
         eval_f=lambda y, u: f,
         eval_batch=eval_batch,
         in_domain=in_domain,
-        in_domain_batch=in_domain_batch,
     )
 
 
@@ -356,28 +345,35 @@ def freq_closed_form(window):
     """Closed-form window reconstruction (z1, z2) for the frequency plant.
 
     phi(t) is the double integral of the output; the two quotients realize
-    the generic Gram least-squares solution for this particular plant.
+    the generic Gram least-squares solution for this particular plant.  They
+    are formed in units where the window is [0, 1] and max|y| is 1, so that
+    no product overflows for a finite signal; with s = max|y|, z1 is scaled
+    back by s/r and z2 by 1/r^2.  A non-finite sample raises NonFiniteState
+    at its window node.
     """
-    grid = window.grid
     y = window.y_samples[:, 0]
-    t = grid.times() - grid.t0
-    r = grid.span
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise NonFiniteState(int(bad[0]), f"non-finite output sample at window node {bad[0]}")
+    s = float(np.max(np.abs(y))) or 1.0
+    y = y / s
+    r = window.grid.span
+    grid = Grid(0.0, window.grid.h / r, window.grid.count)
+    t = grid.times()
     Y = cumulative_trapezoid(y, grid)
     phi = cumulative_trapezoid(Y, grid)
     I_pp = trapezoid(phi * phi, grid)
     I_tp = trapezoid(t * phi, grid)
     I_yt = trapezoid((y - y[0]) * t, grid)
     I_yp = trapezoid((y - y[0]) * phi, grid)
-    den = r ** 3 * I_pp - 3.0 * I_tp ** 2
-    scale = max(r ** 3 * I_pp, 1e-300)
-    if den <= _DEN_TOL * scale:
+    den = I_pp - 3.0 * I_tp ** 2
+    if den <= _DEN_TOL * max(I_pp, 1e-300):
         raise SingularDenominator(
             f"window denominator {den:.3e} is numerically singular"
         )
-    z2 = (-3.0 * I_tp * I_yt + r ** 3 * I_yp) / den
-    z1 = (3.0 * (I_pp - Y[-1] * I_tp) * I_yt
-          + (r ** 3 * Y[-1] - 3.0 * I_tp) * I_yp) / den
-    return float(z1), float(z2)
+    z2 = (I_yp - 3.0 * I_tp * I_yt) / den
+    z1 = (3.0 * (I_pp - Y[-1] * I_tp) * I_yt + (Y[-1] - 3.0 * I_tp) * I_yp) / den
+    return float(z1) * s / r, float(z2) / r / r
 
 
 def omega_hat(z2):
@@ -388,19 +384,23 @@ def omega_hat(z2):
 
 
 def _windows_from_scenario(scn, phases):
-    """Simulate one plant trajectory per phase on the scenario's grid, corrupt
-    the outputs and cut the windows [0, r].
+    """The measured window [0, r] of the scenario's signal for each phase.
 
-    All phases are integrated in one ``simulate_plant`` call and corrupted by
-    one ``corrupt`` call; a single phase takes the one-trajectory path.
+    Each is the exact sinusoid A sin(w t + phase) on the scenario's grid,
+    expanded as A (cos(phase) sin(w t) + sin(phase) cos(w t)) so that the
+    phase enters as the plant's initial state does, and read through the
+    scenario's sensor.  No numpy warning is raised: a sample that overflows
+    is non-finite, and ``freq_closed_form`` rejects its window.
     """
-    states = [replace(scn, phase=ph).initial_state() for ph in phases]
-    x0 = np.stack([x for x, _ in states])
-    y0 = np.stack([y for _, y in states])
-    trace = simulate_plant(freq_spec(), None, SimConfig(t_end=scn.r, h=scn.h, x0=x0, y0=y0))
-    trace = corrupt(trace, scn.sensor())
-    return [IoWindow(grid=trace.grid, y_samples=y, u_samples=trace.u)
-            for y in trace.y_meas]
+    grid = Grid.from_span(0.0, scn.r, scn.h)
+    t = grid.times()
+    phases = np.asarray(phases, dtype=float)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        wt = scn.omega * t
+        y = scn.amplitude * (np.cos(phases) * np.sin(wt) + np.sin(phases) * np.cos(wt))
+        y = scn.sensor().measure(y[:, :, None], t)
+    u = np.zeros((grid.count, 1))
+    return [IoWindow(grid=grid, y_samples=row, u_samples=u) for row in y]
 
 
 def estimate_frequency(scn):
@@ -413,8 +413,7 @@ def estimate_frequency(scn):
 def phase_sweep(scn, phi_grid=None):
     """Relative frequency-estimation error as a function of the signal phase.
 
-    The windows of all phases are simulated together as one batch on the
-    scenario's grid; each window is then reconstructed on its own.
+    Each phase's window is reconstructed on its own.
     Returns (phases, omega_hats, rel_errors, max_rel_error).
     """
     if phi_grid is None:

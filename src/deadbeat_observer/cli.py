@@ -46,8 +46,7 @@ class ConfigError(Exception):
 
 def _require(cfg, key, context="config"):
     if key not in cfg:
-        raise ConfigError(f"missing field `{context}.{key}`" if context else
-                          f"missing field `{key}`")
+        raise ConfigError(f"missing field `{context}.{key}`")
     return cfg[key]
 
 
@@ -131,7 +130,6 @@ def build_system(cfg):
             p = apps.canonical_reactor_params()
         else:
             p = apps.ReactorParams(**{k: float(v) for k, v in params.items()})
-        extras["reactor_params"] = p
         return apps.reactor_spec(p), kind, extras
     if kind == "lti":
         return make_lti(_require(sys_cfg, "A", "system"),

@@ -22,14 +22,6 @@ once: given (N, k) Y and (N, m) U it returns arrays (A, b, C, f) of
 shapes (N, n, n), (N, n), (N, n, k) and (N, k).  ``eval_coefficients``
 uses it when it is set and otherwise calls the per-point evaluators.
 
-The optional ``in_domain_batch(X, Y)`` is the domain predicate at B points:
-given X of shape (B, n) and Y of shape (B, k) it returns a (B,) boolean mask
-that agrees with ``in_domain`` row by row.  ``domain_mask`` uses it when it
-is set and otherwise calls ``in_domain`` per row.  A batch predicate whose
-``mirrors`` attribute names the scalar predicate it agrees with is dropped
-from a copy of the spec that replaces ``in_domain`` alone; an untagged one
-is kept as given.
-
 An input is any function u(t) that returns an ndarray of shape (m,);
 ``sampled_input`` holds recorded per-node samples.
 """
@@ -53,12 +45,6 @@ class SystemSpec:
     eval_f: Callable
     eval_batch: Callable = None
     in_domain: Callable = field(default=lambda x, y: True)
-    in_domain_batch: Callable = None
-
-    def __post_init__(self):
-        mirrors = getattr(self.in_domain_batch, "mirrors", None)
-        if mirrors is not None and mirrors is not self.in_domain:
-            object.__setattr__(self, "in_domain_batch", None)  # stale after a replace
 
 
 def sampled_input(grid, values):
@@ -133,21 +119,6 @@ def point_rate(spec, s, u):
     x, y = s[:spec.n], s[spec.n:]
     return np.concatenate((spec.eval_A(y, u).dot(x) + spec.eval_b(y, u),
                            spec.eval_f(y, u) + x.dot(spec.eval_C(y))))
-
-
-def domain_mask(spec, X, Y):
-    """(B,) boolean mask: whether each row of (X, Y) lies in the model domain.
-
-    Calls ``spec.in_domain_batch`` once when it is set; otherwise calls
-    ``spec.in_domain`` row by row.
-    """
-    if spec.in_domain_batch is None:
-        return np.array([bool(spec.in_domain(x, y)) for x, y in zip(X, Y)], dtype=bool)
-    mask = np.asarray(spec.in_domain_batch(X, Y))
-    if mask.shape != (X.shape[0],):
-        raise DimensionMismatch(
-            f"in_domain_batch returned shape {mask.shape}, expected ({X.shape[0]},)")
-    return mask
 
 
 def make_lti(A, b, C, f):

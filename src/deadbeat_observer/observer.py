@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, DomainExit, GramDegenerate, NonFiniteState,
                      NotPositiveDefinite)
-from .model import check_point_evaluators, domain_mask, point_rate
+from .model import check_point_evaluators, point_rate
 from .numerics import DEFAULT_REL_THRESHOLD, Grid, all_finite, rk4_step
 from .window import IoWindow, apply_P, end_state, flow_window
 
@@ -120,7 +120,7 @@ class ObserverSnapshot:
 class EstimateTrace:
     grid: Grid
     z: np.ndarray  # (count, n)
-    w: np.ndarray  # (count, k); mirrors measurements in reduced mode
+    w: np.ndarray  # (count, k); the measurements in reduced mode
     reset_flags: np.ndarray  # (count,), 1 at nodes where the jump map fired
     degenerate_flags: np.ndarray  # (count,), 1 at skipped (degenerate) resets
 
@@ -212,23 +212,26 @@ def _reduced_flow_step(spec, h, z, left, y_prev, y_new, u):
 def observer_step(spec, config, snap, y_meas, u):
     """Advance one step of size h; ``y_meas`` is the measurement at t + h.
 
-    ``u`` is the input held over [t, t+h).  The step costs the same whatever
-    the window length M: it adds one link to the window chain, and only at
-    the reset nodes (every M-th node from ``observer_init``) is the chain
-    read into the window fed to the reconstruction operator.  A non-finite
-    measurement, flow or reset window raises NonFiniteState with the stream
-    node.
+    ``u`` is the input held over [t, t+h).  ``config`` must equal the one
+    the snapshot was made with, else ValueError, and ``y_meas`` and ``u``
+    must have shapes (k,) and (m,), else DimensionMismatch.  The step costs
+    the same whatever the window length M: it adds one link to the window
+    chain, and only at the reset nodes (every M-th node from
+    ``observer_init``) is the chain read into the window fed to the
+    reconstruction operator.  A non-finite measurement, flow or reset window
+    raises NonFiniteState with the stream node.
     """
     link = snap.link
-    if config is not snap.config and (config.r, config.h) != (snap.config.r, snap.config.h):
-        raise ValueError(
-            f"snapshot was initialized with r={snap.config.r}, h={snap.config.h}; "
-            f"cannot step it with r={config.r}, h={config.h}"
-        )
+    if config is not snap.config and config != snap.config:
+        raise ValueError(f"snapshot was initialized with {snap.config}; "
+                         f"cannot step it with {config}")
     node = snap.node + 1
     t_new = snap.t0 + node * config.h
     y_meas = _vector(y_meas)
     u = _vector(u)
+    if y_meas.shape != (spec.k,) or u.shape != (spec.m,):
+        raise DimensionMismatch(f"measurement of shape {y_meas.shape} and input of shape "
+                                f"{u.shape} at node {node}, expected ({spec.k},) and ({spec.m},)")
     if not all_finite(y_meas):
         raise NonFiniteState(node, f"non-finite measurement at t = {t_new:.6g}")
 
@@ -304,8 +307,8 @@ def run_observer(spec, config, trace, z0, w0=None):
     is the trace slice [j - M, j], and one ``window.flow_window`` per window
     gives the flow z_j = Phi_j z_a + theta_j from the window start a and,
     through ``window.end_state``, the reset.  The flowed nodes of a window
-    take one ``model.domain_mask`` call, and a NonFiniteState from the
-    window engine carries the trace node.  Fully deterministic.
+    are checked with ``spec.in_domain`` in order, and a NonFiniteState from
+    the window engine carries the trace node.  Fully deterministic.
     """
     grid = trace.grid
     if abs(grid.h - config.h) > 1e-12 * max(grid.h, config.h):
@@ -341,10 +344,9 @@ def run_observer(spec, config, trace, z0, w0=None):
         z[a + 1:b + 1] = flow[1:]
         bad = np.flatnonzero(~np.isfinite(flow[1:]).all(axis=1))
         end = a + 1 + int(bad[0]) if bad.size else b
-        inside = domain_mask(spec, z[a + 1:end], y[a + 1:end])
-        if not inside.all():
-            j = a + 1 + int(np.argmin(inside))
-            raise _left_domain(j, t[j], z[j])
+        for j in range(a + 1, end):
+            if not spec.in_domain(z[j], y[j]):
+                raise _left_domain(j, t[j], z[j])
         if bad.size:
             raise _diverged(end, t[end])
         if b - a == M:

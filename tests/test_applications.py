@@ -172,8 +172,22 @@ def test_omega_hat_readout():
         apps.omega_hat(0.0)
 
 
+def test_clean_sweep_windows_match_the_plant():
+    scn = apps.FrequencyScenario(h=5e-4)
+    phases = [0.4, 2.0, 5.1]
+    windows = apps._windows_from_scenario(scn, phases)
+    assert len(windows) == len(phases)
+    for phase, window in zip(phases, windows):
+        x0, y0 = dataclasses.replace(scn, phase=phase).initial_state()
+        trace = simulate_plant(apps.freq_spec(), None,
+                               SimConfig(t_end=scn.r, h=scn.h, x0=x0, y0=y0))
+        assert window.grid == trace.grid
+        assert np.max(np.abs(window.y_samples - trace.y_true)) < 1e-9
+        assert np.array_equal(window.u_samples, trace.u)
+
+
 def test_phase_sweep_matches_per_phase_loop():
-    # the Figure 1 scenario; the batched sweep against one window per phase
+    # the Figure 1 scenario; the sweep against one window per phase
     scn = apps.FrequencyScenario(amplitude=2.0, omega=3.0, noise_amplitude=0.2,
                                  noise_frequency=10.0, r=1.0, h=5e-4)
     phases = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False) + 0.3

@@ -292,6 +292,41 @@ def test_sweep_phase_small_grid(tmp_path):
     assert len(lines) == 10  # header + 8 rows + trailing newline
 
 
+def frequency_sweep_config(prefix, **scenario):
+    return {"system": {"kind": "frequency", "scenario": {"omega": 3.0, "r": 1.0, "h": 5e-4,
+                                                         **scenario}},
+            "sweep": {"phases": [0.3, 1.1, 4.0], "r_values": [1.0, 2.0]},
+            "output_prefix": prefix}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["phase", "horizon"])
+def test_sweep_of_a_large_finite_amplitude(tmp_path, mode):
+    # the estimate does not depend on the amplitude, up to rounding
+    def omegas(amplitude):
+        prefix = str(tmp_path / "big")
+        cfg = frequency_sweep_config(prefix, amplitude=amplitude, noise_amplitude=0.1 * amplitude)
+        assert main(["sweep", write_config(tmp_path, cfg), "--mode", mode]) == EXIT_OK
+        return np.loadtxt(f"{prefix}_sweep.csv", delimiter=",", skiprows=1)[:, 1]
+
+    reference = omegas(2.0)
+    assert np.all(np.abs(reference - 3.0) < 0.05)
+    for amplitude in (1e150, 1e200, 1e307, 1e308):
+        assert np.allclose(omegas(amplitude), reference, rtol=1e-12, atol=0.0), amplitude
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_of_an_overflowing_signal_is_a_runtime_error(tmp_path, capsys):
+    # signal and noise both peak near t = pi/20; their sum first exceeds the
+    # largest float at node 191
+    cfg = frequency_sweep_config(str(tmp_path / "inf"), amplitude=1e308,
+                                 noise_amplitude=1e308, noise_frequency=10.0)
+    cfg["sweep"]["phases"] = [np.pi / 2 - 0.15 * np.pi]
+    assert main(["sweep", write_config(tmp_path, cfg)]) == EXIT_RUNTIME
+    assert "non-finite output sample at window node 191" in capsys.readouterr().err
+    assert not list(tmp_path.glob("inf_*"))
+
+
 def test_sweep_mode_comes_from_the_config(tmp_path):
     cfg = {
         "system": {"kind": "frequency", "scenario": {"r": 1.0, "h": 0.002}},

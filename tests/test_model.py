@@ -8,7 +8,6 @@ from deadbeat_observer.cli import build_scalar_spec
 from deadbeat_observer.errors import DimensionMismatch
 from deadbeat_observer.model import (
     check_point_evaluators,
-    domain_mask,
     eval_coefficients,
     make_lti,
     point_rate,
@@ -156,66 +155,3 @@ def test_eval_batch_wrong_shape_rejected():
                                  np.ones((len(Y), 1, 1)), np.zeros((len(Y), 1))))
     with pytest.raises(DimensionMismatch):
         eval_coefficients(spec, np.zeros((4, 1)), np.zeros((4, 1)))
-
-
-def _reactor_domain_rows():
-    p = apps.canonical_reactor_params()
-    rng = np.random.default_rng(29)
-    X = np.column_stack([rng.uniform(-0.2, 1.2 * p.c1_bar, 60),
-                         rng.uniform(-0.2, 1.2 * p.c2_bar, 60)])
-    Y = rng.uniform(p.Tmin - 10.0, p.Tmax + 10.0, size=(60, 1))
-    inside_x, inside_T = [0.5, 1.0], 320.0
-    edges = [([0.0, 1.0], inside_T), ([p.c1_bar, 1.0], inside_T),
-             ([0.5, 0.0], inside_T), ([0.5, p.c2_bar], inside_T),
-             (inside_x, p.Tmin), (inside_x, p.Tmax), (inside_x, inside_T),
-             ([np.nan, 1.0], inside_T), (inside_x, np.nan)]
-    X = np.vstack([X, [x for x, _ in edges]])
-    Y = np.vstack([Y, [[T] for _, T in edges]])
-    return apps.reactor_spec(p), X, Y
-
-
-def _frequency_domain_rows(relaxed):
-    rng = np.random.default_rng(31)
-    X = rng.uniform(-2.0, 2.0, size=(60, 2))
-    Y = rng.uniform(-2.0, 2.0, size=(60, 1))
-    edges = [([1.0, 0.0], 1.0), ([1.0, -0.0], 1.0), ([0.0, -4.0], 0.0),
-             ([-0.0, 4.0], 0.0), ([0.0, -4.0], 1.0), ([1.0, -4.0], 0.0),
-             ([np.nan, -4.0], 1.0), ([1.0, np.nan], 1.0), ([1.0, -4.0], np.nan)]
-    X = np.vstack([X, [x for x, _ in edges]])
-    Y = np.vstack([Y, [[y] for _, y in edges]])
-    return apps.freq_spec(relaxed), X, Y
-
-
-DOMAIN_CASES = {
-    "reactor": _reactor_domain_rows,
-    "frequency": lambda: _frequency_domain_rows(False),
-    "frequency_relaxed": lambda: _frequency_domain_rows(True),
-}
-
-
-@pytest.mark.parametrize("name", sorted(DOMAIN_CASES))
-def test_in_domain_batch_agrees_with_in_domain(name):
-    # seeded random rows plus the exact boundaries: x2 = 0, y = x1 = 0,
-    # T = Tmin and Tmax, c = 0 and c_bar, and NaN entries
-    spec, X, Y = DOMAIN_CASES[name]()
-    assert spec.in_domain_batch is not None
-    with np.errstate(invalid="ignore"):
-        mask = domain_mask(spec, X, Y)
-        pointwise = [bool(spec.in_domain(x, y)) for x, y in zip(X, Y)]
-    assert mask.dtype == bool
-    assert mask.tolist() == pointwise
-    assert 0 < mask.sum() < len(mask)
-
-
-def test_domain_mask_falls_back_to_in_domain():
-    spec, X, Y = _frequency_domain_rows(False)
-    plain = dataclasses.replace(spec, in_domain_batch=None)
-    assert domain_mask(plain, X, Y).tolist() == domain_mask(spec, X, Y).tolist()
-    assert domain_mask(plain, X[:0], Y[:0]).shape == (0,)
-
-
-def test_domain_mask_wrong_shape_rejected():
-    spec = dataclasses.replace(apps.freq_spec(),
-                               in_domain_batch=lambda X, Y: np.ones((len(X), 1), dtype=bool))
-    with pytest.raises(DimensionMismatch):
-        domain_mask(spec, np.zeros((4, 2)), np.ones((4, 1)))

@@ -645,8 +645,38 @@ def test_reduced_step_reuses_right_node_coefficients():
 def test_step_keeps_the_window_of_its_snapshot():
     spec = scalar_oracle_spec()
     snap = observer_init(spec, ObserverConfig(r=1.0, h=0.1), z0=[0.0], y0=[0.0], u0=[0.0])
-    snap = observer_step(spec, ObserverConfig(r=1.0, h=0.1, on_degenerate=FAIL), snap,
-                         y_meas=[0.2], u=[0.0])
+    snap = observer_step(spec, ObserverConfig(r=1.0, h=0.1), snap, y_meas=[0.2], u=[0.0])
     assert snap.node == 1
     with pytest.raises(ValueError):
         observer_step(spec, ObserverConfig(r=0.5, h=0.1), snap, y_meas=[0.4], u=[0.0])
+
+
+@pytest.mark.parametrize("change", [{"mode": FULL}, {"on_degenerate": FAIL},
+                                    {"rel_threshold": 1e-6}],
+                         ids=["mode", "on_degenerate", "rel_threshold"])
+def test_step_rejects_a_config_other_than_its_snapshots(change):
+    spec = scalar_oracle_spec()
+    config = ObserverConfig(r=1.0, h=0.1)
+    snap = observer_init(spec, config, z0=[0.0], w0=[0.0], y0=[0.0])
+    with pytest.raises(ValueError, match="cannot step it with"):
+        observer_step(spec, dataclasses.replace(config, **change), snap,
+                      y_meas=[0.2], u=[0.0])
+
+
+def test_step_rejects_a_measurement_of_another_width():
+    # on the frequency plant (k = 1) a (2,) measurement fails at its own node
+    spec = apps.freq_spec()
+    config = ObserverConfig(r=0.01, h=1e-3)
+    snap = observer_init(spec, config, z0=[1.0, -4.0], y0=[0.5])
+    for y in ([0.51], [0.52]):
+        snap = observer_step(spec, config, snap, y, [0.0])
+    with pytest.raises(DimensionMismatch, match="measurement of shape \\(2,\\) .* node 3"):
+        observer_step(spec, config, snap, [0.53, 0.0], [0.0])
+
+
+def test_step_rejects_an_input_of_another_width():
+    spec = build_scalar_spec({"input_gain": 1.0})  # m = 1
+    config = ObserverConfig(r=1.0, h=0.1)
+    snap = observer_init(spec, config, z0=[0.0], y0=[0.0])
+    with pytest.raises(DimensionMismatch, match="input of shape \\(2,\\)"):
+        observer_step(spec, config, snap, [0.2], [1.0, 5.0])

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from deadbeat_observer import applications as apps
-from deadbeat_observer import plant
 from deadbeat_observer.cli import build_scalar_spec, canonical_example26
 from deadbeat_observer.errors import DimensionMismatch, DomainExit, NonFiniteState
 from deadbeat_observer.model import (
     SystemSpec,
-    eval_coefficients,
     make_lti,
     sampled_input,
     scalar_oracle_spec,
@@ -18,6 +16,7 @@ from deadbeat_observer.numerics import Grid, integrate_rk4
 from deadbeat_observer.plant import (
     SensorModel,
     SimConfig,
+    Trace,
     corrupt,
     simulate_plant,
 )
@@ -100,136 +99,9 @@ def test_simulate_deterministic():
     assert np.array_equal(a.y_true, b.y_true)
 
 
-def _frequency_batch():
-    states = [apps.FrequencyScenario(phase=ph).initial_state() for ph in (0.2, 1.7, 4.0)]
-    return apps.freq_spec(), None, [x for x, _ in states], [y for _, y in states]
-
-
-BATCH_CASES = {
-    "frequency": _frequency_batch,
-    "reactor": lambda: (apps.reactor_spec(apps.canonical_reactor_params()), None,
-                        [[0.8, 0.5], [0.3, 1.2], [0.95, 0.1]],
-                        [[315.0], [305.0], [330.0]]),
-    "scalar_oracle": lambda: (scalar_oracle_spec(), None, [[2.0], [-1.0], [0.5]],
-                              [[0.0], [3.0], [-2.0]]),
-    # the input is shared by the batch and must be sampled at each stage time
-    "scalar_input": lambda: (
-        build_scalar_spec({"a0": -0.4, "f0": 0.2, "input_gain": 0.7, "c0": 1.1, "c1": -0.3}),
-        lambda t: np.array([np.sin(7.0 * t)]),
-        [[2.0], [-1.0], [0.5]], [[0.0], [1.0], [-0.5]]),
-}
-
-
-@pytest.mark.parametrize("name", sorted(BATCH_CASES))
-def test_batch_matches_single_runs(name):
-    spec, signal, x0s, y0s = BATCH_CASES[name]()
-    batch = simulate_plant(spec, signal, SimConfig(t_end=0.5, h=1e-3, x0=x0s, y0=y0s))
-    assert batch.x_true.shape == (3, batch.grid.count, spec.n)
-    assert batch.y_true.shape == batch.y_meas.shape == (3, batch.grid.count, spec.k)
-    for i, (x0, y0) in enumerate(zip(x0s, y0s)):
-        single = simulate_plant(spec, signal, SimConfig(t_end=0.5, h=1e-3, x0=x0, y0=y0))
-        for got, ref in ((batch.x_true[i], single.x_true), (batch.y_true[i], single.y_true)):
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.array_equal(batch.u, single.u)
-
-
-def test_batch_domain_exit_reports_earliest_member():
-    # members cross 0.55 at nodes 6, 3 and 5: the batch stops at node 3
-    with pytest.raises(DomainExit) as exc:
-        simulate_plant(ramp_spec(0.55), None, SimConfig(
-            t_end=1.0, h=0.1, x0=[[1.0], [1.0], [1.0]], y0=[[0.0], [0.3], [0.1]]))
-    assert exc.value.index == 3
-    assert "member 1" in str(exc.value)
-
-
-def test_batch_domain_exit_without_batch_predicate():
-    # the same node and member whether the batch is checked through
-    # in_domain_batch or row by row through in_domain
-    cfg = SimConfig(t_end=1.0, h=0.1, x0=[[1.0], [1.0], [1.0]], y0=[[0.0], [0.3], [0.1]])
-    plain = ramp_spec(0.55)
-    assert plain.in_domain_batch is None
-    batched = dataclasses.replace(plain, in_domain_batch=lambda X, Y: Y[:, 0] < 0.55)
-    messages = []
-    for spec in (plain, batched):
-        with pytest.raises(DomainExit) as exc:
-            simulate_plant(spec, None, cfg)
-        assert exc.value.index == 3
-        messages.append(str(exc.value))
-    assert messages[0] == messages[1]
-    assert "member 1" in messages[0]
-
-
-def test_batch_checks_domain_once_per_node():
-    spec, _, x0s, y0s = _frequency_batch()
-    calls = {"batch": 0, "point": 0}
-
-    def in_domain(x, y):
-        calls["point"] += 1
-        return spec.in_domain(x, y)
-
-    def in_domain_batch(X, Y):
-        calls["batch"] += 1
-        return spec.in_domain_batch(X, Y)
-
-    counted = dataclasses.replace(spec, in_domain=in_domain, in_domain_batch=in_domain_batch)
-    trace = simulate_plant(counted, None, SimConfig(t_end=0.5, h=1e-3, x0=x0s, y0=y0s))
-    assert calls == {"batch": trace.grid.count, "point": 0}
-
-
-def test_batch_checks_eval_batch_shapes_once(monkeypatch):
-    spec, _, x0s, y0s = _frequency_batch()
-    cfg = SimConfig(t_end=0.5, h=1e-3, x0=x0s, y0=y0s)
-    checked = []
-
-    def counted(*args):
-        checked.append(args)
-        return eval_coefficients(*args)
-
-    monkeypatch.setattr(plant, "eval_coefficients", counted)
-    simulate_plant(spec, None, cfg)
-    assert len(checked) == 1
-    wrong = dataclasses.replace(spec, eval_batch=lambda Y, U: (
-        np.zeros((len(Y), 2, 2)), np.zeros((len(Y), 2)), np.zeros((len(Y), 1, 2)),
-        np.zeros((len(Y), 1))))
-    with pytest.raises(DimensionMismatch):
-        simulate_plant(wrong, None, cfg)
-
-
-def test_batch_initial_condition_outside_domain():
-    spec, _, x0s, y0s = _frequency_batch()
-    x0s[2] = [1.0, 4.0]
-    with pytest.raises(DomainExit) as exc:
-        simulate_plant(spec, None, SimConfig(t_end=1.0, h=0.1, x0=x0s, y0=y0s))
-    assert exc.value.index == 0
-    assert "member 2" in str(exc.value)
-
-
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-def test_batch_blowup_in_one_member():
-    spec = square_spec()
-    with pytest.raises(NonFiniteState) as single:
-        simulate_plant(spec, None, SimConfig(t_end=2.0, h=0.01, x0=[0.0], y0=[1.0]))
-    with pytest.raises(NonFiniteState) as exc:
-        simulate_plant(spec, None, SimConfig(t_end=2.0, h=0.01, x0=[[0.0], [0.0]],
-                                             y0=[[0.1], [1.0]]))
-    assert exc.value.index == single.value.index
-    assert "member 1" in str(exc.value)
-
-
-def test_batch_leading_sizes_must_agree():
-    with pytest.raises(DimensionMismatch):
-        SimConfig(t_end=1.0, h=0.1, x0=np.zeros((3, 2)), y0=np.zeros((2, 1)))
-    with pytest.raises(DimensionMismatch):
-        SimConfig(t_end=1.0, h=0.1, x0=np.zeros((3, 2)), y0=np.zeros(1))
-    with pytest.raises(DimensionMismatch):
-        SimConfig(t_end=1.0, h=0.1, x0=np.zeros((0, 2)), y0=np.zeros((0, 1)))
-
-
-@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
-def test_input_width_must_match_the_spec(batch):
+def test_input_width_must_match_the_spec():
     spec = scalar_oracle_spec()  # m = 1
-    x0, y0 = ([[2.0], [1.0]], [[0.0], [0.0]]) if batch else ([2.0], [0.0])
-    cfg = SimConfig(t_end=0.1, h=0.01, x0=x0, y0=y0)
+    cfg = SimConfig(t_end=0.1, h=0.01, x0=[2.0], y0=[0.0])
     for signal in (lambda t: np.array([1.0, 2.0]), lambda t: np.zeros(3),
                    lambda t: 0.0):
         with pytest.raises(DimensionMismatch, match="input has shape"):
@@ -238,8 +110,8 @@ def test_input_width_must_match_the_spec(batch):
 
 
 @pytest.mark.parametrize("x0, y0", [([1.0], [-4.0, 2.0]), ([1.0, -4.0, 2.0], []),
-                                    ([[1.0, -4.0]] * 2, [[2.0, 0.0]] * 2)],
-                         ids=["x0 short", "y0 empty", "batch y0 wide"])
+                                    ([[1.0, -4.0]] * 2, [[2.0]] * 2)],
+                         ids=["x0 short", "y0 empty", "2-D states"])
 def test_initial_state_widths_must_match_the_spec(x0, y0):
     good = apps.freq_spec(relaxed_domain=True)  # n = 2, k = 1
     calls = []
@@ -255,8 +127,11 @@ def test_initial_state_widths_must_match_the_spec(x0, y0):
 
 
 def test_corrupt_batched_trace_shares_noise():
-    trace = simulate_plant(scalar_oracle_spec(), None, SimConfig(
-        t_end=1.0, h=0.01, x0=[[2.0], [-1.0], [0.5]], y0=[[0.0], [1.0], [2.0]]))
+    # a leading phase axis, as the frequency sweep reads its windows
+    grid = Grid.from_span(0.0, 1.0, 0.01)
+    y = np.array([2.0, -1.0, 0.5])[:, None, None] * grid.times()[:, None]
+    trace = Trace(grid=grid, x_true=-y, y_true=y, y_meas=y.copy(),
+                  u=np.zeros((grid.count, 1)))
     noisy = corrupt(trace, SensorModel(amplitude=0.2, frequency=10.0))
     noise = 0.2 * np.sin(10.0 * trace.grid.times())
     for i in range(3):
@@ -373,7 +248,6 @@ def test_single_trajectory_makes_sixteen_evaluator_calls_a_step():
                                    eval_b=counted(spec.eval_b),
                                    eval_C=counted(spec.eval_C),
                                    eval_f=counted(spec.eval_f))
-    assert counting.in_domain_batch is spec.in_domain_batch
     trace = simulate_plant(counting, None, SimConfig(t_end=0.25, h=2.5e-3,
                                                      x0=[0.8, 0.5], y0=[315.0]))
     steps = trace.grid.count - 1
@@ -397,23 +271,3 @@ def test_single_trajectory_checks_evaluator_shapes_before_any_step(wrong_C):
         simulate_plant(dataclasses.replace(good, eval_A=eval_A, eval_C=wrong_C), None,
                        SimConfig(t_end=0.5, h=scn.h, x0=x0, y0=y0))
     assert len(calls) == 1
-
-
-def test_replaced_in_domain_drops_the_batch_predicate_it_mirrored():
-    # a two-phase batch leaves the domain at node 0, as the single run does
-    spec = dataclasses.replace(apps.freq_spec(), in_domain=lambda x, y: False)
-    assert spec.in_domain_batch is None
-    states = [apps.FrequencyScenario(phase=phase).initial_state() for phase in (0.3, 1.1)]
-    x0s, y0s = np.array([x for x, _ in states]), np.array([y for _, y in states])
-    for x0, y0 in ((x0s[0], y0s[0]), (x0s, y0s)):
-        with pytest.raises(DomainExit) as exc:
-            simulate_plant(spec, None, SimConfig(t_end=0.1, h=1e-3, x0=x0, y0=y0))
-        assert exc.value.index == 0
-    # a replace that keeps in_domain keeps the batch predicate, as does an
-    # untagged one given together with its own in_domain
-    for spec in (apps.freq_spec(), apps.reactor_spec(apps.canonical_reactor_params())):
-        kept = dataclasses.replace(spec, eval_A=spec.eval_A)
-        assert kept.in_domain_batch is spec.in_domain_batch
-        untagged = dataclasses.replace(spec, in_domain=lambda x, y: True,
-                                       in_domain_batch=lambda X, Y: np.ones(len(X), bool))
-        assert untagged.in_domain_batch is not None
