@@ -6,14 +6,10 @@ from .errors import (
     DomainExit,
     GramDegenerate,
     HypothesisFails,
-    InvalidParams,
     KappaVanished,
-    LengthMismatch,
     NonFiniteState,
     NonNegativeZ2,
     NotPositiveDefinite,
-    SingularDenominator,
-    WrongOutputDimension,
 )
 from .model import SystemSpec, make_lti, sampled_input, scalar_oracle_spec
 from .numerics import Grid, cumulative_trapezoid, integrate_rk4, spd_solve, trapezoid

@@ -13,20 +13,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    HypothesisFails,
-    InvalidParams,
-    NonFiniteState,
-    NonNegativeZ2,
-    SingularDenominator,
-)
+from .errors import DimensionMismatch, DomainExit, HypothesisFails, NonFiniteState, NonNegativeZ2
 from .model import SystemSpec
-from .numerics import Grid, cumulative_trapezoid, trapezoid
+from .numerics import Grid, cholesky_pivots, cumulative_trapezoid, require_pivot, trapezoid
 # simulate_plant and corrupt are not called here; perfbench/spans.py times calls through these names
 from .plant import SensorModel, corrupt, simulate_plant
 from .window import IoWindow
-
-_DEN_TOL = 1e-12  # a closed-form denominator at or below this share of its scale is singular
 
 # ---------------------------------------------------------------------------
 # Batch reactor
@@ -53,23 +45,24 @@ class ReactorParams:
                 self.h_coef, self.Ts, self.c1_bar, self.c2_bar,
                 self.Tmin, self.Tmax, self.a_margin]
         if any(v <= 0 for v in vals):
-            raise InvalidParams("all reactor parameters must be positive")
+            raise ValueError("all reactor parameters must be positive")
         if not (0 < self.Tmin <= self.Ts):
-            raise InvalidParams("need 0 < Tmin <= Ts")
+            raise ValueError("need 0 < Tmin <= Ts")
         heat = (self.J1 * self.k1 * self.c1_bar
                 + self.J2 * self.k2 * self.c2_bar) / self.h_coef + self.Ts
         if heat > self.Tmax + 1e-12:
-            raise InvalidParams(
+            raise ValueError(
                 f"temperature bound violated: (J1 k1 c1 + J2 k2 c2)/h + Ts = "
                 f"{heat:.6g} > Tmax = {self.Tmax:.6g}"
             )
         if self.E1 >= self.E2:
             if (self.k1 / self.k2) * self.c1_bar >= self.c2_bar:
-                raise InvalidParams("need (k1/k2) c1_bar < c2_bar when E1 >= E2")
+                raise ValueError("need (k1/k2) c1_bar < c2_bar when E1 >= E2")
         else:
-            lhs = (self.k1 / self.k2) * np.exp((self.E2 - self.E1) / self.Tmin) * self.c1_bar
+            with np.errstate(over="ignore"):  # an overflow is inf, which fails the test
+                lhs = (self.k1 / self.k2) * np.exp((self.E2 - self.E1) / self.Tmin) * self.c1_bar
             if lhs >= self.c2_bar:
-                raise InvalidParams(
+                raise ValueError(
                     "need (k1/k2) exp((E2-E1)/Tmin) c1_bar < c2_bar when E1 < E2"
                 )
 
@@ -227,9 +220,11 @@ def reactor_gains(T_window, p, grid):
     """
     T = np.asarray(T_window, dtype=float).reshape(-1)
     if T.shape[0] != grid.count:
-        raise ValueError(f"{T.shape[0]} temperature samples for a {grid.count}-node grid")
-    if np.any(T <= p.Tmin) or np.any(T >= p.Tmax):
-        raise InvalidParams("temperature window leaves (Tmin, Tmax)")
+        raise DimensionMismatch(f"{T.shape[0]} temperature samples for a {grid.count}-node grid")
+    outside = np.flatnonzero((T <= p.Tmin) | (T >= p.Tmax))
+    if outside.size:
+        raise DomainExit(int(outside[0]), f"temperature window leaves (Tmin, Tmax) "
+                                          f"at window node {outside[0]}")
     r1 = p.k1 * np.exp(-p.E1 / T)
     r2 = p.k2 * np.exp(-p.E2 / T)
     K1 = cumulative_trapezoid(r1, grid)
@@ -246,11 +241,9 @@ def reactor_gains(T_window, p, grid):
     s12 = trapezoid(phi1 * phi2, grid)
     b1 = trapezoid(psi * phi1, grid)
     b2 = trapezoid(psi * phi2, grid)
+    _, smallest = cholesky_pivots(np.array([[s11, s12], [s12, s22]]))
+    require_pivot(smallest, s11 + s22, 2)
     den = s11 * s22 - s12 * s12
-    if den <= _DEN_TOL * max(s11 * s22, 1e-300):
-        raise SingularDenominator(
-            f"kernel Gram determinant {den:.3e} is numerically singular"
-        )
     G = np.array([(s22 * b1 - s12 * b2) / den, (s11 * b2 - s12 * b1) / den])
     Phi_r = np.array([
         [np.exp(-K1[-1]), 0.0],
@@ -297,8 +290,11 @@ class FrequencyScenario:
 
     def initial_state(self):
         """Plant initial condition generating A sin(w t + phase)."""
-        x0 = np.array([self.amplitude * self.omega * np.cos(self.phase),
-                       -self.omega ** 2])
+        try:
+            x2 = -self.omega ** 2
+        except OverflowError:  # the plant rejects the state at node 0 (NonFiniteState)
+            x2 = -math.inf
+        x0 = np.array([self.amplitude * self.omega * np.cos(self.phase), x2])
         y0 = np.array([self.amplitude * np.sin(self.phase)])
         return x0, y0
 
@@ -366,11 +362,8 @@ def freq_closed_form(window):
     I_tp = trapezoid(t * phi, grid)
     I_yt = trapezoid((y - y[0]) * t, grid)
     I_yp = trapezoid((y - y[0]) * phi, grid)
-    den = I_pp - 3.0 * I_tp ** 2
-    if den <= _DEN_TOL * max(I_pp, 1e-300):
-        raise SingularDenominator(
-            f"window denominator {den:.3e} is numerically singular"
-        )
+    den = I_pp - 3.0 * I_tp ** 2  # second Cholesky pivot of [[1/3, I_tp], [I_tp, I_pp]]
+    require_pivot(min(den, 1.0 / 3.0), 1.0 / 3.0 + I_pp, 2)
     z2 = (I_yp - 3.0 * I_tp * I_yt) / den
     z1 = (3.0 * (I_pp - Y[-1] * I_tp) * I_yt + (Y[-1] - 3.0 * I_tp) * I_yp) / den
     return float(z1) * s / r, float(z2) / r / r
@@ -463,6 +456,5 @@ def scalar_observer_P(window, a_eval, f_eval, c_eval):
     p = y - y[0] - cumulative_trapezoid(f_s, grid)
     num = trapezoid(p * g, grid)
     den = trapezoid(g * g, grid)
-    if den <= _DEN_TOL * max(np.max(g * g) * grid.span, 1e-300):
-        raise SingularDenominator(f"kernel energy {den:.3e} is numerically singular")
+    require_pivot(den, den, 1)
     return float(np.exp(int_a[-1]) * num / den)

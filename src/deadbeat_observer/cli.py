@@ -73,11 +73,19 @@ def load_config(path):
                          parse_float=_finite_float, parse_int=_float_sized_int)
 
 
+def _exp(y):
+    """e**y, or inf where that overflows a float (math.exp raises there)."""
+    try:
+        return math.exp(y)
+    except OverflowError:
+        return math.inf
+
+
 def canonical_example26():
     return Example26Spec(
         a1=lambda y: -1.0,
         a2=lambda y: -2.0,
-        c1=lambda y: math.exp(y),
+        c1=_exp,
         c2=lambda y: 1.0,
         kappa=lambda y: 1.0,
     )
@@ -112,16 +120,8 @@ def build_system(cfg):
     kind = _require(sys_cfg, "kind", "system")
     extras = {}
     if kind == "frequency":
-        scn_cfg = sys_cfg.get("scenario", {})
         scn = apps.FrequencyScenario(
-            amplitude=float(scn_cfg.get("amplitude", 2.0)),
-            omega=float(scn_cfg.get("omega", 3.0)),
-            phase=float(scn_cfg.get("phase", 0.0)),
-            noise_amplitude=float(scn_cfg.get("noise_amplitude", 0.0)),
-            noise_frequency=float(scn_cfg.get("noise_frequency", 10.0)),
-            r=float(scn_cfg.get("r", 1.0)),
-            h=float(scn_cfg["h"]) if "h" in scn_cfg else None,
-        )
+            **{k: float(v) for k, v in sys_cfg.get("scenario", {}).items()})
         extras["scenario"] = scn
         return apps.freq_spec(bool(sys_cfg.get("relaxed_domain", False))), kind, extras
     if kind == "reactor":
@@ -166,9 +166,7 @@ def build_observer_config(cfg):
 
 
 def build_sensor(cfg):
-    sen = cfg.get("sensor", {})
-    return SensorModel(float(sen.get("amplitude", 0.0)),
-                       float(sen.get("frequency", 1.0)))
+    return SensorModel(**{k: float(v) for k, v in cfg.get("sensor", {}).items()})
 
 
 def build_input(cfg):

@@ -13,12 +13,8 @@ class NonFiniteState(DeadbeatError):
         super().__init__(message or f"non-finite state at grid index {index}")
 
 
-class LengthMismatch(DeadbeatError):
-    pass
-
-
 class DimensionMismatch(DeadbeatError):
-    pass
+    """An array, sample count or index list has the wrong size for its role."""
 
 
 class NotPositiveDefinite(DeadbeatError):
@@ -39,10 +35,6 @@ class DomainExit(DeadbeatError):
         super().__init__(message or f"solution left the model domain at grid index {index}")
 
 
-class WrongOutputDimension(DeadbeatError):
-    pass
-
-
 class KappaVanished(DeadbeatError):
     pass
 
@@ -51,15 +43,7 @@ class GramDegenerate(DeadbeatError):
     """Raised by the observer in Fail mode when a reset window is degenerate."""
 
 
-class SingularDenominator(DeadbeatError):
-    pass
-
-
 class NonNegativeZ2(DeadbeatError):
-    pass
-
-
-class InvalidParams(DeadbeatError):
     pass
 
 

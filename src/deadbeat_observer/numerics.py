@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFiniteState, NotPositiveDefinite
+from .errors import DimensionMismatch, NonFiniteState, NotPositiveDefinite
 
 DEFAULT_REL_THRESHOLD = 1e-8
 
@@ -97,7 +97,7 @@ def trapezoid(samples, grid):
     """Composite trapezoid rule for one sample per grid node."""
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != grid.count:
-        raise LengthMismatch(
+        raise DimensionMismatch(
             f"got {samples.shape[0]} samples for a {grid.count}-node grid"
         )
     total = (grid.h * (samples[1:] + samples[:-1]) / 2.0).sum(axis=0)
@@ -108,7 +108,7 @@ def cumulative_trapezoid(samples, grid):
     """Running trapezoid integral; node j holds the integral over [t0, t_j]."""
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != grid.count:
-        raise LengthMismatch(
+        raise DimensionMismatch(
             f"got {samples.shape[0]} samples for a {grid.count}-node grid"
         )
     out = np.zeros_like(samples)
@@ -137,30 +137,39 @@ def cholesky_pivots(Q):
     return L, smallest
 
 
+def require_pivot(smallest, trace, n, rel_threshold=DEFAULT_REL_THRESHOLD):
+    """The one test of a degenerate Gram matrix.
+
+    ``smallest`` is the smallest squared Cholesky pivot of an n x n Gram
+    matrix with the given trace.  Raises NotPositiveDefinite(smallest) unless
+    it is positive and above rel_threshold * trace/n; a factorization that
+    stopped early reports a pivot <= 0, so it always raises.
+    """
+    if not rel_threshold >= 0:
+        raise ValueError(f"rel_threshold must be >= 0, got {rel_threshold}")
+    if not (smallest > 0 and smallest > rel_threshold * trace / n):
+        raise NotPositiveDefinite(smallest)
+
+
 def spd_solve(Q, rhs, rel_threshold=DEFAULT_REL_THRESHOLD):
     """Solve Q x = rhs for symmetric positive definite Q via Cholesky.
 
-    Returns (x, smallest_pivot).  Raises NotPositiveDefinite when the
-    factorization stops early or a squared pivot is at or below
-    rel_threshold * trace(Q)/n: the one test of a degenerate Gram matrix.
+    Returns (x, smallest_pivot).  Raises NotPositiveDefinite unless
+    ``require_pivot`` accepts the smallest pivot.
     """
     Q = np.asarray(Q, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     n = Q.shape[0]
     if Q.shape != (n, n):
-        raise LengthMismatch(f"Q must be square, got shape {Q.shape}")
+        raise DimensionMismatch(f"Q must be square, got shape {Q.shape}")
     if rhs.shape[0] != n:
-        raise LengthMismatch(f"rhs length {rhs.shape[0]} does not match Q size {n}")
+        raise DimensionMismatch(f"rhs length {rhs.shape[0]} does not match Q size {n}")
     sym_err = np.max(np.abs(Q - Q.T))
     scale = max(np.max(np.abs(Q)), 1e-300)
     if sym_err > 1e-12 * scale:
         raise ValueError(f"Q is not symmetric (relative asymmetry {sym_err / scale:.3e})")
-    if not rel_threshold >= 0:
-        raise ValueError(f"rel_threshold must be >= 0, got {rel_threshold}")
-    floor = rel_threshold * np.trace(Q) / n
     L, smallest = cholesky_pivots(Q)
-    if L is None or smallest <= floor:
-        raise NotPositiveDefinite(smallest)
+    require_pivot(smallest, np.trace(Q), n, rel_threshold)
     y = np.linalg.solve(L, rhs)
     x = np.linalg.solve(L.T, y)
     return x, smallest

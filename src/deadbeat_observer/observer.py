@@ -336,26 +336,27 @@ def run_observer(spec, config, trace, z0, w0=None):
     w = np.array(y, dtype=float)
     M = config.steps_per_window
     t = grid.times()
-    for a in range(0, count - 1, M):
-        b = min(a + M, count - 1)
-        window = IoWindow(grid=Grid(0.0, config.h, b - a + 1),
-                          y_samples=y[a:b + 1], u_samples=u[a:b + 1])
-        flow, wc = _at_trace_nodes(a, flow_window, spec, window, z[a])
-        z[a + 1:b + 1] = flow[1:]
-        bad = np.flatnonzero(~np.isfinite(flow[1:]).all(axis=1))
-        end = a + 1 + int(bad[0]) if bad.size else b
-        for j in range(a + 1, end):
-            if not spec.in_domain(z[j], y[j]):
-                raise _left_domain(j, t[j], z[j])
-        if bad.size:
-            raise _diverged(end, t[end])
-        if b - a == M:
-            z_reset = _reset(config, a, t[b], end_state, wc)
-            if z_reset is None:
-                degen_flags[b] = 1
-            else:
-                z[b] = z_reset
-                reset_flags[b] = 1
-        if not spec.in_domain(z[b], y[b]):
-            raise _left_domain(b, t[b], z[b])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite flow row raises below
+        for a in range(0, count - 1, M):
+            b = min(a + M, count - 1)
+            window = IoWindow(grid=Grid(0.0, config.h, b - a + 1),
+                              y_samples=y[a:b + 1], u_samples=u[a:b + 1])
+            flow, wc = _at_trace_nodes(a, flow_window, spec, window, z[a])
+            z[a + 1:b + 1] = flow[1:]
+            bad = np.flatnonzero(~np.isfinite(flow[1:]).all(axis=1))
+            end = a + 1 + int(bad[0]) if bad.size else b
+            for j in range(a + 1, end):
+                if not spec.in_domain(z[j], y[j]):
+                    raise _left_domain(j, t[j], z[j])
+            if bad.size:
+                raise _diverged(end, t[end])
+            if b - a == M:
+                z_reset = _reset(config, a, t[b], end_state, wc)
+                if z_reset is None:
+                    degen_flags[b] = 1
+                else:
+                    z[b] = z_reset
+                    reset_flags[b] = 1
+            if not spec.in_domain(z[b], y[b]):
+                raise _left_domain(b, t[b], z[b])
     return EstimateTrace(grid, z, w, reset_flags, degen_flags)

@@ -76,7 +76,8 @@ def simulate_plant(spec, u, cfg):
 
     Domain membership and finiteness are checked at every node; the earliest
     failing node raises DomainExit (leaving the open model domain) or
-    NonFiniteState, with the node index.
+    NonFiniteState, with the node index.  An RK4 stage that overflows raises
+    no numpy warning: it makes its node non-finite.
     """
     if u is None:
         zero = np.zeros(spec.m)
@@ -103,8 +104,9 @@ def simulate_plant(spec, u, cfg):
         if j == 0:
             check_point_evaluators(spec, s[n:], u(grid.t0))
 
-    out = integrate_rk4(lambda t, s: point_rate(spec, s, u(t)),
-                        np.concatenate([cfg.x0, cfg.y0]), grid, check)
+    with np.errstate(over="ignore", invalid="ignore"):  # check() rejects the non-finite node
+        out = integrate_rk4(lambda t, s: point_rate(spec, s, u(t)),
+                            np.concatenate([cfg.x0, cfg.y0]), grid, check)
     y_true = out[:, n:]
     return Trace(grid=grid, x_true=out[:, :n], y_true=y_true, y_meas=y_true.copy(),
                  u=np.array([u(t) for t in grid.times()], dtype=float))

@@ -41,13 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    KappaVanished,
-    NonFiniteState,
-    NotPositiveDefinite,
-    WrongOutputDimension,
-)
+from .errors import DimensionMismatch, KappaVanished, NonFiniteState, NotPositiveDefinite
 from .model import check_point_evaluators, eval_coefficients
 # cholesky_pivots is not called here; perfbench/spans.py counts calls through this name
 from .numerics import (DEFAULT_REL_THRESHOLD, Grid, all_finite, cholesky_pivots, spd_solve,
@@ -265,10 +259,10 @@ def determinant_condition(spec, window, wc, node_indices):
     A nonzero value certifies that the window's generating input strongly
     distinguishes the generating state.  The per-point evaluators are checked
     once, at the first requested node, so a spec that breaks their contract
-    raises DimensionMismatch.
+    raises DimensionMismatch, as does a plant with k != 1.
     """
     if spec.k != 1:
-        raise WrongOutputDimension(f"determinant condition requires k = 1, got k = {spec.k}")
+        raise DimensionMismatch(f"determinant condition requires k = 1, got k = {spec.k}")
     n = spec.n
     if len(node_indices) != n:
         raise DimensionMismatch(f"need exactly {n} node indices, got {len(node_indices)}")

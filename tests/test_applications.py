@@ -5,10 +5,11 @@ import pytest
 
 from deadbeat_observer import applications as apps
 from deadbeat_observer.errors import (
+    DimensionMismatch,
+    DomainExit,
     HypothesisFails,
-    InvalidParams,
     NonNegativeZ2,
-    SingularDenominator,
+    NotPositiveDefinite,
 )
 from deadbeat_observer.numerics import Grid
 from deadbeat_observer.plant import SimConfig, simulate_plant
@@ -39,15 +40,15 @@ def test_canonical_reactor_params_valid():
 
 def test_reactor_params_rejections():
     p = apps.canonical_reactor_params()
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError, match="all reactor parameters must be positive"):
         apps.ReactorParams(**{**p.__dict__, "k1": -1.0})
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError, match="temperature bound violated"):
         # heat release exceeds the upper temperature bound
         apps.ReactorParams(**{**p.__dict__, "Tmax": 312.0})
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError, match=r"need \(k1/k2\) exp\(\(E2-E1\)/Tmin\) c1_bar < c2_bar"):
         # concentration-bound inequality for E1 < E2
         apps.ReactorParams(**{**p.__dict__, "c2_bar": 1.0, "Tmax": 400.0})
-    with pytest.raises(InvalidParams):
+    with pytest.raises(ValueError, match="need 0 < Tmin <= Ts"):
         apps.ReactorParams(**{**p.__dict__, "Tmin": 320.0})
 
 
@@ -60,6 +61,20 @@ def test_check_hypothesis_canonical_margin():
 def test_check_hypothesis_rejects_unknown_label():
     with pytest.raises(ValueError):
         apps.check_hypothesis(apps.canonical_reactor_params(), "A3")
+
+
+def test_check_hypothesis_a2_fails_below_the_margin():
+    # with k1 = 0.1 the drift is positive, about 62 K/s at Tmin, and every point is gated
+    p = dataclasses.replace(apps.canonical_reactor_params(), k1=0.1)
+    result = apps.check_hypothesis(p, "A2")
+    assert isinstance(result, apps.HypothesisFailsAt)
+    assert result.worst_T == pytest.approx(300.005)
+    assert result.worst_value == pytest.approx(61.78943656345341, rel=1e-9)
+    with pytest.raises(HypothesisFails, match="hypothesis A2 fails"):
+        apps.min_window_reactor(p, "A2")
+    held = apps.check_hypothesis(dataclasses.replace(p, a_margin=50.0), "A2")
+    assert isinstance(held, apps.HypothesisHolds)
+    assert held.margin == result.worst_value
 
 
 def test_check_hypothesis_lumped_fails():
@@ -103,10 +118,13 @@ def test_reactor_gains_matches_generic_reconstruction():
 def test_reactor_gains_validation():
     p = apps.canonical_reactor_params()
     grid = Grid.from_span(0.0, 1.0, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         apps.reactor_gains(np.full(5, 315.0), p, grid)
-    with pytest.raises(InvalidParams):
-        apps.reactor_gains(np.full(grid.count, 299.0), p, grid)
+    T = np.full(grid.count, 315.0)
+    T[4:] = 299.0
+    with pytest.raises(DomainExit) as left:
+        apps.reactor_gains(T, p, grid)
+    assert left.value.index == 4
 
 
 def test_optimal_stop_sign_structure():
@@ -162,7 +180,7 @@ def test_freq_closed_form_singular_window():
     grid = Grid.from_span(0.0, 1.0, 0.01)
     window = IoWindow(grid=grid, y_samples=np.zeros((grid.count, 1)),
                       u_samples=np.zeros((grid.count, 1)))
-    with pytest.raises(SingularDenominator):
+    with pytest.raises(NotPositiveDefinite):
         apps.freq_closed_form(window)
 
 
@@ -236,7 +254,7 @@ def test_scalar_observer_singular_kernel():
     grid = Grid.from_span(0.0, 1.0, 0.01)
     window = IoWindow(grid=grid, y_samples=np.zeros((grid.count, 1)),
                       u_samples=np.zeros((grid.count, 1)))
-    with pytest.raises(SingularDenominator):
+    with pytest.raises(NotPositiveDefinite):
         apps.scalar_observer_P(window, a_eval=lambda y, u: 0.0,
                                f_eval=lambda y, u: 0.0,
                                c_eval=lambda y: 0.0)

@@ -403,3 +403,93 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     for suffix in ("_trace.csv", "_estimate.csv", "_summary.json"):
         assert (tmp_path / f"a{suffix}").read_bytes() == \
             (tmp_path / f"b{suffix}").read_bytes()
+
+
+def shipped_config(name, prefix, edit):
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    edit(cfg)
+    cfg["output_prefix"] = prefix
+    return cfg
+
+
+def lumped_params(**changes):
+    def edit(cfg):
+        cfg["system"]["params"].update(changes)
+    return edit
+
+
+def set_field(section, field, value):
+    def edit(cfg):
+        cfg[section][field] = value
+    return edit
+
+
+def set_omega(cfg):
+    cfg["system"]["scenario"]["omega"] = 1e200
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, edit, command, code, message", [
+    ("frequency_clean", set_omega, "simulate", EXIT_RUNTIME,
+     "non-finite state at grid index 0"),
+    ("frequency_clean", set_omega, "observability", EXIT_RUNTIME,
+     "non-finite state at grid index 0"),
+    ("example26", set_field("sim", "y0", [1e160]), "observability", EXIT_RUNTIME,
+     "non-finite state at grid index 1"),
+    ("example26", set_field("sim", "x0", [0.5, -3e7]), "observability", EXIT_RUNTIME,
+     "non-finite state at grid index 3"),
+    ("reactor_lumped", lumped_params(k1=100.0), "simulate", EXIT_CONFIG,
+     "invalid config: temperature bound violated"),
+    ("reactor_lumped", lumped_params(E2=1e300), "simulate", EXIT_CONFIG,
+     "invalid config: need (k1/k2) exp((E2-E1)/Tmin) c1_bar < c2_bar when E1 < E2"),
+], ids=["omega-simulate", "omega-observability", "example26-y0", "example26-x0",
+        "reactor-k1", "reactor-E2"])
+def test_overflowing_config_values_end_with_one_error_line(tmp_path, capsys, name, edit,
+                                                           command, code, message):
+    cfg = shipped_config(name, str(tmp_path / "big"), edit)
+    assert main([command, write_config(tmp_path, cfg)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not list(tmp_path.glob("big_*"))
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("sweep", frequency_sweep_config("", noise_amplitud=0.1), "noise_amplitud"),
+    ("simulate", scalar_config("", sensor={"amplitud": 0.1}), "amplitud"),
+], ids=["scenario", "sensor"])
+def test_unknown_key_is_a_config_error(tmp_path, capsys, command, cfg, key):
+    cfg["output_prefix"] = str(tmp_path / "typo")
+    assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "error: invalid config" in err and repr(key) in err
+    assert not list(tmp_path.glob("typo_*"))
+
+
+def test_h_override_sets_the_frequency_scenario_step(tmp_path):
+    cfg = frequency_sweep_config(str(tmp_path / "given"), noise_amplitude=0.2)
+    assert main(["sweep", write_config(tmp_path, cfg), "--h", "0.002",
+                 "--out-prefix", str(tmp_path / "override")]) == EXIT_OK
+    cfg["system"]["scenario"]["h"] = 0.002
+    assert main(["sweep", write_config(tmp_path, cfg)]) == EXIT_OK
+    assert (tmp_path / "override_sweep.csv").read_bytes() == \
+        (tmp_path / "given_sweep.csv").read_bytes()
+    cfg["system"]["scenario"]["h"] = 5e-4
+    cfg["output_prefix"] = str(tmp_path / "default")
+    assert main(["sweep", write_config(tmp_path, cfg)]) == EXIT_OK
+    assert (tmp_path / "default_sweep.csv").read_bytes() != \
+        (tmp_path / "given_sweep.csv").read_bytes()
+
+
+def test_unknown_sweep_mode_in_config(tmp_path, capsys):
+    cfg = frequency_sweep_config(str(tmp_path / "x"))
+    cfg["sweep"]["mode"] = "amplitude"
+    assert main(["sweep", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert "unknown sweep mode 'amplitude'" in capsys.readouterr().err
+
+
+def test_unknown_input_kind(tmp_path, capsys):
+    cfg = scalar_config(str(tmp_path / "x"), input={"kind": "ramp"})
+    for command in ("simulate", "observability"):
+        assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert "unknown input.kind 'ramp'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x_*"))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deadbeat_observer.errors import LengthMismatch, NonFiniteState, NotPositiveDefinite
+from deadbeat_observer.errors import DimensionMismatch, NonFiniteState, NotPositiveDefinite
 from deadbeat_observer.numerics import (
     Grid,
     cumulative_trapezoid,
@@ -127,7 +127,7 @@ def test_trapezoid_zero():
 
 def test_trapezoid_length_mismatch():
     g = Grid.from_span(0.0, 1.0, 0.1)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DimensionMismatch):
         trapezoid(np.zeros(g.count + 1), g)
 
 

@@ -431,15 +431,45 @@ def test_plant_samples_stage_times_and_observer_holds_left_input():
 
 
 def test_replay_and_streaming_fail_alike():
+    cases = []
     for spec, rel_threshold in degenerate_cases():
         trace = simulate_plant(spec, None, SimConfig(t_end=1.0, h=0.01, x0=[3.0], y0=[0.0]))
         cfg = ObserverConfig(r=0.25, h=0.01, rel_threshold=rel_threshold,
                              on_degenerate=FAIL)
-        with pytest.raises(GramDegenerate) as replayed:
-            run_observer(spec, cfg, trace, z0=[0.5])
-        with pytest.raises(GramDegenerate) as streamed:
-            stepped(spec, cfg, trace, [0.5])
+        cases.append((spec, cfg, trace, [0.5], GramDegenerate))
+    # the estimate holds at 0 until the reset at node 50 puts it on the true
+    # x = 2, outside its domain x < 1.5
+    plant = make_lti([[0.0]], [0.0], [[1.0]], [0.0])
+    trace = simulate_plant(plant, None, SimConfig(t_end=1.0, h=0.01, x0=[2.0], y0=[0.0]))
+    spec = dataclasses.replace(plant, in_domain=lambda x, y: x[0] < 1.5)
+    cases.append((spec, ObserverConfig(r=0.5, h=0.01), trace, [0.0], DomainExit))
+    for spec, cfg, trace, z0, error in cases:
+        with pytest.raises(error) as replayed:
+            run_observer(spec, cfg, trace, z0=z0)
+        with pytest.raises(error) as streamed:
+            stepped(spec, cfg, trace, z0)
         assert str(replayed.value) == str(streamed.value)
+    assert replayed.value.index == streamed.value.index == 50
+
+
+def test_observer_flow_divergence_on_both_paths():
+    # z' = 50 z from z0 = 1e300 overflows in the first window; the replay
+    # forms Phi_j z0 and overflows at node 39, while rk4_step sums its four
+    # stages before it scales them by h/6, so streaming overflows at node 28
+    spec = make_lti([[50.0]], [0.0], [[1.0]], [0.0])
+    trace = simulate_plant(spec, None, SimConfig(t_end=1.0, h=0.01, x0=[0.0], y0=[0.0]))
+    cfg = ObserverConfig(r=0.5, h=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState) as replayed:
+            run_observer(spec, cfg, trace, [1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # streaming's stage sum warns
+        with pytest.raises(NonFiniteState) as streamed:
+            stepped(spec, cfg, trace, [1e300])
+    for raised, node in ((replayed, 39), (streamed, 28)):
+        assert raised.value.index == node
+        assert str(raised.value).startswith("observer flow diverged at t = ")
 
 
 def with_nan(trace, j):

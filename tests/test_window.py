@@ -11,7 +11,6 @@ from deadbeat_observer.errors import (
     KappaVanished,
     NonFiniteState,
     NotPositiveDefinite,
-    WrongOutputDimension,
 )
 from deadbeat_observer.model import make_lti, scalar_oracle_spec
 from deadbeat_observer.numerics import Grid, cumulative_trapezoid
@@ -368,7 +367,7 @@ def test_determinant_condition_errors():
                                                  x0=[1.0, 1.0], y0=[0.0, 0.0]))
     window = IoWindow(grid=trace.grid, y_samples=trace.y_meas, u_samples=trace.u)
     wc = compute_window(spec, window)
-    with pytest.raises(WrongOutputDimension):
+    with pytest.raises(DimensionMismatch, match="requires k = 1"):
         determinant_condition(spec, window, wc, [0, 4])
     spec1, window1 = scalar_window(h=0.25)
     wc1 = compute_window(spec1, window1)
