@@ -98,6 +98,7 @@ def build_scalar_spec(sys_cfg):
     g = float(sys_cfg.get("input_gain", 0.0))
     c0 = float(sys_cfg.get("c0", 1.0))
     c1 = float(sys_cfg.get("c1", 0.0))
+    A, b = np.array([[a0]]), np.zeros(1)
 
     def eval_batch(Y, U):
         N = Y.shape[0]
@@ -106,8 +107,8 @@ def build_scalar_spec(sys_cfg):
 
     return SystemSpec(
         n=1, k=1, m=1,
-        eval_A=lambda y, u: np.array([[a0]]),
-        eval_b=lambda y, u: np.zeros(1),
+        eval_A=lambda y, u: A,
+        eval_b=lambda y, u: b,
         eval_C=lambda y: np.array([[c0 + c1 * y[0]]]),
         eval_f=lambda y, u: np.array([f0 + g * u[0]]),
         eval_batch=eval_batch,
@@ -270,9 +271,12 @@ def cmd_simulate(cfg, prefix):
     write_estimate_csv(f"{prefix}_estimate.csv", est, full)
 
     post = np.arange(trace.grid.count) >= obs_cfg.steps_per_window
-    err = np.linalg.norm(est.z - trace.x_true, axis=1)
-    scale = 1.0 + np.linalg.norm(trace.x_true, axis=1)
-    max_rel = float(np.max(err[post] / scale[post])) if np.any(post) else None
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite error is reported as null
+        err = np.linalg.norm(est.z - trace.x_true, axis=1)
+        scale = 1.0 + np.linalg.norm(trace.x_true, axis=1)
+        max_rel = float(np.max(err[post] / scale[post])) if np.any(post) else None
+    if max_rel is not None and not math.isfinite(max_rel):
+        max_rel = None
     summary = {
         "system": kind,
         "mode": obs_cfg.mode,

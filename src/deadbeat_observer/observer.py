@@ -35,7 +35,8 @@ cutting each window straight from the trace, and one window computation
 gives both the flow and the reset.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +59,7 @@ class ObserverConfig:
     mode: str = REDUCED
     rel_threshold: float = DEFAULT_REL_THRESHOLD
     on_degenerate: str = HOLD
+    steps_per_window: int = field(init=False, repr=False, compare=False)  # M = r/h
 
     def __post_init__(self):
         if self.mode not in (FULL, REDUCED):
@@ -70,17 +72,14 @@ class ObserverConfig:
             raise ValueError(
                 f"window length r={self.r} must be an integer multiple (>= 2) of h={self.h}"
             )
-
-    @property
-    def steps_per_window(self):
-        return int(round(self.r / self.h))
+        object.__setattr__(self, "steps_per_window", int(round(self.r / self.h)))
 
 
-@dataclass(frozen=True)
-class ObserverSnapshot:
+class ObserverSnapshot(NamedTuple):
     """The streaming observer after ``node`` steps from ``observer_init``.
 
-    The (y, u) history of the current window is an immutable chain of links
+    An immutable record (a named tuple, cheap to build once per step).  The
+    (y, u) history of the current window is an immutable chain of links
     (y_j, u_{j-1}, parent): each step adds one, and a reset node starts a new
     chain, so at most M + 1 links are live and stepping one snapshot twice
     gives two independent branches.
@@ -170,15 +169,13 @@ def _window_samples(link, count):
     link after it; the newest node repeats the input of its own link.
     """
     y, u, parent = link
-    Y = np.empty((count, y.size))
-    U = np.empty((count, u.size))
-    U[-1] = u
-    for i in range(count - 1, 0, -1):
-        Y[i] = y
-        U[i - 1] = u
+    ys, us = [], [u]
+    for _ in range(count - 1):
+        ys.append(y)
+        us.append(u)
         y, u, parent = parent
-    Y[0] = y
-    return Y, U
+    ys.append(y)
+    return np.array(ys[::-1]), np.array(us[::-1])
 
 
 def _coefficients(spec, y, u):
@@ -237,12 +234,14 @@ def observer_step(spec, config, snap, y_meas, u):
 
     if config.mode == REDUCED:
         z, right = _reduced_flow_step(spec, config.h, snap.z, snap.right, link[0], y_meas, u)
-        w = y_meas
+        w = y_meas  # tested finite above
+        finite = all_finite(z)
     else:
         s = rk4_step(lambda t, s: point_rate(spec, s, u), 0.0,
                      np.concatenate([snap.z, snap.w]), config.h)
         z, w, right = s[:spec.n], s[spec.n:], None
-    if not (all_finite(z) and all_finite(w)):
+        finite = all_finite(s)
+    if not finite:
         raise _diverged(node, t_new)
 
     degenerate_events = snap.degenerate_events

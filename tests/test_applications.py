@@ -58,6 +58,16 @@ def test_check_hypothesis_canonical_margin():
     assert result.margin == pytest.approx(169.9861997378996, rel=1e-9)
 
 
+def test_check_hypothesis_ungated_margin_is_positive_for_both_labels():
+    # no grid point of the canonical set is gated, so neither label can fail
+    p = apps.canonical_reactor_params()
+    a1, a2 = apps.check_hypothesis(p, "A1"), apps.check_hypothesis(p, "A2")
+    assert a1 == a2 == apps.HypothesisHolds(margin=a1.margin, gated_points=0)
+    assert a1.margin == pytest.approx(169.9861997378996, rel=1e-9)
+    for which in ("A1", "A2"):
+        assert apps.min_window_reactor(p, which) == pytest.approx(1.0 / 3.0)
+
+
 def test_check_hypothesis_rejects_unknown_label():
     with pytest.raises(ValueError):
         apps.check_hypothesis(apps.canonical_reactor_params(), "A3")
@@ -100,6 +110,50 @@ def test_min_window_equal_activation_default():
         apps.DEFAULT_EQUAL_E_WINDOW
     with pytest.raises(HypothesisFails):
         apps.min_window_reactor(lumped_reactor_params())
+
+
+def reference_reactor_evaluators(p):
+    """The reactor's per-point evaluators computing on y[0] as an np.float64."""
+
+    def rate1(T):
+        return p.k1 * np.exp(-p.E1 / T)
+
+    def rate2(T):
+        return p.k2 * np.exp(-p.E2 / T)
+
+    def eval_A(y, u):
+        r1, r2 = rate1(y[0]), rate2(y[0])
+        return np.array([[-r1, 0.0], [r1, -r2]])
+
+    def eval_C(y):
+        return np.array([[p.J1 * rate1(y[0])], [p.J2 * rate2(y[0])]])
+
+    def eval_f(y, u):
+        return np.array([p.h_coef * (p.Ts - y[0])])
+
+    return eval_A, eval_C, eval_f
+
+
+@pytest.mark.parametrize("params", [apps.canonical_reactor_params(), lumped_reactor_params()],
+                         ids=["canonical", "lumped"])
+def test_reactor_evaluators_are_bit_identical_to_float64_arithmetic(params):
+    spec = apps.reactor_spec(params)
+    eval_A, eval_C, eval_f = reference_reactor_evaluators(params)
+    rng = np.random.default_rng(1701)
+    temperatures = np.concatenate([np.linspace(params.Tmin, params.Tmax, 10001),
+                                   rng.uniform(1.0, 2000.0, 2000),
+                                   rng.uniform(params.Tmin, params.Tmax, 2000)])
+    u = np.zeros(1)
+    for T in temperatures:
+        y = np.array([T])
+        for got, want in ((spec.eval_A(y, u), eval_A(y, u)), (spec.eval_C(y), eval_C(y)),
+                          (spec.eval_f(y, u), eval_f(y, u))):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), T
+    for x0, x1, T in rng.uniform([-0.5, -0.5, 290.0], [1.5, 4.5, 360.0], size=(2000, 3)):
+        x, y = np.array([x0, x1]), np.array([T])
+        assert spec.in_domain(x, y) == (0.0 < x0 < params.c1_bar and 0.0 < x1 < params.c2_bar
+                                        and params.Tmin < T < params.Tmax)
 
 
 def test_reactor_gains_matches_generic_reconstruction():
@@ -182,6 +236,19 @@ def test_freq_closed_form_singular_window():
                       u_samples=np.zeros((grid.count, 1)))
     with pytest.raises(NotPositiveDefinite):
         apps.freq_closed_form(window)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_freq_domain_excludes_only_the_origin():
+    for relaxed in (False, True):
+        spec = apps.freq_spec(relaxed_domain=relaxed)
+        assert not spec.in_domain(np.array([0.0, -1.0]), np.array([-0.0]))
+        assert spec.in_domain(np.array([1e-200, -1.0]), np.array([0.0]))  # squares underflow
+        assert spec.in_domain(np.array([0.0, -1.0]), np.array([1e-200]))
+        assert spec.in_domain(np.array([1e300, -1.0]), np.array([1e300]))  # squares overflow
+        assert spec.in_domain(np.array([np.nan, -1.0]), np.array([np.nan]))
+        assert spec.in_domain(np.array([0.0, 1.0]), np.array([2.0])) == relaxed
+        assert spec.in_domain(np.array([0.0, np.nan]), np.array([2.0])) == relaxed
 
 
 def test_omega_hat_readout():

@@ -428,12 +428,18 @@ def set_omega(cfg):
     cfg["system"]["scenario"]["omega"] = 1e200
 
 
+def set_amplitude(cfg):
+    cfg["system"]["scenario"]["amplitude"] = 1e160
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, edit, command, code, message", [
     ("frequency_clean", set_omega, "simulate", EXIT_RUNTIME,
      "non-finite state at grid index 0"),
     ("frequency_clean", set_omega, "observability", EXIT_RUNTIME,
      "non-finite state at grid index 0"),
+    ("frequency_clean", set_amplitude, "simulate", EXIT_RUNTIME,
+     "non-finite Gram matrix of the window ending at grid index 2000"),
     ("example26", set_field("sim", "y0", [1e160]), "observability", EXIT_RUNTIME,
      "non-finite state at grid index 1"),
     ("example26", set_field("sim", "x0", [0.5, -3e7]), "observability", EXIT_RUNTIME,
@@ -442,8 +448,8 @@ def set_omega(cfg):
      "invalid config: temperature bound violated"),
     ("reactor_lumped", lumped_params(E2=1e300), "simulate", EXIT_CONFIG,
      "invalid config: need (k1/k2) exp((E2-E1)/Tmin) c1_bar < c2_bar when E1 < E2"),
-], ids=["omega-simulate", "omega-observability", "example26-y0", "example26-x0",
-        "reactor-k1", "reactor-E2"])
+], ids=["omega-simulate", "omega-observability", "amplitude-simulate", "example26-y0",
+        "example26-x0", "reactor-k1", "reactor-E2"])
 def test_overflowing_config_values_end_with_one_error_line(tmp_path, capsys, name, edit,
                                                            command, code, message):
     cfg = shipped_config(name, str(tmp_path / "big"), edit)
@@ -451,6 +457,19 @@ def test_overflowing_config_values_end_with_one_error_line(tmp_path, capsys, nam
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert not list(tmp_path.glob("big_*"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_summary_reports_a_non_finite_error_as_null(tmp_path):
+    cfg = shipped_config("scalar_oracle", str(tmp_path / "big"),
+                         set_field("sim", "x0", [1e300]))
+    assert main(["simulate", write_config(tmp_path, cfg)]) == EXIT_OK
+
+    def reject(constant):
+        raise ValueError(f"{constant} in JSON")
+
+    summary = json.loads((tmp_path / "big_summary.json").read_text(), parse_constant=reject)
+    assert summary["max_post_window_relative_error"] is None
 
 
 @pytest.mark.parametrize("command, cfg, key", [

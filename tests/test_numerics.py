@@ -6,6 +6,7 @@ from deadbeat_observer.numerics import (
     Grid,
     cumulative_trapezoid,
     integrate_rk4,
+    rk4_step,
     spd_solve,
     trapezoid,
 )
@@ -31,6 +32,50 @@ def test_rk4_exponential():
     traj = integrate_rk4(lambda t, x: x, np.array([1.0]), g)
     assert traj[0, 0] == 1.0
     assert abs(traj[-1, 0] - np.e) < 1e-9
+
+
+def textbook_rk4_step(field, t, s, h):
+    """The classical RK4 step, written as the textbook writes it."""
+    k1 = field(t, s)
+    k2 = field(t + 0.5 * h, s + 0.5 * h * k1)
+    k3 = field(t + 0.5 * h, s + 0.5 * h * k2)
+    k4 = field(t + h, s + h * k3)
+    return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def test_rk4_step_is_bit_identical_to_the_textbook_step():
+    rng = np.random.default_rng(17)
+    special = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 1e308, -1e-320])
+    for n in range(1, 7):
+        A = rng.normal(size=(n, n))
+        b = rng.normal(size=n)
+        c = rng.normal(size=n)
+        fields = (lambda t, s: A.dot(s) + b,
+                  lambda t, s: A.dot(s) + t * c,
+                  lambda t, s: np.sin(s) * s[::-1] - t * s * s,
+                  lambda t, s: np.exp(-s) - c)
+        for trial in range(40):
+            s = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=n)
+            if trial % 4 == 0:
+                s[rng.integers(n)] = rng.choice(special)
+            t, h = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(1e-5, 0.5))
+            with np.errstate(all="ignore"):
+                for field in fields:
+                    got = rk4_step(field, t, s, h)
+                    want = textbook_rk4_step(field, t, s, h)
+                    assert got.tobytes() == want.tobytes(), (n, trial, s, t, h)
+
+
+def test_rk4_step_leaves_the_field_arrays_alone():
+    b = np.array([1.0, -2.0])
+    before = b.copy()
+
+    def field(t, s):
+        return b
+
+    s = rk4_step(field, 0.0, np.zeros(2), 0.1)
+    assert np.array_equal(b, before)
+    assert np.array_equal(s, textbook_rk4_step(field, 0.0, np.zeros(2), 0.1))
 
 
 def test_rk4_zero_field_constant():

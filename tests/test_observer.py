@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from deadbeat_observer import applications as apps
-from deadbeat_observer import numerics, window
+from deadbeat_observer import numerics, observer, window
 from deadbeat_observer.cli import build_scalar_spec
 from deadbeat_observer.errors import (
     DimensionMismatch,
@@ -40,6 +40,28 @@ def test_config_validation():
             ObserverConfig(r=0.1, h=0.01, rel_threshold=rel_threshold)
     cfg = ObserverConfig(r=1.0, h=0.01)
     assert cfg.steps_per_window == 100
+
+
+def test_steps_per_window_is_derived_once_and_not_compared():
+    with pytest.raises(TypeError):
+        ObserverConfig(r=1.0, h=0.01, steps_per_window=50)
+    cfg = ObserverConfig(r=0.3, h=0.1)
+    assert cfg.steps_per_window == 3
+    other = ObserverConfig(r=0.3, h=0.1)
+    object.__setattr__(other, "steps_per_window", 7)
+    assert cfg == other and hash(cfg) == hash(other)
+    assert "steps_per_window" not in repr(cfg)
+    assert dataclasses.replace(cfg, r=0.5).steps_per_window == 5
+
+
+def test_snapshot_is_immutable():
+    spec = scalar_oracle_spec()
+    snap = observer_init(spec, ObserverConfig(r=1.0, h=0.1), z0=[0.0], y0=[0.0], u0=[0.0])
+    for name in ("z", "node", "degenerate_events", "last_reset_applied"):
+        with pytest.raises(AttributeError):
+            setattr(snap, name, getattr(snap, name))
+    with pytest.raises(AttributeError):
+        snap.extra = 1
 
 
 def test_init_requires_w0_in_full_mode():
@@ -670,6 +692,34 @@ def test_reduced_step_reuses_right_node_coefficients():
         k4 = A4 @ (z_ref + h * k3) + b4
         z_ref = z_ref + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         assert np.array_equal(snap.z, z_ref)
+
+
+def window_samples_by_rows(link, count):
+    """The window read of a link chain, one row assignment at a time."""
+    y, u, parent = link
+    Y = np.empty((count, y.size))
+    U = np.empty((count, u.size))
+    U[-1] = u
+    for i in range(count - 1, 0, -1):
+        Y[i] = y
+        U[i - 1] = u
+        y, u, parent = parent
+    Y[0] = y
+    return Y, U
+
+
+def test_window_read_matches_the_row_by_row_read():
+    # two output channels and a time-varying two-channel input; link j is (y_j, u_{j-1})
+    rng = np.random.default_rng(5)
+    link = (rng.normal(size=2), rng.normal(size=2), None)
+    for _ in range(12):
+        link = (rng.normal(size=2), rng.normal(size=2), link)
+    for count in (1, 2, 7, 13):
+        Y, U = observer._window_samples(link, count)
+        Y_ref, U_ref = window_samples_by_rows(link, count)
+        assert Y.shape == Y_ref.shape == (count, 2) and U.shape == U_ref.shape
+        assert Y.tobytes() == Y_ref.tobytes() and U.tobytes() == U_ref.tobytes()
+        assert np.array_equal(U[-1], link[1])
 
 
 def test_step_keeps_the_window_of_its_snapshot():
