@@ -156,12 +156,12 @@ def check_hypothesis(p, which="A1"):
     """Observability-margin hypothesis check inside a 10001-point grid on [Tmin, Tmax].
 
     For equal activation temperatures the condition is algebraic:
-    (J1 + J2) k2 != J1 k1.  Otherwise the signed drift expression is scanned
-    over temperatures where the gating inequality fires; "A1" requires it
-    <= -a on that set, "A2" requires it >= a.  The returned margin is the
-    worst (smallest) |drift| over the gated set, or over the whole grid when
-    no point is gated, in which case no indistinguishable trajectory exists
-    at all and both labels hold with the same margin.
+    (J1 + J2) k2 != J1 k1.  Otherwise the drift expression is scanned over
+    temperatures where the gating inequality fires: the signed drift (-drift
+    for "A1", drift for "A2") must be >= a there.  The margin is its minimum
+    over the gated set, or min |drift| over the whole grid when no point is
+    gated; then no indistinguishable trajectory exists at all and both
+    labels hold with the same margin.
     """
     if which not in ("A1", "A2"):
         raise ValueError(f"which must be 'A1' or 'A2', got {which!r}")
@@ -177,19 +177,11 @@ def check_hypothesis(p, which="A1"):
     if not np.any(gated):
         return HypothesisHolds(margin=float(np.min(np.abs(drift))), gated_points=0)
     active, vals = T_grid[gated], drift[gated]
-    if which == "A1":
-        worst = np.argmax(vals)
-        if vals[worst] > -p.a_margin:
-            return HypothesisFailsAt(worst_T=float(active[worst]),
-                                     worst_value=float(vals[worst]))
-        margin = -vals[worst]
-    else:
-        worst = np.argmin(vals)
-        if vals[worst] < p.a_margin:
-            return HypothesisFailsAt(worst_T=float(active[worst]),
-                                     worst_value=float(vals[worst]))
-        margin = vals[worst]
-    return HypothesisHolds(margin=float(margin), gated_points=int(np.count_nonzero(gated)))
+    signed = -vals if which == "A1" else vals
+    worst = np.argmin(signed)
+    if signed[worst] < p.a_margin:
+        return HypothesisFailsAt(worst_T=float(active[worst]), worst_value=float(vals[worst]))
+    return HypothesisHolds(margin=float(signed[worst]), gated_points=int(np.count_nonzero(gated)))
 
 
 DEFAULT_EQUAL_E_WINDOW = 1.0  # any r > 0 works when E1 = E2; a documented default

@@ -50,6 +50,32 @@ def _require(cfg, key, context="config"):
     return cfg[key]
 
 
+# Known fields per section, and per system kind besides `kind`
+_FIELDS = {
+    "config": ("system", "sim", "observer", "sensor", "input", "sweep", "output_prefix"),
+    "sim": ("t_end", "h", "x0", "y0"),
+    "observer": ("r", "mode", "z0", "w0", "rel_threshold", "on_degenerate"),
+    "input": ("kind", "value"),
+    "sweep": ("mode", "phases", "r_values"),
+}
+_SYSTEM_FIELDS = {
+    "frequency": ("scenario",),
+    "reactor": ("params",),
+    "lti": ("A", "b", "C", "f"),
+    "scalar": ("a0", "f0", "input_gain", "c0", "c1"),
+    "example26": (),
+}
+
+
+def _check_fields(name, section, known):
+    """Raise ConfigError unless ``section`` is an object whose fields are all in ``known``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"`{name}` must be an object")
+    unknown = sorted(set(section).difference(known))
+    if unknown:
+        raise ConfigError(f"unknown field `{name}.{unknown[0]}`")
+
+
 def _reject_constant(name):
     raise ConfigError(f"non-finite number {name} in config")
 
@@ -67,10 +93,15 @@ def _float_sized_int(text):
 
 
 def load_config(path):
-    """Parse a JSON config; NaN, Infinity and overflowing literals raise ConfigError."""
+    """Parse a JSON config; NaN, Infinity, overflowing literals and a field outside
+    ``_FIELDS`` raise ConfigError (``build_system`` checks the system section's; the
+    scenario, params and sensor sections go to dataclasses, which reject their own)."""
     with open(path) as fh:
-        return json.load(fh, parse_constant=_reject_constant,
-                         parse_float=_finite_float, parse_int=_float_sized_int)
+        cfg = json.load(fh, parse_constant=_reject_constant,
+                        parse_float=_finite_float, parse_int=_float_sized_int)
+    for name, known in _FIELDS.items():
+        _check_fields(name, cfg if name == "config" else cfg.get(name, {}), known)
+    return cfg
 
 
 def _exp(y):
@@ -119,12 +150,15 @@ def build_system(cfg):
     """Returns (spec, system_kind, extras) from the `system` config section."""
     sys_cfg = _require(cfg, "system")
     kind = _require(sys_cfg, "kind", "system")
+    if kind not in _SYSTEM_FIELDS:
+        raise ConfigError(f"unknown system.kind {kind!r}")
+    _check_fields("system", sys_cfg, ("kind",) + _SYSTEM_FIELDS[kind])
     extras = {}
     if kind == "frequency":
         scn = apps.FrequencyScenario(
             **{k: float(v) for k, v in sys_cfg.get("scenario", {}).items()})
         extras["scenario"] = scn
-        return apps.freq_spec(bool(sys_cfg.get("relaxed_domain", False))), kind, extras
+        return apps.freq_spec(), kind, extras
     if kind == "reactor":
         params = sys_cfg.get("params", "canonical")
         if params == "canonical":
@@ -133,17 +167,13 @@ def build_system(cfg):
             p = apps.ReactorParams(**{k: float(v) for k, v in params.items()})
         return apps.reactor_spec(p), kind, extras
     if kind == "lti":
-        return make_lti(_require(sys_cfg, "A", "system"),
-                        _require(sys_cfg, "b", "system"),
-                        _require(sys_cfg, "C", "system"),
-                        _require(sys_cfg, "f", "system")), kind, extras
+        blocks = (_require(sys_cfg, key, "system") for key in _SYSTEM_FIELDS["lti"])
+        return make_lti(*blocks), kind, extras
     if kind == "scalar":
         return build_scalar_spec(sys_cfg), kind, extras
-    if kind == "example26":
-        ex = canonical_example26()
-        extras["example26"] = ex
-        return ex.to_system_spec(), kind, extras
-    raise ConfigError(f"unknown system.kind {kind!r}")
+    ex = canonical_example26()
+    extras["example26"] = ex
+    return ex.to_system_spec(), kind, extras
 
 
 def build_observer_config(cfg):
@@ -198,52 +228,35 @@ def sim_section(cfg, extras, kind):
     return SimConfig(t_end=t_end, h=h, x0=x0, y0=y0)
 
 
-def write_csv(path, header, rows):
-    """Write the header, then the rows one by one.
+def write_csv(path, header, columns, flags=0):
+    """Write the header, then one row per entry of the stacked ``columns``.
 
-    Each row is formatted with one %-format string made from the first row:
-    ``%d`` where it holds a Python int (the flags), ``%.12e`` elsewhere.
+    Every value is written ``%.12e``, except in the last ``flags`` columns,
+    which hold 0/1 flags and are written ``%d``.
     """
+    table = np.column_stack(columns)
+    fmt = ",".join(["%.12e"] * (table.shape[1] - flags) + ["%d"] * flags) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fmt = None
-        for row in rows:
-            if fmt is None:
-                fmt = ",".join("%d" if isinstance(v, int) else "%.12e" for v in row) + "\n"
-            fh.write(fmt % tuple(row))
+        fh.writelines(fmt % tuple(row) for row in table.tolist())
 
 
-def _node_rows(columns, est):
-    """Per grid node: the values of the (count, .) float ``columns``, then the two flags."""
-    flags = np.column_stack([est.reset_flags, est.degenerate_flags]).tolist()
-    return (values + f for values, f in zip(np.hstack(columns).tolist(), flags))
+def _write_node_csv(path, est, full_order, named):
+    """Per node: t, each (name, (count, .) array) of ``named``, z (and w if full), the flags."""
+    named = named + [("z", est.z)] + ([("w", est.w)] if full_order else [])
+    header = (["t"] + [f"{name}{i}" for name, a in named for i in range(a.shape[1])]
+              + ["reset_flag", "degenerate_flag"])
+    write_csv(path, header, [est.grid.times()] + [a for _, a in named]
+              + [est.reset_flags, est.degenerate_flags], flags=2)
 
 
 def write_trace_csv(path, trace, est, full_order):
-    n = trace.x_true.shape[1]
-    k = trace.y_true.shape[1]
-    m = trace.u.shape[1]
-    header = (["t"]
-              + [f"x_true{i}" for i in range(n)]
-              + [f"y_true{i}" for i in range(k)]
-              + [f"y_meas{i}" for i in range(k)]
-              + [f"u{i}" for i in range(m)]
-              + [f"z{i}" for i in range(n)]
-              + ([f"w{i}" for i in range(k)] if full_order else [])
-              + ["reset_flag", "degenerate_flag"])
-    columns = [trace.grid.times()[:, None], trace.x_true, trace.y_true, trace.y_meas,
-               trace.u, est.z] + ([est.w] if full_order else [])
-    write_csv(path, header, _node_rows(columns, est))
+    _write_node_csv(path, est, full_order, [("x_true", trace.x_true), ("y_true", trace.y_true),
+                                            ("y_meas", trace.y_meas), ("u", trace.u)])
 
 
 def write_estimate_csv(path, est, full_order):
-    n = est.z.shape[1]
-    k = est.w.shape[1]
-    header = (["t"] + [f"z{i}" for i in range(n)]
-              + ([f"w{i}" for i in range(k)] if full_order else [])
-              + ["reset_flag", "degenerate_flag"])
-    columns = [est.grid.times()[:, None], est.z] + ([est.w] if full_order else [])
-    write_csv(path, header, _node_rows(columns, est))
+    _write_node_csv(path, est, full_order, [])
 
 
 def write_json(path, payload):
@@ -262,9 +275,7 @@ def cmd_simulate(cfg, prefix):
     trace = simulate_plant(spec, signal, sim_cfg)
     trace = corrupt(trace, sensor)
     obs = cfg.get("observer", {})
-    z0 = np.asarray(_require(obs, "z0", "observer"), dtype=float)
-    w0 = np.asarray(obs["w0"], dtype=float) if "w0" in obs else None
-    est = run_observer(spec, obs_cfg, trace, z0, w0)
+    est = run_observer(spec, obs_cfg, trace, _require(obs, "z0", "observer"), obs.get("w0"))
 
     full = obs_cfg.mode == FULL
     write_trace_csv(f"{prefix}_trace.csv", trace, est, full)
@@ -317,8 +328,7 @@ def cmd_sweep(cfg, prefix, mode):
     else:
         raise ConfigError(f"unknown sweep mode {mode!r}")
 
-    write_csv(f"{prefix}_sweep.csv", [label, "omega_hat", "rel_error"],
-              [[v, o, e] for v, o, e in zip(values, omegas, errors)])
+    write_csv(f"{prefix}_sweep.csv", [label, "omega_hat", "rel_error"], [values, omegas, errors])
     write_json(f"{prefix}_sweep_summary.json", {
         "mode": mode,
         "omega": scn.omega,
@@ -363,11 +373,8 @@ def cmd_observability(cfg, prefix):
     if isinstance(verdict, Degenerate):
         report["null_direction"] = [float(v) for v in verdict.null_direction]
     if spec.k == 1:
-        nodes = cfg.get("det_nodes")
-        if nodes is None:
-            nodes = [round(i * (grid.count - 1) / max(spec.n - 1, 1))
-                     for i in range(spec.n)]
-        report["det_nodes"] = [int(i) for i in nodes]
+        report["det_nodes"] = [round(i * (grid.count - 1) / max(spec.n - 1, 1))
+                               for i in range(spec.n)]
         report["determinant_condition"] = determinant_condition(spec, window, wc,
                                                                 report["det_nodes"])
     write_json(f"{prefix}_observability.json", report)

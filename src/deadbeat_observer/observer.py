@@ -191,7 +191,7 @@ def _reduced_flow_step(spec, h, z, left, y_prev, y_new, u):
     this step's, which keeps the arithmetic bit-identical.  Returns the new z
     and (u, A, b) at y_new for the next step.
     """
-    if left is not None and left[0].shape == u.shape and left[0].tobytes() == u.tobytes():
+    if left is not None and left[0].tobytes() == u.tobytes():
         A1, b1 = left[1], left[2]
     else:
         A1, b1 = _coefficients(spec, y_prev, u)
@@ -324,12 +324,13 @@ def run_observer(spec, config, trace, z0, w0=None):
     if config.mode == FULL:
         w = np.empty((count, spec.k))
         w[0] = snap.w
-        for j in range(1, count):
-            events = snap.degenerate_events
-            snap = observer_step(spec, config, snap, y[j], u[j - 1])
-            z[j], w[j] = snap.z, snap.w
-            reset_flags[j] = snap.last_reset_applied
-            degen_flags[j] = snap.degenerate_events - events
+        with np.errstate(over="ignore", invalid="ignore"):  # observer_step raises on divergence
+            for j in range(1, count):
+                events = snap.degenerate_events
+                snap = observer_step(spec, config, snap, y[j], u[j - 1])
+                z[j], w[j] = snap.z, snap.w
+                reset_flags[j] = snap.last_reset_applied
+                degen_flags[j] = snap.degenerate_events - events
         return EstimateTrace(grid, z, w, reset_flags, degen_flags)
 
     w = np.array(y, dtype=float)

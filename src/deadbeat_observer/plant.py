@@ -97,10 +97,9 @@ def simulate_plant(spec, u, cfg):
 
     def check(s, j):
         if not all_finite(s):
-            raise NonFiniteState(j, f"non-finite state at grid index {j}")
+            raise NonFiniteState(j)
         if not spec.in_domain(s[:n], s[n:]):
-            raise DomainExit(j, "initial condition outside the model domain" if j == 0
-                             else f"solution left the model domain at grid index {j}")
+            raise DomainExit(j, "initial condition outside the model domain" if j == 0 else None)
         if j == 0:
             check_point_evaluators(spec, s[n:], u(grid.t0))
 

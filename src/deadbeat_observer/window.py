@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, KappaVanished, NonFiniteState, NotPositiveDefinite
-from .model import check_point_evaluators, eval_coefficients
+from .model import SystemSpec, check_point_evaluators, eval_coefficients
 # cholesky_pivots is not called here; perfbench/spans.py counts calls through this name
 from .numerics import (DEFAULT_REL_THRESHOLD, Grid, all_finite, cholesky_pivots, spd_solve,
                        trapezoid)
@@ -280,8 +280,8 @@ class Example26Spec:
 
         x1' = a1(y) x1,  x2' = a2(y) x2,  y' = u + c1(y) x1 + c2(y) x2
 
-    ``kappa`` is d/dy ln(c1(y)/c2(y)); the construction requires it to stay
-    away from zero along the constructed output trajectory.
+    ``kappa`` is d/dy ln(c1(y)/c2(y)); the construction requires it to keep
+    its sign and stay away from zero along the constructed output trajectory.
     """
 
     a1: Callable
@@ -291,8 +291,6 @@ class Example26Spec:
     kappa: Callable
 
     def to_system_spec(self):
-        from .model import SystemSpec
-
         def eval_A(y, u):
             return np.array([[self.a1(y[0]), 0.0], [0.0, self.a2(y[0])]])
 
@@ -321,16 +319,18 @@ def indistinguishing_input(ex, x0, y0, grid):
     """
     x0 = np.asarray(x0, dtype=float)
     y0 = float(y0)
-    if abs(ex.kappa(y0)) <= _KAPPA_TOL:
-        raise KappaVanished(f"kappa({y0}) = {ex.kappa(y0):.3e}")
+    kappa0 = ex.kappa(y0)
+    if abs(kappa0) <= _KAPPA_TOL:
+        raise KappaVanished(f"kappa({y0}) = {kappa0:.3e}")
+    sign = 1.0 if kappa0 > 0 else -1.0
 
     from .numerics import integrate_rk4
 
     def field(t, s):
         y, _ = s
         kap = ex.kappa(y)
-        if abs(kap) <= _KAPPA_TOL:
-            raise KappaVanished(f"kappa vanished at y = {y:.6g}")
+        if sign * kap <= _KAPPA_TOL:
+            raise KappaVanished(f"kappa vanished or changed sign at y = {y:.6g}")
         return np.array([(ex.a2(y) - ex.a1(y)) / kap, ex.a2(y)])
 
     traj = integrate_rk4(field, np.array([y0, 0.0]), grid)
@@ -338,8 +338,8 @@ def indistinguishing_input(ex, x0, y0, grid):
     int_a2 = traj[:, 1]
     mix = x0[1] + x0[0] * ex.c1(y0) / ex.c2(y0)
     kap = np.array([ex.kappa(v) for v in y])
-    if np.any(np.abs(kap) <= _KAPPA_TOL):
-        raise KappaVanished("kappa crossed zero along the constructed trajectory")
+    if np.any(sign * kap <= _KAPPA_TOL):
+        raise KappaVanished("kappa vanished or changed sign along the constructed trajectory")
     drift = np.array([(ex.a2(v) - ex.a1(v)) for v in y]) / kap
     c2_along = np.array([ex.c2(v) for v in y])
     u = drift - c2_along * np.exp(int_a2) * mix

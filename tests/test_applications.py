@@ -99,6 +99,31 @@ def test_check_hypothesis_perturbed_lumped_holds():
     assert result.margin == pytest.approx(abs(40.0 * 0.303 - 12.0), rel=1e-9)
 
 
+def test_check_hypothesis_a1_on_a_gated_set():
+    # a stiffer jacket gates 3475 grid points, where the drift is <= -226.2 K/s
+    p = dataclasses.replace(apps.canonical_reactor_params(), h_coef=10.0)
+    held = apps.check_hypothesis(p, "A1")
+    assert held == apps.HypothesisHolds(margin=held.margin, gated_points=3475)
+    assert held.margin == pytest.approx(226.21633296760075, rel=1e-12)
+    a2 = apps.check_hypothesis(p, "A2")
+    assert isinstance(a2, apps.HypothesisFailsAt)
+    assert a2.worst_T == pytest.approx(349.995, rel=1e-12)
+    assert a2.worst_value == pytest.approx(-259.6112168047385, rel=1e-12)
+    failed = apps.check_hypothesis(dataclasses.replace(p, a_margin=250.0), "A1")
+    assert isinstance(failed, apps.HypothesisFailsAt)
+    assert failed.worst_T == pytest.approx(332.625, rel=1e-12)
+    assert failed.worst_value == -held.margin
+    with pytest.raises(HypothesisFails, match="hypothesis A1 fails at T = 332.625"):
+        apps.min_window_reactor(dataclasses.replace(p, a_margin=250.0), "A1")
+
+
+def test_reactor_params_concentration_bound_when_e1_exceeds_e2():
+    # (k1/k2) c1_bar = 8/3 >= c2_bar = 2; the temperature bound holds (340 K)
+    p = apps.canonical_reactor_params()
+    with pytest.raises(ValueError, match=r"need \(k1/k2\) c1_bar < c2_bar when E1 >= E2"):
+        apps.ReactorParams(**{**p.__dict__, "E1": 400.0, "E2": 300.0, "c2_bar": 2.0})
+
+
 def test_min_window_canonical():
     p = apps.canonical_reactor_params()
     # margin exceeds the claimed a_margin = 150, so r = (Tmax - Tmin) / 150
@@ -282,6 +307,14 @@ def test_phase_sweep_matches_per_phase_loop():
     assert np.max(np.abs(omegas - ref) / ref) <= 1e-12
     assert np.allclose(errors, np.abs(ref - 3.0) / 3.0, rtol=1e-12, atol=0.0)
     assert max_err == np.max(errors)
+
+
+def test_phase_sweep_defaults_to_64_phases():
+    scn = apps.FrequencyScenario(amplitude=2.0, omega=3.0, r=1.0, h=2e-3)
+    phases, omegas, errors, max_err = apps.phase_sweep(scn)
+    assert np.array_equal(phases, np.linspace(0.0, 2.0 * np.pi, 64))
+    assert omegas.shape == errors.shape == (64,)
+    assert max_err == np.max(errors) < 1e-4
 
 
 def test_horizon_sweep_error_drops_with_window_length():

@@ -512,3 +512,65 @@ def test_unknown_input_kind(tmp_path, capsys):
         assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
         assert "unknown input.kind 'ramp'" in capsys.readouterr().err
     assert not list(tmp_path.glob("x_*"))
+
+
+def lti_full_config(prefix):
+    """A = [[50]] in full mode from z0 = 1e300: the full-order flow diverges."""
+    return {
+        "system": {"kind": "lti", "A": [[50.0]], "b": [0.0], "C": [[1.0]], "f": [0.0]},
+        "sim": {"t_end": 1.0, "h": 0.01, "x0": [1.0], "y0": [0.0]},
+        "observer": {"r": 0.5, "mode": "full", "z0": [1e300], "w0": [0.0]},
+        "output_prefix": prefix,
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make, message", [
+    (lambda prefix: shipped_config("frequency_clean", prefix,
+                                   set_field("observer", "z0", [1.0, -4e8])),
+     "runtime failure: observer flow diverged at t = 0.058"),
+    (lti_full_config, "runtime failure: observer flow diverged at t = 0.28"),
+], ids=["frequency_clean", "lti"])
+def test_full_order_replay_divergence_is_one_error_line(tmp_path, capsys, make, message):
+    cfg = make(str(tmp_path / "div"))
+    assert main(["simulate", write_config(tmp_path, cfg)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not list(tmp_path.glob("div_*"))
+
+
+def add_field(section, key, value=1.0):
+    def edit(cfg):
+        (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("name, command, edit, field", [
+    ("reactor", "simulate", add_field(None, "ouput_prefix", "x"), "config.ouput_prefix"),
+    ("reactor", "simulate", add_field(None, "det_nodes", [0, 1]), "config.det_nodes"),
+    ("reactor", "simulate", add_field("system", "scenario", {}), "system.scenario"),
+    ("frequency_clean", "simulate", add_field("system", "relaxed_domain", True),
+     "system.relaxed_domain"),
+    ("scalar_oracle", "observability", add_field("system", "c_1"), "system.c_1"),
+    ("example26", "observability", add_field("system", "a1"), "system.a1"),
+    ("reactor", "simulate", add_field("sim", "t_edn"), "sim.t_edn"),
+    ("reactor", "simulate", add_field("observer", "mdoe", "full"), "observer.mdoe"),
+    ("reactor", "observability", add_field("observer", "on_degenrate", "fail"),
+     "observer.on_degenrate"),
+    ("scalar_oracle", "simulate", add_field("input", "values", [1.0]), "input.values"),
+    ("figure1", "sweep", add_field("sweep", "phase", 8), "sweep.phase"),
+], ids=["top", "det_nodes", "reactor", "relaxed_domain", "scalar", "example26", "sim",
+        "observer-mode", "observer-on_degenerate", "input", "sweep"])
+def test_unknown_section_field_is_a_config_error(tmp_path, capsys, name, command, edit, field):
+    cfg = shipped_config(name, str(tmp_path / "typo"), edit)
+    assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: invalid config: unknown field `{field}`\n"
+    assert not list(tmp_path.glob("typo_*"))
+
+
+@pytest.mark.parametrize("section", ["config", "sim", "observer", "input", "sweep"])
+def test_config_or_section_that_is_not_an_object_is_a_config_error(tmp_path, capsys, section):
+    cfg = ([1.0] if section == "config" else
+           shipped_config("scalar_oracle", str(tmp_path / "list"), add_field(None, section, [1.0])))
+    assert main(["simulate", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: invalid config: `{section}` must be an object\n"

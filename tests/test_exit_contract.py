@@ -1,0 +1,99 @@
+"""The CLI's exit-code contract as a property of the shipped configs.
+
+Each example sets one numeric leaf of one shipped config to another value and
+runs one command in-process, with warnings raised as errors.  The contract:
+the exit code is 0, 2, 3 or 4; nothing escapes ``main`` (no traceback, no
+numpy warning); a failing run prints exactly one ``error:`` line, and a
+successful one prints nothing on stderr.
+
+The grid sizes stay as shipped: the fields h, t_end, r, r_values and phases
+are never changed, so no example builds a larger grid than its config.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from deadbeat_observer.cli import (  # noqa: E402
+    EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, EXIT_RUNTIME, main)
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+CONFIGS = {path.stem: json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))}
+COMMANDS = ("simulate", "observability", "sweep")
+GRID_FIELDS = {"h", "t_end", "r", "r_values", "phases"}
+
+
+def numeric_leaves(node, path=()):
+    """Paths (tuples of keys and indices) to the numbers of a config, outside GRID_FIELDS."""
+    if isinstance(node, dict):
+        items = ((key, value) for key, value in node.items() if key not in GRID_FIELDS)
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+    return [leaf for key, value in items for leaf in numeric_leaves(value, path + (key,))]
+
+
+LEAVES = {name: numeric_leaves(cfg) for name, cfg in CONFIGS.items()}
+
+
+def leaf(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+@st.composite
+def cases(draw):
+    """(config, command, leaf path, new value): a scale or sign change of the
+    shipped value, an extreme magnitude, or any finite float."""
+    name = draw(st.sampled_from(sorted(LEAVES)))
+    path = draw(st.sampled_from(LEAVES[name]))
+    v = leaf(CONFIGS[name], path)
+    value = draw(st.one_of(st.sampled_from([0.0, -v, 1e300, 1e-300, 1e160, 1e8 * v]),
+                           st.floats(allow_nan=False, allow_infinity=False)))
+    return name, draw(st.sampled_from(COMMANDS)), path, value
+
+
+def run(name, command, path, value):
+    cfg = json.loads(json.dumps(CONFIGS[name]))
+    *parents, last = path
+    leaf(cfg, parents)[last] = value
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([command, str(config), "--out-prefix", str(Path(tmp) / "out")])
+    return code, stderr.getvalue()
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(case=cases())
+# the findings of a fuzz of these leaves, each now a documented exit
+@example(case=("frequency_clean", "simulate", ("observer", "z0", 1), -4e8))
+@example(case=("frequency_clean", "simulate", ("system", "scenario", "omega"), 1e200))
+@example(case=("frequency_clean", "observability", ("system", "scenario", "omega"), 1e200))
+@example(case=("frequency_clean", "simulate", ("system", "scenario", "amplitude"), 1e160))
+@example(case=("frequency_clean", "simulate", ("system", "scenario", "amplitude"), 1e300))
+@example(case=("example26", "observability", ("sim", "x0", 1), -3e7))
+@example(case=("example26", "observability", ("sim", "y0", 0), 1e160))
+@example(case=("reactor_lumped", "simulate", ("system", "params", "E2"), 1e300))
+@example(case=("scalar_oracle", "simulate", ("system", "a0"), 1e300))
+@example(case=("scalar_oracle", "simulate", ("system", "c1"), 1e300))
+@example(case=("scalar_oracle", "simulate", ("sim", "x0", 0), 1e300))
+def test_every_run_ends_with_a_documented_exit(case):
+    code, err = run(*case)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME, EXIT_DEGENERATE)
+    if code == EXIT_OK:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, err

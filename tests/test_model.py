@@ -84,6 +84,13 @@ def test_make_lti_dimension_mismatch():
         make_lti(np.zeros((2, 2)), np.zeros(3), np.zeros((2, 1)), np.zeros(1))
 
 
+def test_make_lti_rejects_a_non_square_A_and_an_f_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch, match="A must be square"):
+        make_lti(np.zeros((2, 3)), np.zeros(2), np.zeros((2, 1)), np.zeros(1))
+    with pytest.raises(DimensionMismatch, match="f must have length 1"):
+        make_lti(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 1)), np.zeros(2))
+
+
 def test_make_lti_constant_across_probes():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(3, 3))

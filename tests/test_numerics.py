@@ -176,6 +176,12 @@ def test_trapezoid_length_mismatch():
         trapezoid(np.zeros(g.count + 1), g)
 
 
+def test_cumulative_trapezoid_length_mismatch():
+    g = Grid.from_span(0.0, 1.0, 0.1)
+    with pytest.raises(DimensionMismatch, match="got 10 samples for a 11-node grid"):
+        cumulative_trapezoid(np.zeros(g.count - 1), g)
+
+
 def test_trapezoid_linearity():
     rng = np.random.default_rng(7)
     g = Grid.from_span(0.0, 1.0, 1e-2)
@@ -230,6 +236,13 @@ def test_spd_solve_rejects_bad_threshold():
     for rel_threshold in (-1.0, float("nan")):
         with pytest.raises(ValueError):
             spd_solve(np.eye(2), np.ones(2), rel_threshold)
+
+
+def test_spd_solve_rejects_a_non_square_Q_and_an_rhs_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch, match="Q must be square"):
+        spd_solve(np.eye(2, 3), np.ones(2))
+    with pytest.raises(DimensionMismatch, match="rhs length 3 does not match Q size 2"):
+        spd_solve(np.eye(2), np.ones(3))
 
 
 def test_spd_solve_rejects_asymmetric():

@@ -447,3 +447,14 @@ def test_indistinguishing_input_kappa_vanished():
     with pytest.raises(KappaVanished):
         indistinguishing_input(ex, np.array([1.0, 1.0]), 0.0,
                                Grid.from_span(0.0, 1.0, 0.1))
+
+
+def test_indistinguishing_input_kappa_changing_sign_inside_a_step():
+    # y' = -1/(y + 0.5) from y = 0 reaches kappa = y + 0.5 = 0 at t = 0.125; no
+    # node or stage meets |kappa| <= 1e-9, but one RK4 stage sees y = -0.500286
+    ex = Example26Spec(a1=lambda y: -1.0, a2=lambda y: -2.0,
+                       c1=lambda y: 1.0, c2=lambda y: 1.0,
+                       kappa=lambda y: y + 0.5)
+    with pytest.raises(KappaVanished, match="changed sign at y = -0.500286"):
+        indistinguishing_input(ex, np.array([1.0, 1.0]), 0.0,
+                               Grid.from_span(0.0, 1.0, 0.01))
