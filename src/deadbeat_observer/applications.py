@@ -402,15 +402,15 @@ def estimate_frequency(scn):
     return omega_hat(z2)
 
 
-def phase_sweep(scn, phi_grid=None):
+def phase_sweep(scn, phases=None):
     """Relative frequency-estimation error as a function of the signal phase.
 
-    Each phase's window is reconstructed on its own.
-    Returns (phases, omega_hats, rel_errors, max_rel_error).
+    ``phases`` lists the phases, or counts them evenly spaced on [0, 2 pi] (64
+    when None).  Returns (phases, omega_hats, rel_errors, max_rel_error), one window each.
     """
-    if phi_grid is None:
-        phi_grid = np.linspace(0.0, 2.0 * np.pi, 64)
-    phi_grid = np.asarray(phi_grid, dtype=float)
+    if phases is None or np.ndim(phases) == 0:
+        phases = np.linspace(0.0, 2.0 * np.pi, 64 if phases is None else int(phases))
+    phi_grid = np.asarray(phases, dtype=float)
     windows = _windows_from_scenario(scn, phi_grid)
     omegas = np.array([omega_hat(freq_closed_form(w)[1]) for w in windows])
     errors = np.abs(omegas - scn.omega) / scn.omega
@@ -420,13 +420,13 @@ def phase_sweep(scn, phi_grid=None):
 def horizon_sweep(scn, r_grid):
     """Relative frequency-estimation error as a function of the window length.
 
-    Each window length uses a grid step of r/2000, except the scenario's own r,
-    which uses the scenario's h.  Returns (r_values, omega_hats, rel_errors).
+    Each window length uses the scenario's default step r/2000, except the
+    scenario's own r, which uses its h.  Returns (r_values, omega_hats, rel_errors).
     """
     r_grid = np.asarray(r_grid, dtype=float)
     omegas = []
     for r in r_grid:
-        h = scn.h if abs(scn.r - r) < 1e-12 else r / 2000.0
+        h = scn.h if abs(scn.r - r) < 1e-12 else None
         omegas.append(estimate_frequency(replace(scn, r=float(r), h=h)))
     omegas = np.array(omegas)
     errors = np.abs(omegas - scn.omega) / scn.omega

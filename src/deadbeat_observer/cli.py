@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -55,6 +56,7 @@ _FIELDS = {
     "config": ("system", "sim", "observer", "sensor", "input", "sweep", "output_prefix"),
     "sim": ("t_end", "h", "x0", "y0"),
     "observer": ("r", "mode", "z0", "w0", "rel_threshold", "on_degenerate"),
+    "sensor": tuple(f.name for f in fields(SensorModel)),
     "input": ("kind", "value"),
     "sweep": ("mode", "phases", "r_values"),
 }
@@ -67,11 +69,15 @@ _SYSTEM_FIELDS = {
 }
 
 
-def _check_fields(name, section, known):
-    """Raise ConfigError unless ``section`` is an object whose fields are all in ``known``."""
+def _object(name, section):
     if not isinstance(section, dict):
         raise ConfigError(f"`{name}` must be an object")
-    unknown = sorted(set(section).difference(known))
+    return section
+
+
+def _check_fields(name, section, known):
+    """Raise ConfigError unless ``section`` is an object whose fields are all in ``known``."""
+    unknown = sorted(set(_object(name, section)).difference(known))
     if unknown:
         raise ConfigError(f"unknown field `{name}.{unknown[0]}`")
 
@@ -87,20 +93,29 @@ def _finite_float(text):
     return value
 
 
-def _float_sized_int(text):
-    _finite_float(text)
-    return int(text)
-
-
 def load_config(path):
-    """Parse a JSON config; NaN, Infinity, overflowing literals and a field outside
-    ``_FIELDS`` raise ConfigError (``build_system`` checks the system section's; the
-    scenario, params and sensor sections go to dataclasses, which reject their own)."""
+    """Parse a JSON config (every number a float) and check the shape of every section:
+    a section that is not an object, an unknown field or kind and a non-finite or
+    overflowing number raise ConfigError, so the build_* functions only read it."""
     with open(path) as fh:
         cfg = json.load(fh, parse_constant=_reject_constant,
-                        parse_float=_finite_float, parse_int=_float_sized_int)
+                        parse_float=_finite_float, parse_int=_finite_float)
     for name, known in _FIELDS.items():
         _check_fields(name, cfg if name == "config" else cfg.get(name, {}), known)
+    system = _object("system", _require(cfg, "system"))
+    kind = _require(system, "kind", "system")
+    if not isinstance(kind, str) or kind not in _SYSTEM_FIELDS:
+        raise ConfigError(f"unknown system.kind {kind!r}")
+    _check_fields("system", system, ("kind",) + _SYSTEM_FIELDS[kind])
+    if kind == "frequency":
+        _check_fields("system.scenario", system.get("scenario", {}),
+                      tuple(f.name for f in fields(apps.FrequencyScenario)))
+    if kind == "reactor" and system.get("params", "canonical") != "canonical":
+        _check_fields("system.params", system["params"],
+                      tuple(f.name for f in fields(apps.ReactorParams)))
+    input_kind = cfg.get("input", {}).get("kind", "constant")
+    if input_kind != "constant":
+        raise ConfigError(f"unknown input.kind {input_kind!r}")
     return cfg
 
 
@@ -147,12 +162,9 @@ def build_scalar_spec(sys_cfg):
 
 
 def build_system(cfg):
-    """Returns (spec, system_kind, extras) from the `system` config section."""
-    sys_cfg = _require(cfg, "system")
-    kind = _require(sys_cfg, "kind", "system")
-    if kind not in _SYSTEM_FIELDS:
-        raise ConfigError(f"unknown system.kind {kind!r}")
-    _check_fields("system", sys_cfg, ("kind",) + _SYSTEM_FIELDS[kind])
+    """Returns (spec, system_kind, extras) from the `system` section of a loaded config."""
+    sys_cfg = cfg["system"]
+    kind = sys_cfg["kind"]
     extras = {}
     if kind == "frequency":
         scn = apps.FrequencyScenario(
@@ -205,11 +217,8 @@ def build_input(cfg):
     inp = cfg.get("input")
     if inp is None:
         return None
-    kind = inp.get("kind", "constant")
-    if kind == "constant":
-        value = np.atleast_1d(np.asarray(inp.get("value", [0.0]), dtype=float))
-        return lambda t: value
-    raise ConfigError(f"unknown input.kind {kind!r}")
+    value = np.atleast_1d(np.asarray(inp.get("value", [0.0]), dtype=float))
+    return lambda t: value
 
 
 def _initial_state(sim, extras, kind):
@@ -312,11 +321,7 @@ def cmd_sweep(cfg, prefix, mode):
     sweep_cfg = cfg.get("sweep", {})
     mode = mode or sweep_cfg.get("mode", "phase")
     if mode == "phase":
-        phases = sweep_cfg.get("phases", 64)
-        phi_grid = (np.linspace(0.0, 2.0 * np.pi, int(phases))
-                    if isinstance(phases, (int, float))
-                    else np.asarray(phases, dtype=float))
-        values, omegas, errors, max_err = apps.phase_sweep(scn, phi_grid)
+        values, omegas, errors, max_err = apps.phase_sweep(scn, sweep_cfg.get("phases"))
         label = "phase"
     elif mode == "horizon":
         r_values = sweep_cfg.get("r_values")
@@ -412,7 +417,7 @@ def main(argv=None):
 
     if args.h is not None:
         cfg.setdefault("sim", {})["h"] = args.h
-        if cfg.get("system", {}).get("kind") == "frequency":
+        if cfg["system"]["kind"] == "frequency":
             cfg["system"].setdefault("scenario", {})["h"] = args.h
     prefix = args.out_prefix or cfg.get("output_prefix", "out")
 
@@ -425,6 +430,9 @@ def main(argv=None):
     except (ConfigError, ValueError, KeyError, TypeError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except GramDegenerate as exc:
         print(f"error: degenerate reset window: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -472,18 +472,6 @@ def test_simulate_summary_reports_a_non_finite_error_as_null(tmp_path):
     assert summary["max_post_window_relative_error"] is None
 
 
-@pytest.mark.parametrize("command, cfg, key", [
-    ("sweep", frequency_sweep_config("", noise_amplitud=0.1), "noise_amplitud"),
-    ("simulate", scalar_config("", sensor={"amplitud": 0.1}), "amplitud"),
-], ids=["scenario", "sensor"])
-def test_unknown_key_is_a_config_error(tmp_path, capsys, command, cfg, key):
-    cfg["output_prefix"] = str(tmp_path / "typo")
-    assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "error: invalid config" in err and repr(key) in err
-    assert not list(tmp_path.glob("typo_*"))
-
-
 def test_h_override_sets_the_frequency_scenario_step(tmp_path):
     cfg = frequency_sweep_config(str(tmp_path / "given"), noise_amplitude=0.2)
     assert main(["sweep", write_config(tmp_path, cfg), "--h", "0.002",
@@ -514,6 +502,19 @@ def test_unknown_input_kind(tmp_path, capsys):
     assert not list(tmp_path.glob("x_*"))
 
 
+@pytest.mark.parametrize("command, make", [
+    ("simulate", scalar_config),
+    ("observability", scalar_config),
+    ("sweep", frequency_sweep_config),
+])
+def test_unwritable_output_is_one_error_line(tmp_path, capsys, command, make):
+    prefix = tmp_path / "missing" / "out"
+    assert main([command, write_config(tmp_path, make(str(prefix)))]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
+    assert str(prefix) in err and not (tmp_path / "missing").exists()
+
+
 def lti_full_config(prefix):
     """A = [[50]] in full mode from z0 = 1e300: the full-order flow diverges."""
     return {
@@ -540,8 +541,12 @@ def test_full_order_replay_divergence_is_one_error_line(tmp_path, capsys, make, 
 
 
 def add_field(section, key, value=1.0):
+    """Set ``key`` of the section at the dotted path ``section`` (None: the top level)."""
     def edit(cfg):
-        (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+        node = cfg
+        for name in section.split(".") if section else ():
+            node = node.setdefault(name, {})
+        node[key] = value
     return edit
 
 
@@ -559,8 +564,14 @@ def add_field(section, key, value=1.0):
      "observer.on_degenrate"),
     ("scalar_oracle", "simulate", add_field("input", "values", [1.0]), "input.values"),
     ("figure1", "sweep", add_field("sweep", "phase", 8), "sweep.phase"),
+    ("figure1", "sweep", add_field("system.scenario", "noise_amplitud", 0.1),
+     "system.scenario.noise_amplitud"),
+    ("reactor_lumped", "simulate", add_field("system.params", "a_margn"),
+     "system.params.a_margn"),
+    ("scalar_oracle", "simulate", add_field("sensor", "amplitud", 0.1), "sensor.amplitud"),
 ], ids=["top", "det_nodes", "reactor", "relaxed_domain", "scalar", "example26", "sim",
-        "observer-mode", "observer-on_degenerate", "input", "sweep"])
+        "observer-mode", "observer-on_degenerate", "input", "sweep", "scenario", "params",
+        "sensor"])
 def test_unknown_section_field_is_a_config_error(tmp_path, capsys, name, command, edit, field):
     cfg = shipped_config(name, str(tmp_path / "typo"), edit)
     assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
@@ -568,9 +579,24 @@ def test_unknown_section_field_is_a_config_error(tmp_path, capsys, name, command
     assert not list(tmp_path.glob("typo_*"))
 
 
-@pytest.mark.parametrize("section", ["config", "sim", "observer", "input", "sweep"])
-def test_config_or_section_that_is_not_an_object_is_a_config_error(tmp_path, capsys, section):
-    cfg = ([1.0] if section == "config" else
-           shipped_config("scalar_oracle", str(tmp_path / "list"), add_field(None, section, [1.0])))
-    assert main(["simulate", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+@pytest.mark.parametrize("name, section, value, options", [
+    ("scalar_oracle", "config", [1.0], []),
+    ("scalar_oracle", "sim", [1.0], []),
+    ("scalar_oracle", "observer", [1.0], []),
+    ("scalar_oracle", "input", [1.0], []),
+    ("scalar_oracle", "sweep", [1.0], []),
+    ("scalar_oracle", "sensor", "x", []),
+    ("frequency_clean", "system", [1.0], []),
+    ("frequency_clean", "system", [1.0], ["--h", "0.001"]),
+    ("frequency_clean", "system.scenario", 5.0, []),
+    ("reactor_lumped", "system.params", [1.0], []),
+], ids=["config", "sim", "observer", "input", "sweep", "sensor", "system", "system-h",
+        "scenario", "params"])
+def test_config_or_section_that_is_not_an_object_is_a_config_error(tmp_path, capsys, name,
+                                                                   section, value, options):
+    parent, _, key = section.rpartition(".")
+    cfg = (value if section == "config" else
+           shipped_config(name, str(tmp_path / "list"), add_field(parent, key, value)))
+    assert main(["simulate", write_config(tmp_path, cfg)] + options) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: invalid config: `{section}` must be an object\n"
+    assert not list(tmp_path.glob("list_*"))

@@ -1,10 +1,11 @@
 """The CLI's exit-code contract as a property of the shipped configs.
 
-Each example sets one numeric leaf of one shipped config to another value and
-runs one command in-process, with warnings raised as errors.  The contract:
-the exit code is 0, 2, 3 or 4; nothing escapes ``main`` (no traceback, no
-numpy warning); a failing run prints exactly one ``error:`` line, and a
-successful one prints nothing on stderr.
+Each example sets one numeric leaf of one shipped config to another value, or
+replaces one of its sections (an object, nested ones included) with a string, a
+number, a list or null, and runs one command in-process, with warnings raised
+as errors.  The contract: the exit code is 0, 2, 3 or 4; nothing escapes
+``main`` (no traceback, no numpy warning); a failing run prints exactly one
+``error:`` line, and a successful one prints nothing on stderr.
 
 The grid sizes stay as shipped: the fields h, t_end, r, r_values and phases
 are never changed, so no example builds a larger grid than its config.
@@ -41,7 +42,16 @@ def numeric_leaves(node, path=()):
     return [leaf for key, value in items for leaf in numeric_leaves(value, path + (key,))]
 
 
+def objects(node, path=()):
+    """Paths to the objects of a config, the config itself first."""
+    if not isinstance(node, dict):
+        return []
+    return [path] + [obj for key, value in node.items() for obj in objects(value, path + (key,))]
+
+
 LEAVES = {name: numeric_leaves(cfg) for name, cfg in CONFIGS.items()}
+SECTIONS = {name: objects(cfg)[1:] for name, cfg in CONFIGS.items()}
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def leaf(cfg, path):
@@ -52,17 +62,23 @@ def leaf(cfg, path):
 
 @st.composite
 def cases(draw):
-    """(config, command, leaf path, new value): a scale or sign change of the
-    shipped value, an extreme magnitude, or any finite float."""
+    """(config, command, path, new value): a numeric leaf set to a scale or sign
+    change of the shipped value, an extreme magnitude or any finite float, or a
+    section set to a string, a number, a list or null."""
     name = draw(st.sampled_from(sorted(LEAVES)))
-    path = draw(st.sampled_from(LEAVES[name]))
-    v = leaf(CONFIGS[name], path)
-    value = draw(st.one_of(st.sampled_from([0.0, -v, 1e300, 1e-300, 1e160, 1e8 * v]),
-                           st.floats(allow_nan=False, allow_infinity=False)))
+    if draw(st.integers(0, 3)) == 0:  # most cases set a number, so that leaves stay covered
+        path = draw(st.sampled_from(SECTIONS[name]))
+        value = draw(st.one_of(st.text(max_size=3), FLOATS, st.lists(FLOATS, max_size=2),
+                               st.none()))
+    else:
+        path = draw(st.sampled_from(LEAVES[name]))
+        v = leaf(CONFIGS[name], path)
+        value = draw(st.one_of(st.sampled_from([0.0, -v, 1e300, 1e-300, 1e160, 1e8 * v]),
+                               FLOATS))
     return name, draw(st.sampled_from(COMMANDS)), path, value
 
 
-def run(name, command, path, value):
+def run(name, command, path, value, *options):
     cfg = json.loads(json.dumps(CONFIGS[name]))
     *parents, last = path
     leaf(cfg, parents)[last] = value
@@ -71,12 +87,13 @@ def run(name, command, path, value):
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(cfg))
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([command, str(config), "--out-prefix", str(Path(tmp) / "out")])
+            code = main([command, str(config), "--out-prefix", str(Path(tmp) / "out"),
+                         *options])
     return code, stderr.getvalue()
 
 
 @pytest.mark.filterwarnings("error")
-@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@settings(derandomize=True, database=None, max_examples=45, deadline=None)
 @given(case=cases())
 # the findings of a fuzz of these leaves, each now a documented exit
 @example(case=("frequency_clean", "simulate", ("observer", "z0", 1), -4e8))
@@ -90,6 +107,11 @@ def run(name, command, path, value):
 @example(case=("scalar_oracle", "simulate", ("system", "a0"), 1e300))
 @example(case=("scalar_oracle", "simulate", ("system", "c1"), 1e300))
 @example(case=("scalar_oracle", "simulate", ("sim", "x0", 0), 1e300))
+# sections of another JSON type, each now a config error
+@example(case=("scalar_oracle", "simulate", ("sensor",), "x"))
+@example(case=("frequency_clean", "simulate", ("system", "scenario"), 5.0))
+@example(case=("reactor_lumped", "simulate", ("system", "params"), [1.0]))
+@example(case=("frequency_clean", "simulate", ("system",), [1.0], "--h", "0.0005"))
 def test_every_run_ends_with_a_documented_exit(case):
     code, err = run(*case)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME, EXIT_DEGENERATE)

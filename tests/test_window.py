@@ -458,3 +458,14 @@ def test_indistinguishing_input_kappa_changing_sign_inside_a_step():
     with pytest.raises(KappaVanished, match="changed sign at y = -0.500286"):
         indistinguishing_input(ex, np.array([1.0, 1.0]), 0.0,
                                Grid.from_span(0.0, 1.0, 0.01))
+
+
+def test_indistinguishing_input_kappa_changing_sign_at_the_final_node():
+    # y' = y from y = 1, one RK4 step of 0.1: the stages see y = 1, 1.05, 1.0525
+    # and 1.10525, the node y = 1.1051708; kappa is -1 only on (1.1051, 1.1052)
+    ex = Example26Spec(a1=lambda y: 0.0, a2=lambda y: y,
+                       c1=lambda y: 1.0, c2=lambda y: 1.0,
+                       kappa=lambda y: -1.0 if 1.1051 < y < 1.1052 else 1.0)
+    with pytest.raises(KappaVanished, match="along the constructed trajectory"):
+        indistinguishing_input(ex, np.array([1.0, 1.0]), 1.0,
+                               Grid.from_span(0.0, 0.1, 0.1))
