@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainExit, HypothesisFails, NonFiniteState, NonNegativeZ2
 from .model import SystemSpec
-from .numerics import Grid, cholesky_pivots, cumulative_trapezoid, require_pivot, trapezoid
+from .numerics import Grid, cumulative_trapezoid, require_pivot, spd_solve, trapezoid
 # simulate_plant and corrupt are not called here; perfbench/spans.py times calls through these names
 from .plant import SensorModel, corrupt, simulate_plant
 from .window import IoWindow
@@ -240,10 +240,7 @@ def reactor_gains(T_window, p, grid):
     s12 = trapezoid(phi1 * phi2, grid)
     b1 = trapezoid(psi * phi1, grid)
     b2 = trapezoid(psi * phi2, grid)
-    _, smallest = cholesky_pivots(np.array([[s11, s12], [s12, s22]]))
-    require_pivot(smallest, s11 + s22, 2)
-    den = s11 * s22 - s12 * s12
-    G = np.array([(s22 * b1 - s12 * b2) / den, (s11 * b2 - s12 * b1) / den])
+    G, _ = spd_solve(np.array([[s11, s12], [s12, s22]]), np.array([b1, b2]))
     Phi_r = np.array([
         [np.exp(-K1[-1]), 0.0],
         [p.k1 * I[-1], np.exp(-K2[-1])],
@@ -273,19 +270,20 @@ class FrequencyScenario:
     h: float = None  # grid step; defaults to r/2000
 
     def __post_init__(self):
-        values = (self.amplitude, self.omega, self.phase, self.noise_amplitude,
-                  self.noise_frequency, self.r) + (() if self.h is None else (self.h,))
+        values = (self.amplitude, self.omega, self.phase, self.r) + (
+            () if self.h is None else (self.h,))
         if not all(math.isfinite(v) for v in values):
             raise ValueError("scenario fields must be finite")
         if self.amplitude <= 0 or self.omega <= 0 or self.r <= 0:
             raise ValueError("amplitude, omega and r must be positive")
-        if self.noise_amplitude < 0:
-            raise ValueError("noise amplitude must be >= 0")
+        # the sensor owns the rules of the two noise fields
+        object.__setattr__(self, "_sensor", SensorModel(self.noise_amplitude,
+                                                        self.noise_frequency))
         if self.h is None:
             object.__setattr__(self, "h", self.r / 2000.0)
 
     def sensor(self):
-        return SensorModel(self.noise_amplitude, self.noise_frequency)
+        return self._sensor
 
     def initial_state(self):
         """Plant initial condition generating A sin(w t + phase)."""

@@ -351,7 +351,7 @@ def cmd_observability(cfg, prefix):
     grid = Grid(0.0, h, obs_cfg.steps_per_window + 1)
     x0, y0 = _initial_state(cfg.get("sim", {}), extras, kind)
     if kind == "example26":
-        u_s, _ = indistinguishing_input(extras["example26"], x0, float(y0[0]), grid)
+        u_s, _ = indistinguishing_input(extras["example26"], x0, y0, grid)
         signal = sampled_input(grid, u_s)
     else:
         signal = build_input(cfg)

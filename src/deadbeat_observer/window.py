@@ -119,24 +119,18 @@ def compute_window(spec, window):
     eye = np.eye(n + 1)
 
     with np.errstate(all="ignore"):
-        # stage points of every step: left node, midpoint, right node, all
-        # with the input of the left node
-        u = u_s[:-1]
-        A, b, C, f = eval_coefficients(
-            spec, np.concatenate([y_s[:-1], 0.5 * (y_s[:-1] + y_s[1:]), y_s[1:]]),
-            np.concatenate([u, u, u]))
         # augmented coefficients: M = [[A, b], [0, 0]] drives Z = [[Phi, theta], [0, 1]],
         # and Caug = [C; f'] gives the q and xi rates as Z' Caug
         M = np.zeros((3 * steps, n + 1, n + 1))
-        M[:, :n, :n] = A
-        M[:, :n, n] = b
-        del A, b
         Caug = np.empty((3 * steps, n + 1, k))
-        Caug[:, :n] = C
-        Caug[:, n] = f
-        del C, f
-        M1, M2, M4 = M[:steps], M[steps:2 * steps], M[2 * steps:]
-        C1, C2, C4 = Caug[:steps], Caug[steps:2 * steps], Caug[2 * steps:]
+        # A, b, C and f at the stage points of every step: left node, midpoint,
+        # right node, all with the input of the left node
+        u = u_s[:-1]
+        M[:, :n, :n], M[:, :n, n], Caug[:, :n], Caug[:, n] = eval_coefficients(
+            spec, np.concatenate([y_s[:-1], 0.5 * (y_s[:-1] + y_s[1:]), y_s[1:]]),
+            np.concatenate([u, u, u]))
+        M1, M2, M4 = np.split(M, 3)
+        C1, C2, C4 = np.split(Caug, 3)
 
         # RK4 stage states as maps of Z_j: S1 = I, S2 = I + h/2 M1,
         # S3 = I + h/2 M2 S2, S4 = I + h M2 S3, with stage rates K_s = M_s S_s.
@@ -144,29 +138,14 @@ def compute_window(spec, window):
         # (adding the identity to D would round away its low bits), and the
         # increment of [q; xi'] over step j is Z_j' W_j with
         # W = h/6 (C1 + 2 S2' C2 + 2 S3' C2 + S4' C4).
-        # S and K hold the current stage in place to keep temporaries few.
-        S = M1 * (0.5 * h)
-        S += eye
-        K = M2 @ S
-        D = K * 2.0
-        D += M1
-        W = np.swapaxes(S, 1, 2) @ C2
-        np.multiply(K, 0.5 * h, out=S)
-        S += eye
-        W += np.swapaxes(S, 1, 2) @ C2
-        np.matmul(M2, S, out=K)
-        D += K
-        D += K
-        np.multiply(K, h, out=S)
-        S += eye
-        W *= 2.0
-        W += C1
-        W += np.swapaxes(S, 1, 2) @ C4
-        W *= h / 6.0
-        np.matmul(M4, S, out=K)
-        D += K
-        D *= h / 6.0
-        del M, Caug, S, K
+        S2 = M1 * (0.5 * h) + eye
+        K2 = M2 @ S2
+        S3 = K2 * (0.5 * h) + eye
+        K3 = M2 @ S3
+        S4 = K3 * h + eye
+        D = (K2 * 2.0 + M1 + K3 + K3 + M4 @ S4) * (h / 6.0)
+        W = ((np.swapaxes(S2, 1, 2) @ C2 + np.swapaxes(S3, 1, 2) @ C2) * 2.0 + C1
+             + np.swapaxes(S4, 1, 2) @ C4) * (h / 6.0)
 
         Z = np.empty((steps + 1, n + 1, n + 1))
         Z[0] = eye
@@ -197,7 +176,7 @@ def gram(wc):
         Q = trapezoid(qq.reshape(grid.count, -1), grid).reshape(q.shape[1], q.shape[1])
         Q = 0.5 * (Q + Q.T)  # enforce exact symmetry
         qp = np.einsum("tik,tk->ti", q, p)
-        v = np.asarray(trapezoid(qp, grid))
+        v = trapezoid(qp, grid)
     if not (all_finite(Q) and all_finite(v)):
         raise _GramOverflow(grid.count - 1)
     return GramSummary(Q=Q, v=v)
@@ -316,9 +295,14 @@ def indistinguishing_input(ex, x0, y0, grid):
 
     on the grid.  Returns (u_samples, y_samples).  The window recorded by
     driving the true plant with this input has a singular Gram matrix.
+    x0 must have shape (2,) and y0 shape (1,) or (), else DimensionMismatch.
     """
     x0 = np.asarray(x0, dtype=float)
-    y0 = float(y0)
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    if (x0.shape, y0.shape) != ((2,), (1,)):
+        raise DimensionMismatch(f"initial states of shapes x0 {x0.shape} and y0 "
+                                f"{y0.shape}, expected (2,) and (1,)")
+    y0 = float(y0[0])
     kappa0 = ex.kappa(y0)
     if abs(kappa0) <= _KAPPA_TOL:
         raise KappaVanished(f"kappa({y0}) = {kappa0:.3e}")

@@ -238,6 +238,12 @@ def test_frequency_scenario_rejects_non_finite(field):
             apps.FrequencyScenario(**{field: value})
 
 
+def test_frequency_scenario_rejects_noise_without_a_frequency_when_built():
+    with pytest.raises(ValueError, match="noise frequency must be > 0"):
+        apps.FrequencyScenario(noise_amplitude=0.1, noise_frequency=0.0)
+    assert apps.FrequencyScenario(noise_frequency=0.0).sensor().amplitude == 0.0
+
+
 def test_estimate_frequency_clean():
     scn = apps.FrequencyScenario(phase=0.9)
     assert apps.estimate_frequency(scn) == pytest.approx(3.0, rel=1e-5)

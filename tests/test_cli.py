@@ -460,6 +460,31 @@ def test_overflowing_config_values_end_with_one_error_line(tmp_path, capsys, nam
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, value, shapes", [
+    ("x0", 5.0, "x0 () and y0 (1,)"), ("x0", [1.0], "x0 (1,) and y0 (1,)"),
+    ("x0", None, "x0 () and y0 (1,)"), ("x0", True, "x0 () and y0 (1,)"),
+    ("x0", [], "x0 (0,) and y0 (1,)"), ("y0", [], "x0 (2,) and y0 (0,)")],
+    ids=["x0-number", "x0-short", "x0-null", "x0-true", "x0-empty", "y0-empty"])
+def test_example26_initial_state_of_the_wrong_shape_is_a_runtime_error(tmp_path, capsys, field,
+                                                                        value, shapes):
+    cfg = shipped_config("example26", str(tmp_path / "bad"), set_field("sim", field, value))
+    assert main(["observability", write_config(tmp_path, cfg)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (f"error: initial states of shapes {shapes}, "
+                                       "expected (2,) and (1,)\n")
+    assert not list(tmp_path.glob("bad_*"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "observability", "sweep"])
+def test_scenario_noise_without_a_frequency_is_a_config_error(tmp_path, capsys, command):
+    def edit(cfg):
+        cfg["system"]["scenario"].update(noise_amplitude=0.1, noise_frequency=0.0)
+    cfg = shipped_config("frequency_clean", str(tmp_path / "bad"), edit)
+    assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: invalid config: noise frequency must be > 0\n"
+    assert not list(tmp_path.glob("bad_*"))
+
+
+@pytest.mark.filterwarnings("error")
 def test_simulate_summary_reports_a_non_finite_error_as_null(tmp_path):
     cfg = shipped_config("scalar_oracle", str(tmp_path / "big"),
                          set_field("sim", "x0", [1e300]))

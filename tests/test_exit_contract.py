@@ -112,6 +112,13 @@ def run(name, command, path, value, *options):
 @example(case=("frequency_clean", "simulate", ("system", "scenario"), 5.0))
 @example(case=("reactor_lumped", "simulate", ("system", "params"), [1.0]))
 @example(case=("frequency_clean", "simulate", ("system",), [1.0], "--h", "0.0005"))
+# example26 initial states of the wrong shape, each now a runtime error
+@example(case=("example26", "observability", ("sim", "x0"), 5.0))
+@example(case=("example26", "observability", ("sim", "x0"), [1.0]))
+@example(case=("example26", "observability", ("sim", "x0"), None))
+@example(case=("example26", "observability", ("sim", "x0"), True))
+@example(case=("example26", "observability", ("sim", "x0"), []))
+@example(case=("example26", "observability", ("sim", "y0"), []))
 def test_every_run_ends_with_a_documented_exit(case):
     code, err = run(*case)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME, EXIT_DEGENERATE)

@@ -119,11 +119,23 @@ def frequency_window():
     return spec, recorded_window(spec, None, scn.r, scn.h, x0, y0)
 
 
+def k2_input_window():
+    # two outputs (C is 3 x 2); the recorded input varies from node to node,
+    # though the rates of make_lti do not read it
+    rng = np.random.default_rng(29)
+    A = rng.normal(size=(3, 3))
+    spec = make_lti(A / np.linalg.norm(A, 2), rng.normal(size=3),
+                    rng.normal(size=(3, 2)), rng.normal(size=2))
+    return spec, recorded_window(spec, lambda t: np.array([np.sin(7.0 * t)]), 1.0, 1e-3,
+                                 rng.normal(size=3), rng.normal(size=2))
+
+
 WINDOW_CASES = {
     "reactor": reactor_window,
     "frequency": frequency_window,
     "random_lti": random_lti_window,
     "example26": example26_window,
+    "k2_input": k2_input_window,
 }
 
 
