@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainExit, HypothesisFails, NonFiniteState, NonNegativeZ2
+from .errors import (DimensionMismatch, DomainExit, HypothesisFails, InvalidValue, NonFiniteState,
+                     NonNegativeZ2)
 from .model import SystemSpec
 from .numerics import Grid, cumulative_trapezoid, require_pivot, spd_solve, trapezoid
 # simulate_plant and corrupt are not called here; perfbench/spans.py times calls through these names
@@ -45,24 +46,24 @@ class ReactorParams:
                 self.h_coef, self.Ts, self.c1_bar, self.c2_bar,
                 self.Tmin, self.Tmax, self.a_margin]
         if any(v <= 0 for v in vals):
-            raise ValueError("all reactor parameters must be positive")
+            raise InvalidValue("all reactor parameters must be positive")
         if not (0 < self.Tmin <= self.Ts):
-            raise ValueError("need 0 < Tmin <= Ts")
+            raise InvalidValue("need 0 < Tmin <= Ts")
         heat = (self.J1 * self.k1 * self.c1_bar
                 + self.J2 * self.k2 * self.c2_bar) / self.h_coef + self.Ts
         if heat > self.Tmax + 1e-12:
-            raise ValueError(
+            raise InvalidValue(
                 f"temperature bound violated: (J1 k1 c1 + J2 k2 c2)/h + Ts = "
                 f"{heat:.6g} > Tmax = {self.Tmax:.6g}"
             )
         if self.E1 >= self.E2:
             if (self.k1 / self.k2) * self.c1_bar >= self.c2_bar:
-                raise ValueError("need (k1/k2) c1_bar < c2_bar when E1 >= E2")
+                raise InvalidValue("need (k1/k2) c1_bar < c2_bar when E1 >= E2")
         else:
             with np.errstate(over="ignore"):  # an overflow is inf, which fails the test
                 lhs = (self.k1 / self.k2) * np.exp((self.E2 - self.E1) / self.Tmin) * self.c1_bar
             if lhs >= self.c2_bar:
-                raise ValueError(
+                raise InvalidValue(
                     "need (k1/k2) exp((E2-E1)/Tmin) c1_bar < c2_bar when E1 < E2"
                 )
 
@@ -270,20 +271,23 @@ class FrequencyScenario:
     h: float = None  # grid step; defaults to r/2000
 
     def __post_init__(self):
-        values = (self.amplitude, self.omega, self.phase, self.r) + (
-            () if self.h is None else (self.h,))
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("scenario fields must be finite")
+        if not all(math.isfinite(v) for v in (self.amplitude, self.omega, self.phase, self.r)):
+            raise InvalidValue("scenario fields must be finite")
         if self.amplitude <= 0 or self.omega <= 0 or self.r <= 0:
-            raise ValueError("amplitude, omega and r must be positive")
+            raise InvalidValue("amplitude, omega and r must be positive")
         # the sensor owns the rules of the two noise fields
         object.__setattr__(self, "_sensor", SensorModel(self.noise_amplitude,
                                                         self.noise_frequency))
         if self.h is None:
             object.__setattr__(self, "h", self.r / 2000.0)
+        object.__setattr__(self, "grid", Grid.from_span(0.0, self.r, self.h))  # of [0, r]
 
     def sensor(self):
         return self._sensor
+
+    def with_window(self, r):
+        """This scenario over a window of length r: at its own h at its own r, else r/2000."""
+        return replace(self, r=r, h=self.h if abs(self.r - r) < 1e-12 else None)
 
     def initial_state(self):
         """Plant initial condition generating A sin(w t + phase)."""
@@ -382,7 +386,7 @@ def _windows_from_scenario(scn, phases):
     scenario's sensor.  No numpy warning is raised: a sample that overflows
     is non-finite, and ``freq_closed_form`` rejects its window.
     """
-    grid = Grid.from_span(0.0, scn.r, scn.h)
+    grid = scn.grid
     t = grid.times()
     phases = np.asarray(phases, dtype=float)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -415,20 +419,15 @@ def phase_sweep(scn, phases=None):
     return phi_grid, omegas, errors, float(np.max(errors))
 
 
-def horizon_sweep(scn, r_grid):
+def horizon_sweep(scenarios):
     """Relative frequency-estimation error as a function of the window length.
 
-    Each window length uses the scenario's default step r/2000, except the
-    scenario's own r, which uses its h.  Returns (r_values, omega_hats, rel_errors).
+    ``scenarios`` are one scenario over several window lengths, as
+    ``FrequencyScenario.with_window`` builds them.  Returns (r_values, omega_hats, rel_errors).
     """
-    r_grid = np.asarray(r_grid, dtype=float)
-    omegas = []
-    for r in r_grid:
-        h = scn.h if abs(scn.r - r) < 1e-12 else None
-        omegas.append(estimate_frequency(replace(scn, r=float(r), h=h)))
-    omegas = np.array(omegas)
-    errors = np.abs(omegas - scn.omega) / scn.omega
-    return r_grid, omegas, errors
+    omegas = np.array([estimate_frequency(scn) for scn in scenarios])
+    omega = scenarios[0].omega
+    return np.array([scn.r for scn in scenarios]), omegas, np.abs(omegas - omega) / omega
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ from .errors import (
     DeadbeatError,
     DomainExit,
     GramDegenerate,
+    InvalidValue,
     NonFiniteState,
 )
 from .model import make_lti, sampled_input, SystemSpec
-from .numerics import DEFAULT_REL_THRESHOLD, Grid
 from .observer import FULL, ObserverConfig, run_observer
 from .plant import SensorModel, SimConfig, corrupt, simulate_plant
 from .window import (
@@ -51,21 +51,35 @@ def _require(cfg, key, context="config"):
     return cfg[key]
 
 
-# Known fields per section, and per system kind besides `kind`
+# JSON types as (description, test); every JSON number is read as a float, so a bool is not one
+_NUMBER = ("a number", lambda v: isinstance(v, float))
+_LIST = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_NUMBER[1], v)))
+_VECTOR = ("a number or a list of numbers", lambda v: _NUMBER[1](v) or _LIST[1](v))
+_MATRIX = ("a list of lists of numbers of one length",
+           lambda v: isinstance(v, list) and all(map(_LIST[1], v)) and len(set(map(len, v))) < 2)
+_STRING = ("a string", lambda v: isinstance(v, str))
+_SERIES = ("a non-empty list of numbers", lambda v: _LIST[1](v) and len(v) > 0)
+_COUNT = ("a whole number >= 1 or a non-empty list of numbers",
+          lambda v: _SERIES[1](v) or isinstance(v, float) and v >= 1 and v.is_integer())
+_LATER = ("", lambda v: True)  # checked by load_config
+
+# Each field's type, or the table of its nested section; in `system`, per kind besides `kind`
 _FIELDS = {
-    "config": ("system", "sim", "observer", "sensor", "input", "sweep", "output_prefix"),
-    "sim": ("t_end", "h", "x0", "y0"),
-    "observer": ("r", "mode", "z0", "w0", "rel_threshold", "on_degenerate"),
-    "sensor": tuple(f.name for f in fields(SensorModel)),
-    "input": ("kind", "value"),
-    "sweep": ("mode", "phases", "r_values"),
+    "system": _LATER,
+    "sim": {"t_end": _NUMBER, "h": _NUMBER, "x0": _VECTOR, "y0": _VECTOR},
+    "observer": {"r": _NUMBER, "mode": _STRING, "z0": _VECTOR, "w0": _VECTOR,
+                 "rel_threshold": _NUMBER, "on_degenerate": _STRING},
+    "sensor": {f.name: _NUMBER for f in fields(SensorModel)},
+    "input": {"kind": _STRING, "value": _VECTOR},
+    "sweep": {"mode": _STRING, "phases": _COUNT, "r_values": _SERIES},
+    "output_prefix": _STRING,
 }
 _SYSTEM_FIELDS = {
-    "frequency": ("scenario",),
-    "reactor": ("params",),
-    "lti": ("A", "b", "C", "f"),
-    "scalar": ("a0", "f0", "input_gain", "c0", "c1"),
-    "example26": (),
+    "frequency": {"scenario": {f.name: _NUMBER for f in fields(apps.FrequencyScenario)}},
+    "reactor": {"params": _LATER},  # "canonical" or an object
+    "lti": {"A": _MATRIX, "b": _VECTOR, "C": _MATRIX, "f": _VECTOR},
+    "scalar": dict.fromkeys(("a0", "f0", "input_gain", "c0", "c1"), _NUMBER),
+    "example26": {},
 }
 
 
@@ -75,11 +89,23 @@ def _object(name, section):
     return section
 
 
-def _check_fields(name, section, known):
-    """Raise ConfigError unless ``section`` is an object whose fields are all in ``known``."""
-    unknown = sorted(set(_object(name, section)).difference(known))
-    if unknown:
-        raise ConfigError(f"unknown field `{name}.{unknown[0]}`")
+def _check_fields(name, section, types):
+    """Raise ConfigError unless ``section`` is an object of fields of ``types``, each its type."""
+    for key, value in sorted(_object(name, section).items()):
+        if key not in types:
+            raise ConfigError(f"unknown field `{name}.{key}`")
+        if isinstance(types[key], dict):
+            _check_fields(key if name == "config" else f"{name}.{key}", value, types[key])
+        elif not types[key][1](value):
+            raise ConfigError(f"`{name}.{key}` must be {types[key][0]}")
+
+
+def _built(section, make, *args, **kwargs):
+    """make(*args, **kwargs); a value rule's InvalidValue is a ConfigError naming the section."""
+    try:
+        return make(*args, **kwargs)
+    except InvalidValue as exc:
+        raise ConfigError(f"`{section}`: {exc}") from exc
 
 
 def _reject_constant(name):
@@ -94,25 +120,23 @@ def _finite_float(text):
 
 
 def load_config(path):
-    """Parse a JSON config (every number a float) and check the shape of every section:
-    a section that is not an object, an unknown field or kind and a non-finite or
-    overflowing number raise ConfigError, so the build_* functions only read it."""
+    """Parse a JSON config (every number a float) and check every section: a section that
+    is not an object, an unknown field or kind, a field of the wrong JSON type and a non-finite
+    or overflowing number raise ConfigError, so the build_* functions only read it."""
     with open(path) as fh:
         cfg = json.load(fh, parse_constant=_reject_constant,
                         parse_float=_finite_float, parse_int=_finite_float)
-    for name, known in _FIELDS.items():
-        _check_fields(name, cfg if name == "config" else cfg.get(name, {}), known)
+    _check_fields("config", cfg, _FIELDS)
     system = _object("system", _require(cfg, "system"))
     kind = _require(system, "kind", "system")
     if not isinstance(kind, str) or kind not in _SYSTEM_FIELDS:
         raise ConfigError(f"unknown system.kind {kind!r}")
-    _check_fields("system", system, ("kind",) + _SYSTEM_FIELDS[kind])
-    if kind == "frequency":
-        _check_fields("system.scenario", system.get("scenario", {}),
-                      tuple(f.name for f in fields(apps.FrequencyScenario)))
+    _check_fields("system", system, {"kind": _STRING, **_SYSTEM_FIELDS[kind]})
     if kind == "reactor" and system.get("params", "canonical") != "canonical":
-        _check_fields("system.params", system["params"],
-                      tuple(f.name for f in fields(apps.ReactorParams)))
+        params = {f.name: _NUMBER for f in fields(apps.ReactorParams)}
+        _check_fields("system.params", system["params"], params)
+        for key in params:  # every parameter is required
+            _require(system["params"], key, "system.params")
     input_kind = cfg.get("input", {}).get("kind", "constant")
     if input_kind != "constant":
         raise ConfigError(f"unknown input.kind {input_kind!r}")
@@ -139,11 +163,11 @@ def canonical_example26():
 
 def build_scalar_spec(sys_cfg):
     """Scalar plant x' = a0 x, y' = f0 + g u + (c0 + c1 y) x."""
-    a0 = float(sys_cfg.get("a0", 0.0))
-    f0 = float(sys_cfg.get("f0", 0.0))
-    g = float(sys_cfg.get("input_gain", 0.0))
-    c0 = float(sys_cfg.get("c0", 1.0))
-    c1 = float(sys_cfg.get("c1", 0.0))
+    a0 = sys_cfg.get("a0", 0.0)
+    f0 = sys_cfg.get("f0", 0.0)
+    g = sys_cfg.get("input_gain", 0.0)
+    c0 = sys_cfg.get("c0", 1.0)
+    c1 = sys_cfg.get("c1", 0.0)
     A, b = np.array([[a0]]), np.zeros(1)
 
     def eval_batch(Y, U):
@@ -167,16 +191,13 @@ def build_system(cfg):
     kind = sys_cfg["kind"]
     extras = {}
     if kind == "frequency":
-        scn = apps.FrequencyScenario(
-            **{k: float(v) for k, v in sys_cfg.get("scenario", {}).items()})
-        extras["scenario"] = scn
+        extras["scenario"] = _built("system.scenario", apps.FrequencyScenario,
+                                    **sys_cfg.get("scenario", {}))
         return apps.freq_spec(), kind, extras
     if kind == "reactor":
         params = sys_cfg.get("params", "canonical")
-        if params == "canonical":
-            p = apps.canonical_reactor_params()
-        else:
-            p = apps.ReactorParams(**{k: float(v) for k, v in params.items()})
+        p = (apps.canonical_reactor_params() if params == "canonical"
+             else _built("system.params", apps.ReactorParams, **params))
         return apps.reactor_spec(p), kind, extras
     if kind == "lti":
         blocks = (_require(sys_cfg, key, "system") for key in _SYSTEM_FIELDS["lti"])
@@ -189,27 +210,14 @@ def build_system(cfg):
 
 
 def build_observer_config(cfg):
-    """ObserverConfig from `observer` and `sim.h`; r must be an integer multiple (>= 2) of h."""
-    obs_cfg = cfg.get("observer", {})
-    r = float(_require(obs_cfg, "r", "observer"))
-    h = float(_require(cfg.get("sim", {}), "h", "sim"))
-    try:
-        multiple = Grid.from_span(0.0, r, h).count >= 3
-    except ValueError:
-        multiple = False
-    if not multiple:
-        raise ConfigError(
-            f"`observer.r` ({r}) must be an integer multiple (>= 2) of `sim.h` ({h})")
-    return ObserverConfig(
-        r=r, h=h,
-        mode=obs_cfg.get("mode", "reduced"),
-        rel_threshold=float(obs_cfg.get("rel_threshold", DEFAULT_REL_THRESHOLD)),
-        on_degenerate=obs_cfg.get("on_degenerate", "hold"),
-    )
+    """ObserverConfig from `observer`, its initial states aside, and `sim.h`."""
+    obs = {k: v for k, v in cfg.get("observer", {}).items() if k not in ("z0", "w0")}
+    _require(obs, "r", "observer")
+    return _built("observer", ObserverConfig, h=_require(cfg.get("sim", {}), "h", "sim"), **obs)
 
 
 def build_sensor(cfg):
-    return SensorModel(**{k: float(v) for k, v in cfg.get("sensor", {}).items()})
+    return _built("sensor", SensorModel, **cfg.get("sensor", {}))
 
 
 def build_input(cfg):
@@ -225,16 +233,13 @@ def _initial_state(sim, extras, kind):
     """(x0, y0) of the `sim` section; a frequency scenario supplies them when x0 is absent."""
     if kind == "frequency" and "x0" not in sim:
         return extras["scenario"].initial_state()
-    return (np.asarray(_require(sim, "x0", "sim"), dtype=float),
-            np.atleast_1d(np.asarray(_require(sim, "y0", "sim"), dtype=float)))
+    return _require(sim, "x0", "sim"), _require(sim, "y0", "sim")
 
 
 def sim_section(cfg, extras, kind):
     sim = cfg.get("sim", {})
-    h = float(_require(sim, "h", "sim"))
-    t_end = float(_require(sim, "t_end", "sim"))
-    x0, y0 = _initial_state(sim, extras, kind)
-    return SimConfig(t_end=t_end, h=h, x0=x0, y0=y0)
+    h, t_end = _require(sim, "h", "sim"), _require(sim, "t_end", "sim")
+    return _built("sim", SimConfig, t_end, h, *_initial_state(sim, extras, kind))
 
 
 def write_csv(path, header, columns, flags=0):
@@ -280,13 +285,15 @@ def cmd_simulate(cfg, prefix):
     obs_cfg = build_observer_config(cfg)
     sensor = build_sensor(cfg)
     signal = build_input(cfg)
+    obs = cfg.get("observer", {})
+    full = obs_cfg.mode == FULL
+    z0 = _require(obs, "z0", "observer")
+    w0 = _require(obs, "w0", "observer") if full else None
 
     trace = simulate_plant(spec, signal, sim_cfg)
     trace = corrupt(trace, sensor)
-    obs = cfg.get("observer", {})
-    est = run_observer(spec, obs_cfg, trace, _require(obs, "z0", "observer"), obs.get("w0"))
+    est = run_observer(spec, obs_cfg, trace, z0, w0)
 
-    full = obs_cfg.mode == FULL
     write_trace_csv(f"{prefix}_trace.csv", trace, est, full)
     write_estimate_csv(f"{prefix}_estimate.csv", est, full)
 
@@ -327,7 +334,8 @@ def cmd_sweep(cfg, prefix, mode):
         r_values = sweep_cfg.get("r_values")
         if r_values is None:
             raise ConfigError("missing field `sweep.r_values` for horizon sweeps")
-        values, omegas, errors = apps.horizon_sweep(scn, np.asarray(r_values, dtype=float))
+        scenarios = [_built("sweep.r_values", scn.with_window, r=r) for r in r_values]
+        values, omegas, errors = apps.horizon_sweep(scenarios)
         max_err = float(np.max(errors))
         label = "r"
     else:
@@ -347,16 +355,17 @@ def cmd_sweep(cfg, prefix, mode):
 def cmd_observability(cfg, prefix):
     spec, kind, extras = build_system(cfg)
     obs_cfg = build_observer_config(cfg)
+    sensor = build_sensor(cfg)
     r, h = obs_cfg.r, obs_cfg.h
-    grid = Grid(0.0, h, obs_cfg.steps_per_window + 1)
     x0, y0 = _initial_state(cfg.get("sim", {}), extras, kind)
+    sim = SimConfig(t_end=r, h=h, x0=x0, y0=y0)
     if kind == "example26":
-        u_s, _ = indistinguishing_input(extras["example26"], x0, y0, grid)
-        signal = sampled_input(grid, u_s)
+        u_s, _ = indistinguishing_input(extras["example26"], x0, y0, sim.grid)
+        signal = sampled_input(sim.grid, u_s)
     else:
         signal = build_input(cfg)
-    trace = simulate_plant(spec, signal, SimConfig(t_end=r, h=h, x0=x0, y0=y0))
-    trace = corrupt(trace, build_sensor(cfg))
+    trace = simulate_plant(spec, signal, sim)
+    trace = corrupt(trace, sensor)
 
     window = IoWindow(grid=trace.grid, y_samples=trace.y_meas, u_samples=trace.u)
     wc = compute_window(spec, window)
@@ -378,7 +387,7 @@ def cmd_observability(cfg, prefix):
     if isinstance(verdict, Degenerate):
         report["null_direction"] = [float(v) for v in verdict.null_direction]
     if spec.k == 1:
-        report["det_nodes"] = [round(i * (grid.count - 1) / max(spec.n - 1, 1))
+        report["det_nodes"] = [round(i * (trace.grid.count - 1) / max(spec.n - 1, 1))
                                for i in range(spec.n)]
         report["determinant_condition"] = determinant_condition(spec, window, wc,
                                                                 report["det_nodes"])
@@ -427,7 +436,7 @@ def main(argv=None):
         if args.command == "sweep":
             return cmd_sweep(cfg, prefix, args.mode)
         return cmd_observability(cfg, prefix)
-    except (ConfigError, ValueError, KeyError, TypeError) as exc:
+    except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -13,6 +13,10 @@ class NonFiniteState(DeadbeatError):
         super().__init__(message or f"non-finite state at grid index {index}")
 
 
+class InvalidValue(ValueError):
+    """A constructor's value rule rejected the value of one of its fields."""
+
+
 class DimensionMismatch(DeadbeatError):
     """An array, sample count or index list has the wrong size for its role."""
 

@@ -133,7 +133,10 @@ def make_lti(A, b, C, f):
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if b.shape != (n,):
         raise DimensionMismatch(f"b must have length {n}, got {b.shape}")
-    C = np.asarray(C, dtype=float).reshape(n, -1)
+    C = np.asarray(C, dtype=float)
+    if C.size % n:
+        raise DimensionMismatch(f"C must have {n} rows, got {C.shape}")
+    C = C.reshape(n, -1)
     k = C.shape[1]
     f = np.atleast_1d(np.asarray(f, dtype=float))
     if f.shape != (k,):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteState, NotPositiveDefinite
+from .errors import DimensionMismatch, InvalidValue, NonFiniteState, NotPositiveDefinite
 
 DEFAULT_REL_THRESHOLD = 1e-8
 
@@ -25,9 +25,9 @@ class Grid:
 
     def __post_init__(self):
         if self.h <= 0:
-            raise ValueError(f"grid step must be positive, got {self.h}")
+            raise InvalidValue(f"grid step must be positive, got {self.h}")
         if self.count < 2:
-            raise ValueError(f"grid needs at least 2 nodes, got {self.count}")
+            raise InvalidValue(f"grid needs at least 2 nodes, got {self.count}")
 
     @property
     def span(self):
@@ -38,10 +38,10 @@ class Grid:
 
     @classmethod
     def from_span(cls, t0, span, h):
-        """Grid covering [t0, t0+span]; span must be an integer multiple of h > 0."""
+        """Grid covering [t0, t0+span]; span must be a positive integer multiple of h > 0."""
         steps = int(round(span / h)) if h > 0 else 0
         if steps < 1 or abs(steps * h - span) > 1e-9 * max(span, h):
-            raise ValueError(f"span {span} is not an integer multiple of step {h}")
+            raise InvalidValue(f"span {span} is not a positive integer multiple of step {h}")
         return cls(t0, h, steps + 1)
 
 

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DimensionMismatch, DomainExit, GramDegenerate, NonFiniteState,
+from .errors import (DimensionMismatch, DomainExit, GramDegenerate, InvalidValue, NonFiniteState,
                      NotPositiveDefinite)
 from .model import check_point_evaluators, point_rate
 from .numerics import DEFAULT_REL_THRESHOLD, Grid, all_finite, rk4_step
@@ -63,16 +63,20 @@ class ObserverConfig:
 
     def __post_init__(self):
         if self.mode not in (FULL, REDUCED):
-            raise ValueError(f"mode must be '{FULL}' or '{REDUCED}', got {self.mode!r}")
+            raise InvalidValue(f"mode must be '{FULL}' or '{REDUCED}', got {self.mode!r}")
         if self.on_degenerate not in (HOLD, FAIL):
-            raise ValueError(f"on_degenerate must be '{HOLD}' or '{FAIL}'")
+            raise InvalidValue(f"on_degenerate must be '{HOLD}' or '{FAIL}'")
         if not self.rel_threshold >= 0:
-            raise ValueError(f"rel_threshold must be >= 0, got {self.rel_threshold}")
-        if Grid.from_span(0.0, self.r, self.h).count < 3:
-            raise ValueError(
+            raise InvalidValue(f"rel_threshold must be >= 0, got {self.rel_threshold}")
+        try:
+            steps = Grid.from_span(0.0, self.r, self.h).count - 1
+        except InvalidValue:
+            steps = 0
+        if steps < 2:
+            raise InvalidValue(
                 f"window length r={self.r} must be an integer multiple (>= 2) of h={self.h}"
             )
-        object.__setattr__(self, "steps_per_window", int(round(self.r / self.h)))
+        object.__setattr__(self, "steps_per_window", steps)
 
 
 class ObserverSnapshot(NamedTuple):
@@ -98,11 +102,6 @@ class ObserverSnapshot(NamedTuple):
     @property
     def t(self):
         return self.t0 + self.node * self.config.h
-
-    @property
-    def next_reset(self):
-        M = self.config.steps_per_window
-        return self.t0 + (self.node // M + 1) * M * self.config.h
 
     @property
     def history(self):

@@ -1,27 +1,27 @@
 """Ground-truth plant simulation and deterministic sensor corruption."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainExit, NonFiniteState
+from .errors import DimensionMismatch, DomainExit, InvalidValue, NonFiniteState
 from .model import check_point_evaluators, point_rate
 from .numerics import Grid, all_finite, integrate_rk4
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation span, step and initial state (x0 of shape (n,), y0 of shape (k,))."""
+    """Simulation span, step, initial state (x0 (n,), y0 (k,)) and the grid over [0, t_end]."""
 
     t_end: float
     h: float
     x0: np.ndarray
     y0: np.ndarray
+    grid: Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        object.__setattr__(self, "grid", Grid.from_span(0.0, self.t_end, self.h))
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
         object.__setattr__(self, "y0", np.atleast_1d(np.asarray(self.y0, dtype=float)))
 
@@ -35,11 +35,11 @@ class SensorModel:
 
     def __post_init__(self):
         if not (math.isfinite(self.amplitude) and math.isfinite(self.frequency)):
-            raise ValueError("noise amplitude and frequency must be finite")
+            raise InvalidValue("noise amplitude and frequency must be finite")
         if self.amplitude < 0:
-            raise ValueError("noise amplitude must be >= 0")
+            raise InvalidValue("noise amplitude must be >= 0")
         if self.amplitude > 0 and self.frequency <= 0:
-            raise ValueError("noise frequency must be > 0")
+            raise InvalidValue("noise frequency must be > 0")
 
     def measure(self, y_true, t):
         """``y_true`` as this sensor reads it at the node times ``t``.
@@ -85,7 +85,7 @@ def simulate_plant(spec, u, cfg):
         def u(t):
             return zero
 
-    grid = Grid.from_span(0.0, cfg.t_end, cfg.h)
+    grid = cfg.grid
     width = np.shape(u(grid.t0))
     if width != (spec.m,):
         raise DimensionMismatch(f"input has shape {width} at t = {grid.t0:g}, "

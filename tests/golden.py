@@ -11,17 +11,27 @@ A change that moves output bytes on purpose rewrites them with
 
     PYTHONPATH=src python tests/golden.py --write
 
-and names the moved files in CHANGES.md.
+and names the moved files in CHANGES.md.  Before that,
+
+    python tests/golden.py --against REV
+
+reruns the runs at the git revision REV (from ``git archive``, in a temporary
+directory) and in the working tree, each in a fresh process, and prints for
+every output CSV the largest relative move between the two.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
@@ -41,20 +51,30 @@ def run_names():
                   for command in COMMANDS)
 
 
+def parts(name):
+    """(config, command) of a run name."""
+    return next((name[:-len(c) - 1], c) for c in COMMANDS if name.endswith("_" + c))
+
+
+def argv(name, root, prefix):
+    """The CLI arguments of one config x command, with the configs of the checkout at ``root``."""
+    config, command = parts(name)
+    return (COMMANDS[command][:1] + [str(root / "configs" / f"{config}.json"),
+                                     "--out-prefix", str(prefix)] + COMMANDS[command][1:])
+
+
 def run(name):
     """Run one config x command in a fresh directory and return its record."""
     from deadbeat_observer.cli import main
 
-    config, command = next((name[:-len(c) - 1], c) for c in COMMANDS if name.endswith("_" + c))
+    config, command = parts(name)
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         prefix = Path(tmp) / PREFIX
-        argv = COMMANDS[command][:1] + [str(CONFIG_DIR / f"{config}.json"),
-                                        "--out-prefix", str(prefix)] + COMMANDS[command][1:]
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             warnings.simplefilter("always")
-            code = main(argv)
+            code = main(argv(name, ROOT, prefix))
         files, documents = {}, {}
         for path in sorted(Path(tmp).iterdir()):
             suffix = path.name[len(PREFIX):]
@@ -102,7 +122,58 @@ def write_all():
         print(f"{name}: exit {record['exit_code']}, {len(record['files'])} files")
 
 
+def csv_move(old, new):
+    """The largest relative move |b - a| / max(|a|, |b|) over the values of two CSV
+    texts, 0 where both values are equal (or both NaN) and inf where one of them is NaN;
+    a text saying so when the headers or the row counts differ."""
+    (old_header, *old_rows), (new_header, *new_rows) = old.splitlines(), new.splitlines()
+    if old_header != new_header or len(old_rows) != len(new_rows):
+        return "header or row count moved"
+    a, b = (np.array([[float(v) for v in row.split(",")] for row in rows])
+            for rows in (old_rows, new_rows))
+    with np.errstate(invalid="ignore"):
+        move = np.abs(b - a) / np.maximum(np.abs(a), np.abs(b))
+    equal = (a == b) | (np.isnan(a) & np.isnan(b))
+    return float(np.where(equal, 0.0, np.nan_to_num(move, nan=np.inf)).max(initial=0.0))
+
+
+def outputs(name, root, out):
+    """Run one config x command with the package and configs of the checkout at ``root``
+    in a fresh process; returns its exit code and {file suffix: text} of its outputs."""
+    out.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = subprocess.run([sys.executable, "-m", "deadbeat_observer.cli",
+                           *argv(name, root, out / PREFIX)],
+                          cwd=root, env=env, capture_output=True).returncode
+    return code, {p.name[len(PREFIX):]: p.read_text() for p in sorted(out.iterdir())}
+
+
+def against(rev):
+    """Print, for every run and output CSV, the largest relative move from ``rev`` to
+    the working tree, and every exit code or output file that only one side has."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "rev").mkdir()
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True,
+                                 check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tmp / "rev")], input=archive, check=True)
+        for name in run_names():
+            old_code, old = outputs(name, tmp / "rev", tmp / "old" / name)
+            new_code, new = outputs(name, ROOT, tmp / "new" / name)
+            if old_code != new_code:
+                print(f"{name}: exit {old_code} -> {new_code}")
+            for suffix in sorted(set(old) | set(new)):
+                if suffix not in old or suffix not in new:
+                    side = f"at {rev}" if suffix in old else "in the working tree"
+                    print(f"{name} {PREFIX}{suffix}: only {side}")
+                elif suffix.endswith(".csv"):
+                    print(f"{name} {PREFIX}{suffix}: {csv_move(old[suffix], new[suffix])}")
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/golden.py --write")
-    write_all()
+    if sys.argv[1:] == ["--write"]:
+        write_all()
+    elif len(sys.argv) == 3 and sys.argv[1] == "--against":
+        against(sys.argv[2])
+    else:
+        sys.exit("usage: python tests/golden.py --write | --against REV")

@@ -326,7 +326,7 @@ def test_phase_sweep_defaults_to_64_phases():
 def test_horizon_sweep_error_drops_with_window_length():
     scn = apps.FrequencyScenario(phase=1.9, noise_amplitude=0.2,
                                  noise_frequency=10.0)
-    r_vals, _, errors = apps.horizon_sweep(scn, [1.0, 3.0])
+    r_vals, _, errors = apps.horizon_sweep([scn.with_window(r) for r in (1.0, 3.0)])
     assert errors[1] < errors[0]
 
 

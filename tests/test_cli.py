@@ -83,7 +83,10 @@ def test_simulate_rejects_bad_window_multiple(tmp_path, capsys):
     cfg["observer"]["r"] = 0.503
     cfg_path = write_config(tmp_path, cfg)
     assert main(["simulate", cfg_path]) == EXIT_CONFIG
-    assert "observer.r" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: invalid config: `observer`: window length r=0.503 must be an integer multiple "
+        "(>= 2) of h=0.005\n")
+    assert not list(tmp_path.glob("bad_*"))
 
 
 def test_simulate_rejects_missing_field(tmp_path, capsys):
@@ -268,9 +271,13 @@ def test_bad_observer_field_is_a_config_error(tmp_path, capsys, field, value):
 
 def test_zero_step_is_a_config_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, scalar_config(str(tmp_path / "zero")))
-    for command in ("simulate", "observability"):
+    for command, message in (
+            ("simulate", "`sim`: span 1.5 is not a positive integer multiple of step 0.0"),
+            ("observability", "`observer`: window length r=0.5 must be an integer multiple "
+                              "(>= 2) of h=0.0")):
         assert main([command, cfg_path, "--h", "0"]) == EXIT_CONFIG
-        assert "observer.r" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+    assert not list(tmp_path.glob("zero_*"))
 
 
 def test_sweep_phase_small_grid(tmp_path):
@@ -435,42 +442,53 @@ def set_amplitude(cfg):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, edit, command, code, message", [
     ("frequency_clean", set_omega, "simulate", EXIT_RUNTIME,
-     "non-finite state at grid index 0"),
+     "runtime failure: non-finite state at grid index 0"),
     ("frequency_clean", set_omega, "observability", EXIT_RUNTIME,
-     "non-finite state at grid index 0"),
+     "runtime failure: non-finite state at grid index 0"),
     ("frequency_clean", set_amplitude, "simulate", EXIT_RUNTIME,
-     "non-finite Gram matrix of the window ending at grid index 2000"),
+     "runtime failure: non-finite Gram matrix of the window ending at grid index 2000"),
     ("example26", set_field("sim", "y0", [1e160]), "observability", EXIT_RUNTIME,
-     "non-finite state at grid index 1"),
+     "runtime failure: non-finite state at grid index 1"),
     ("example26", set_field("sim", "x0", [0.5, -3e7]), "observability", EXIT_RUNTIME,
-     "non-finite state at grid index 3"),
+     "runtime failure: non-finite state at grid index 3"),
     ("reactor_lumped", lumped_params(k1=100.0), "simulate", EXIT_CONFIG,
-     "invalid config: temperature bound violated"),
+     "invalid config: `system.params`: temperature bound violated: "
+     "(J1 k1 c1 + J2 k2 c2)/h + Ts = 3322 > Tmax = 350"),
     ("reactor_lumped", lumped_params(E2=1e300), "simulate", EXIT_CONFIG,
-     "invalid config: need (k1/k2) exp((E2-E1)/Tmin) c1_bar < c2_bar when E1 < E2"),
+     "invalid config: `system.params`: need (k1/k2) exp((E2-E1)/Tmin) c1_bar < c2_bar "
+     "when E1 < E2"),
 ], ids=["omega-simulate", "omega-observability", "amplitude-simulate", "example26-y0",
         "example26-x0", "reactor-k1", "reactor-E2"])
 def test_overflowing_config_values_end_with_one_error_line(tmp_path, capsys, name, edit,
                                                            command, code, message):
     cfg = shipped_config(name, str(tmp_path / "big"), edit)
     assert main([command, write_config(tmp_path, cfg)]) == code
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.glob("big_*"))
 
 
+def wrong_shapes(shapes):
+    return EXIT_RUNTIME, f"initial states of shapes {shapes}, expected (2,) and (1,)"
+
+
+# null and true are not numbers, so they are config errors before any shape is read
+NOT_A_VECTOR = EXIT_CONFIG, "invalid config: `sim.x0` must be a number or a list of numbers"
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("field, value, shapes", [
-    ("x0", 5.0, "x0 () and y0 (1,)"), ("x0", [1.0], "x0 (1,) and y0 (1,)"),
-    ("x0", None, "x0 () and y0 (1,)"), ("x0", True, "x0 () and y0 (1,)"),
-    ("x0", [], "x0 (0,) and y0 (1,)"), ("y0", [], "x0 (2,) and y0 (0,)")],
+@pytest.mark.parametrize("field, value, code_and_message", [
+    ("x0", 5.0, wrong_shapes("x0 () and y0 (1,)")),
+    ("x0", [1.0], wrong_shapes("x0 (1,) and y0 (1,)")),
+    ("x0", None, NOT_A_VECTOR), ("x0", True, NOT_A_VECTOR),
+    ("x0", [], wrong_shapes("x0 (0,) and y0 (1,)")),
+    ("y0", [], wrong_shapes("x0 (2,) and y0 (0,)"))],
     ids=["x0-number", "x0-short", "x0-null", "x0-true", "x0-empty", "y0-empty"])
 def test_example26_initial_state_of_the_wrong_shape_is_a_runtime_error(tmp_path, capsys, field,
-                                                                        value, shapes):
+                                                                        value, code_and_message):
+    code, message = code_and_message
     cfg = shipped_config("example26", str(tmp_path / "bad"), set_field("sim", field, value))
-    assert main(["observability", write_config(tmp_path, cfg)]) == EXIT_RUNTIME
-    assert capsys.readouterr().err == (f"error: initial states of shapes {shapes}, "
-                                       "expected (2,) and (1,)\n")
+    assert main(["observability", write_config(tmp_path, cfg)]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.glob("bad_*"))
 
 
@@ -480,7 +498,8 @@ def test_scenario_noise_without_a_frequency_is_a_config_error(tmp_path, capsys, 
         cfg["system"]["scenario"].update(noise_amplitude=0.1, noise_frequency=0.0)
     cfg = shipped_config("frequency_clean", str(tmp_path / "bad"), edit)
     assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == "error: invalid config: noise frequency must be > 0\n"
+    assert capsys.readouterr().err == ("error: invalid config: `system.scenario`: "
+                                       "noise frequency must be > 0\n")
     assert not list(tmp_path.glob("bad_*"))
 
 
@@ -625,3 +644,99 @@ def test_config_or_section_that_is_not_an_object_is_a_config_error(tmp_path, cap
     assert main(["simulate", write_config(tmp_path, cfg)] + options) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: invalid config: `{section}` must be an object\n"
     assert not list(tmp_path.glob("list_*"))
+
+
+def set_path(path, value):
+    """Set the field at the dotted ``path`` of a config, making its sections as needed."""
+    *sections, key = path.split(".")
+    return add_field(".".join(sections) or None, key, value)
+
+
+@pytest.mark.parametrize("name, command, path, value, message", [
+    ("figure1", "sweep", "sweep.phases", [[1.0]],
+     "`sweep.phases` must be a whole number >= 1 or a non-empty list of numbers"),
+    ("figure1", "sweep", "sweep.phases", 0.0,
+     "`sweep.phases` must be a whole number >= 1 or a non-empty list of numbers"),
+    ("figure1", "sweep", "sweep.phases", -1.0,
+     "`sweep.phases` must be a whole number >= 1 or a non-empty list of numbers"),
+    ("figure1", "sweep", "sweep.phases", 1.5,
+     "`sweep.phases` must be a whole number >= 1 or a non-empty list of numbers"),
+    ("figure4", "sweep", "sweep.r_values", [],
+     "`sweep.r_values` must be a non-empty list of numbers"),
+    ("figure4", "sweep", "sweep.r_values", [-1.0],
+     "`sweep.r_values`: amplitude, omega and r must be positive"),
+    ("scalar_oracle", "simulate", "sim.h", True, "`sim.h` must be a number"),
+    ("scalar_oracle", "observability", "system.a0", "x", "`system.a0` must be a number"),
+    ("scalar_oracle", "simulate", "observer.z0", {"a": 1.0},
+     "`observer.z0` must be a number or a list of numbers"),
+    ("scalar_oracle", "simulate", "input.value", [[1.0]],
+     "`input.value` must be a number or a list of numbers"),
+    ("frequency_clean", "simulate", "system.scenario.omega", [3.0],
+     "`system.scenario.omega` must be a number"),
+    ("reactor_lumped", "simulate", "system.params.k1", None,
+     "`system.params.k1` must be a number"),
+    ("scalar_oracle", "simulate", "sim.t_end", 2.5003,
+     "`sim`: span 2.5003 is not a positive integer multiple of step 0.0005"),
+    ("frequency_clean", "sweep", "system.scenario.h", 0.3,
+     "`system.scenario`: span 1.0 is not a positive integer multiple of step 0.3"),
+    ("frequency_clean", "simulate", "system.scenario.h", 0.3,
+     "`system.scenario`: span 1.0 is not a positive integer multiple of step 0.3"),
+], ids=["phases-nested", "phases-zero", "phases-negative", "phases-fraction", "r_values-empty",
+        "r_values-negative", "h-true", "a0-string", "z0-object", "input-nested", "omega-list",
+        "k1-null", "t_end-multiple", "scenario-h-sweep", "scenario-h-simulate"])
+def test_config_value_of_the_wrong_type_or_range_is_a_config_error(tmp_path, capsys, name,
+                                                                   command, path, value, message):
+    cfg = shipped_config(name, str(tmp_path / "bad"), set_path(path, value))
+    assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+    assert not list(tmp_path.glob("bad_*"))
+
+
+def test_output_prefix_that_is_not_a_string_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = json.loads((CONFIG_DIR / "scalar_oracle.json").read_text())
+    cfg["output_prefix"] = 5
+    assert main(["simulate", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("error: invalid config: `config.output_prefix` "
+                                       "must be a string\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("frequency_clean", lambda cfg: cfg["observer"].pop("w0"), "missing field `observer.w0`"),
+    ("reactor_lumped", lambda cfg: cfg["system"]["params"].pop("k1"),
+     "missing field `system.params.k1`"),
+], ids=["full-w0", "reactor-k1"])
+def test_missing_required_value_is_a_config_error(tmp_path, capsys, name, edit, message):
+    cfg = shipped_config(name, str(tmp_path / "bad"), edit)
+    assert main(["simulate", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+    assert not list(tmp_path.glob("bad_*"))
+
+
+@pytest.mark.parametrize("A, C, code, message", [
+    ([[0.0, 1.0], [0.0]], [[1.0], [0.0]], EXIT_CONFIG,
+     "invalid config: `system.A` must be a list of lists of numbers of one length"),
+    ([[0.0, 1.0], [0.0, 0.0]], [[1.0]], EXIT_RUNTIME, "C must have 2 rows, got (1, 1)"),
+], ids=["ragged-A", "short-C"])
+def test_lti_blocks_of_the_wrong_shape_end_with_one_error_line(tmp_path, capsys, A, C, code,
+                                                              message):
+    cfg = {"system": {"kind": "lti", "A": A, "b": [0.0, 0.0], "C": C, "f": [0.0]},
+           "sim": {"t_end": 1.0, "h": 0.01, "x0": [1.0, 0.0], "y0": [0.0]},
+           "observer": {"r": 0.5, "z0": [0.0, 0.0]},
+           "output_prefix": str(tmp_path / "bad")}
+    assert main(["simulate", write_config(tmp_path, cfg)]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("bad_*"))
+
+
+def test_observability_rejects_a_bad_sensor_before_the_plant_runs(tmp_path, capsys):
+    # the plant alone would fail at node 1 (exit 3); the sensor is built first
+    def edit(cfg):
+        cfg["sim"]["y0"] = [1e160]
+        cfg["sensor"] = {"amplitude": -1.0}
+    cfg = shipped_config("example26", str(tmp_path / "bad"), edit)
+    assert main(["observability", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == ("error: invalid config: `sensor`: "
+                                       "noise amplitude must be >= 0\n")
+    assert not list(tmp_path.glob("bad_*"))

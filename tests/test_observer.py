@@ -71,7 +71,6 @@ def test_init_requires_w0_in_full_mode():
         observer_init(spec, cfg, z0=[0.0], y0=[0.0])
     snap = observer_init(spec, cfg, z0=[0.0], w0=[1.0], y0=[0.0])
     assert snap.w[0] == 1.0
-    assert snap.next_reset == pytest.approx(1.0)
 
 
 def test_init_seeds_history():
