@@ -16,7 +16,8 @@ import numpy as np
 from .errors import (DimensionMismatch, DomainExit, HypothesisFails, InvalidValue, NonFiniteState,
                      NonNegativeZ2)
 from .model import SystemSpec
-from .numerics import Grid, cumulative_trapezoid, require_pivot, spd_solve, trapezoid
+from .numerics import (Grid, cumulative_trapezoid, require_node_count, require_pivot, spd_solve,
+                       trapezoid)
 # simulate_plant and corrupt are not called here; perfbench/spans.py times calls through these names
 from .plant import SensorModel, corrupt, simulate_plant
 from .window import IoWindow
@@ -377,6 +378,9 @@ def omega_hat(z2):
     return float(np.sqrt(-z2))
 
 
+PHASE_BLOCK = 256  # phase windows that phase_sweep builds at a time
+
+
 def _windows_from_scenario(scn, phases):
     """The measured window [0, r] of the scenario's signal for each phase.
 
@@ -409,12 +413,17 @@ def phase_sweep(scn, phases=None):
 
     ``phases`` lists the phases, or counts them evenly spaced on [0, 2 pi] (64
     when None).  Returns (phases, omega_hats, rel_errors, max_rel_error), one window each.
+    The windows are built PHASE_BLOCK phases at a time, so that memory grows with the
+    phase count only by the results.
     """
     if phases is None or np.ndim(phases) == 0:
-        phases = np.linspace(0.0, 2.0 * np.pi, 64 if phases is None else int(phases))
+        count = 64 if phases is None else phases
+        require_node_count(count)  # the phases are a grid on [0, 2 pi]
+        phases = np.linspace(0.0, 2.0 * np.pi, int(count))
     phi_grid = np.asarray(phases, dtype=float)
-    windows = _windows_from_scenario(scn, phi_grid)
-    omegas = np.array([omega_hat(freq_closed_form(w)[1]) for w in windows])
+    blocks = (_windows_from_scenario(scn, phi_grid[i:i + PHASE_BLOCK])
+              for i in range(0, len(phi_grid), PHASE_BLOCK))
+    omegas = np.array([omega_hat(freq_closed_form(w)[1]) for windows in blocks for w in windows])
     errors = np.abs(omegas - scn.omega) / scn.omega
     return phi_grid, omegas, errors, float(np.max(errors))
 

@@ -40,6 +40,8 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_DEGENERATE = 4
 
+CSV_BLOCK_ROWS = 256  # rows that write_csv stacks and formats at a time
+
 
 class ConfigError(Exception):
     pass
@@ -246,13 +248,16 @@ def write_csv(path, header, columns, flags=0):
     """Write the header, then one row per entry of the stacked ``columns``.
 
     Every value is written ``%.12e``, except in the last ``flags`` columns,
-    which hold 0/1 flags and are written ``%d``.
+    which hold 0/1 flags and are written ``%d``.  The rows are stacked and
+    formatted CSV_BLOCK_ROWS at a time, so the writer's memory does not grow
+    with the table.
     """
-    table = np.column_stack(columns)
-    fmt = ",".join(["%.12e"] * (table.shape[1] - flags) + ["%d"] * flags) + "\n"
+    fmt = ",".join(["%.12e"] * (len(header) - flags) + ["%d"] * flags) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(fmt % tuple(row) for row in table.tolist())
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns])
+            fh.writelines(fmt % tuple(row) for row in block.tolist())
 
 
 def _write_node_csv(path, est, full_order, named):
@@ -328,7 +333,8 @@ def cmd_sweep(cfg, prefix, mode):
     sweep_cfg = cfg.get("sweep", {})
     mode = mode or sweep_cfg.get("mode", "phase")
     if mode == "phase":
-        values, omegas, errors, max_err = apps.phase_sweep(scn, sweep_cfg.get("phases"))
+        values, omegas, errors, max_err = _built("sweep.phases", apps.phase_sweep, scn,
+                                                 sweep_cfg.get("phases"))
         label = "phase"
     elif mode == "horizon":
         r_values = sweep_cfg.get("r_values")

@@ -13,6 +13,13 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidValue, NonFiniteState, NotPositiveDefinite
 
 DEFAULT_REL_THRESHOLD = 1e-8
+MAX_NODES = 10**7  # the most nodes of one grid, and the most phases of one phase sweep
+
+
+def require_node_count(count):
+    """Raise InvalidValue if a grid of ``count`` nodes (inf included) exceeds MAX_NODES."""
+    if count > MAX_NODES:
+        raise InvalidValue(f"a grid of {count:.9g} nodes exceeds the limit of {MAX_NODES} nodes")
 
 
 @dataclass(frozen=True)
@@ -28,6 +35,7 @@ class Grid:
             raise InvalidValue(f"grid step must be positive, got {self.h}")
         if self.count < 2:
             raise InvalidValue(f"grid needs at least 2 nodes, got {self.count}")
+        require_node_count(self.count)
 
     @property
     def span(self):
@@ -39,6 +47,8 @@ class Grid:
     @classmethod
     def from_span(cls, t0, span, h):
         """Grid covering [t0, t0+span]; span must be a positive integer multiple of h > 0."""
+        if h > 0:
+            require_node_count(span / h + 1)  # before rounding, which fails for an inf
         steps = int(round(span / h)) if h > 0 else 0
         if steps < 1 or abs(steps * h - span) > 1e-9 * max(span, h):
             raise InvalidValue(f"span {span} is not a positive integer multiple of step {h}")

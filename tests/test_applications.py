@@ -8,10 +8,11 @@ from deadbeat_observer.errors import (
     DimensionMismatch,
     DomainExit,
     HypothesisFails,
+    InvalidValue,
     NonNegativeZ2,
     NotPositiveDefinite,
 )
-from deadbeat_observer.numerics import Grid
+from deadbeat_observer.numerics import MAX_NODES, Grid
 from deadbeat_observer.plant import SimConfig, simulate_plant
 from deadbeat_observer.window import IoWindow, apply_P
 
@@ -313,6 +314,24 @@ def test_phase_sweep_matches_per_phase_loop():
     assert np.max(np.abs(omegas - ref) / ref) <= 1e-12
     assert np.allclose(errors, np.abs(ref - 3.0) / 3.0, rtol=1e-12, atol=0.0)
     assert max_err == np.max(errors)
+
+
+def test_phase_sweep_in_blocks_matches_one_sweep_per_phase():
+    # two full blocks and three phases more; each phase swept alone gives the same estimate
+    scn = apps.FrequencyScenario(amplitude=2.0, omega=3.0, noise_amplitude=0.2,
+                                 noise_frequency=10.0, r=1.0, h=1e-2)
+    phases = np.linspace(0.0, 2.0 * np.pi, 2 * apps.PHASE_BLOCK + 3)
+    _, omegas, errors, _ = apps.phase_sweep(scn, phases)
+    ref = [apps.phase_sweep(scn, [ph]) for ph in phases]
+    assert np.array_equal(omegas, [omega for _, (omega,), _, _ in ref])
+    assert np.array_equal(errors, [error for _, _, (error,), _ in ref])
+
+
+def test_phase_sweep_count_over_the_node_limit_is_rejected_before_any_array():
+    scn = apps.FrequencyScenario(amplitude=2.0, omega=3.0, r=1.0, h=2e-3)
+    for count in (MAX_NODES + 1.0, 1e300, float("inf")):
+        with pytest.raises(InvalidValue, match="exceeds the limit of 10000000 nodes"):
+            apps.phase_sweep(scn, count)
 
 
 def test_phase_sweep_defaults_to_64_phases():

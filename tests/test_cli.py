@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -681,9 +682,21 @@ def set_path(path, value):
      "`system.scenario`: span 1.0 is not a positive integer multiple of step 0.3"),
     ("frequency_clean", "simulate", "system.scenario.h", 0.3,
      "`system.scenario`: span 1.0 is not a positive integer multiple of step 0.3"),
+    ("scalar_oracle", "simulate", "sim.t_end", 1e300,
+     "`sim`: a grid of 2e+303 nodes exceeds the limit of 10000000 nodes"),
+    ("figure1", "sweep", "sweep.phases", 1e300,
+     "`sweep.phases`: a grid of 1e+300 nodes exceeds the limit of 10000000 nodes"),
+    ("scalar_oracle", "simulate", "sim.t_end", 1e9,
+     "`sim`: a grid of 2e+12 nodes exceeds the limit of 10000000 nodes"),
+    ("scalar_oracle", "simulate", "sim.h", 1e-310,
+     "`sim`: a grid of inf nodes exceeds the limit of 10000000 nodes"),
+    ("scalar_oracle", "simulate", "observer.r", 1e300,
+     "`observer`: a grid of 2e+303 nodes exceeds the limit of 10000000 nodes"),
 ], ids=["phases-nested", "phases-zero", "phases-negative", "phases-fraction", "r_values-empty",
         "r_values-negative", "h-true", "a0-string", "z0-object", "input-nested", "omega-list",
-        "k1-null", "t_end-multiple", "scenario-h-sweep", "scenario-h-simulate"])
+        "k1-null", "t_end-multiple", "scenario-h-sweep", "scenario-h-simulate",
+        "t_end-unindexable", "phases-unindexable", "t_end-unallocatable", "h-inf-nodes",
+        "r-oversized"])
 def test_config_value_of_the_wrong_type_or_range_is_a_config_error(tmp_path, capsys, name,
                                                                    command, path, value, message):
     cfg = shipped_config(name, str(tmp_path / "bad"), set_path(path, value))
@@ -740,3 +753,39 @@ def test_observability_rejects_a_bad_sensor_before_the_plant_runs(tmp_path, caps
     assert capsys.readouterr().err == ("error: invalid config: `sensor`: "
                                        "noise amplitude must be >= 0\n")
     assert not list(tmp_path.glob("bad_*"))
+
+
+def one_shot_csv(header, columns, flags):
+    """The table as one write: every column stacked and every row listed before the first."""
+    table = np.column_stack(columns)
+    fmt = ",".join(["%.12e"] * (table.shape[1] - flags) + ["%d"] * flags) + "\n"
+    return (",".join(header) + "\n" + "".join(fmt % tuple(row) for row in table.tolist())).encode()
+
+
+BLOCK = cli.CSV_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_write_csv_writes_the_bytes_of_the_whole_table(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-300, 300, (rows, 2))
+    x[0] = [np.nan, -np.inf]
+    columns = [np.linspace(0.0, 1.0, rows), x, -rng.random((rows, 1)),
+               rng.integers(0, 2, rows), rng.random(rows) < 0.5]
+    header = ["t", "x0", "x1", "y0", "reset_flag", "degenerate_flag"]
+    cli.write_csv(str(tmp_path / "table.csv"), header, columns, flags=2)
+    assert (tmp_path / "table.csv").read_bytes() == one_shot_csv(header, columns, 2)
+
+
+def test_write_csv_memory_does_not_grow_with_the_table(tmp_path):
+    rows = 20_000
+    columns = [np.linspace(0.0, 1.0, rows), np.random.default_rng(0).standard_normal((rows, 8)),
+               np.zeros(rows, dtype=int), np.ones(rows, dtype=int)]
+    header = ["t"] + [f"x{i}" for i in range(8)] + ["reset_flag", "degenerate_flag"]
+    tracemalloc.start()
+    try:
+        cli.write_csv(str(tmp_path / "big.csv"), header, columns, flags=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

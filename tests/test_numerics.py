@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from deadbeat_observer.errors import DimensionMismatch, NonFiniteState, NotPositiveDefinite
+from deadbeat_observer.errors import (DimensionMismatch, InvalidValue, NonFiniteState,
+                                      NotPositiveDefinite)
 from deadbeat_observer.numerics import (
+    MAX_NODES,
     Grid,
     cumulative_trapezoid,
     integrate_rk4,
@@ -25,6 +27,17 @@ def test_grid_invariants():
     for h in (0.0, -0.1, float("nan")):
         with pytest.raises(ValueError):
             Grid.from_span(0.0, 1.0, h)
+
+
+def test_grid_over_the_node_limit_is_rejected_before_any_array():
+    assert Grid(0.0, 1.0, MAX_NODES).count == MAX_NODES
+    with pytest.raises(InvalidValue, match="^a grid of 10000001 nodes exceeds the limit of "
+                                           "10000000 nodes$"):
+        Grid(0.0, 1.0, MAX_NODES + 1)
+    # 2e12 nodes, and a span over h that overflows to inf before it could be rounded
+    for span, h, count in ((1e9, 5e-4, "2e\\+12"), (2.5, 1e-310, "inf")):
+        with pytest.raises(InvalidValue, match=f"^a grid of {count} nodes exceeds the limit"):
+            Grid.from_span(0.0, span, h)
 
 
 def test_rk4_exponential():
