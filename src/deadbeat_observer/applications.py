@@ -373,7 +373,7 @@ def freq_closed_form(window):
 
 def omega_hat(z2):
     """Frequency readout sqrt(-z2); valid only in the admissible region z2 < 0."""
-    if z2 >= 0:
+    if not z2 < 0:  # NaN included
         raise NonNegativeZ2(f"z2 = {z2:.6g} is not negative")
     return float(np.sqrt(-z2))
 
@@ -412,15 +412,20 @@ def phase_sweep(scn, phases=None):
     """Relative frequency-estimation error as a function of the signal phase.
 
     ``phases`` lists the phases, or counts them evenly spaced on [0, 2 pi] (64
-    when None).  Returns (phases, omega_hats, rel_errors, max_rel_error), one window each.
-    The windows are built PHASE_BLOCK phases at a time, so that memory grows with the
+    when None); no phases, or a count that is not a whole number >= 1, raise InvalidValue.
+    Returns (phases, omega_hats, rel_errors, max_rel_error), one window each.  The
+    windows are built PHASE_BLOCK phases at a time, so that memory grows with the
     phase count only by the results.
     """
     if phases is None or np.ndim(phases) == 0:
         count = 64 if phases is None else phases
         require_node_count(count)  # the phases are a grid on [0, 2 pi]
+        if not (count >= 1 and float(count).is_integer()):
+            raise InvalidValue(f"a phase count must be a whole number >= 1, got {count}")
         phases = np.linspace(0.0, 2.0 * np.pi, int(count))
     phi_grid = np.asarray(phases, dtype=float)
+    if phi_grid.size == 0:
+        raise InvalidValue("a phase sweep needs at least one phase")
     blocks = (_windows_from_scenario(scn, phi_grid[i:i + PHASE_BLOCK])
               for i in range(0, len(phi_grid), PHASE_BLOCK))
     omegas = np.array([omega_hat(freq_closed_form(w)[1]) for windows in blocks for w in windows])
@@ -434,6 +439,8 @@ def horizon_sweep(scenarios):
     ``scenarios`` are one scenario over several window lengths, as
     ``FrequencyScenario.with_window`` builds them.  Returns (r_values, omega_hats, rel_errors).
     """
+    if not scenarios:
+        raise InvalidValue("a horizon sweep needs at least one scenario")
     omegas = np.array([estimate_frequency(scn) for scn in scenarios])
     omega = scenarios[0].omega
     return np.array([scn.r for scn in scenarios]), omegas, np.abs(omegas - omega) / omega

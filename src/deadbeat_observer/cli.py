@@ -9,7 +9,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -77,7 +77,7 @@ _FIELDS = {
     "output_prefix": _STRING,
 }
 _SYSTEM_FIELDS = {
-    "frequency": {"scenario": {f.name: _NUMBER for f in fields(apps.FrequencyScenario)}},
+    "frequency": {"scenario": dict.fromkeys(("amplitude", "omega", "phase"), _NUMBER)},
     "reactor": {"params": _LATER},  # "canonical" or an object
     "lti": {"A": _MATRIX, "b": _VECTOR, "C": _MATRIX, "f": _VECTOR},
     "scalar": dict.fromkeys(("a0", "f0", "input_gain", "c0", "c1"), _NUMBER),
@@ -329,7 +329,13 @@ def cmd_sweep(cfg, prefix, mode):
     spec, kind, extras = build_system(cfg)
     if kind != "frequency":
         raise ConfigError("sweeps require `system.kind` = \"frequency\"")
+    # the signal over [0, observer.r] at sim.h, read through the sensor; the scenario's
+    # own defaults (r = 1, h = r/2000) stand in for an absent observer.r or sim.h
+    sensor = build_sensor(cfg)
     scn = extras["scenario"]
+    scn = _built("observer", replace, scn, r=cfg.get("observer", {}).get("r", scn.r),
+                 h=cfg.get("sim", {}).get("h"), noise_amplitude=sensor.amplitude,
+                 noise_frequency=sensor.frequency)
     sweep_cfg = cfg.get("sweep", {})
     mode = mode or sweep_cfg.get("mode", "phase")
     if mode == "phase":
@@ -432,8 +438,6 @@ def main(argv=None):
 
     if args.h is not None:
         cfg.setdefault("sim", {})["h"] = args.h
-        if cfg["system"]["kind"] == "frequency":
-            cfg["system"].setdefault("scenario", {})["h"] = args.h
     prefix = args.out_prefix or cfg.get("output_prefix", "out")
 
     try:

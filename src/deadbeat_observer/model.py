@@ -47,15 +47,19 @@ class SystemSpec:
     in_domain: Callable = field(default=lambda x, y: True)
 
 
+def as_channels(samples):
+    """Samples as a float array of one row per node; (count,) samples are one channel."""
+    samples = np.asarray(samples, dtype=float)
+    return samples[:, None] if samples.ndim == 1 else samples
+
+
 def sampled_input(grid, values):
     """Input u(t) that holds the sample of the most recent node of ``grid``.
 
     ``values`` is (count, m), or (count,) for m = 1; another count raises
     DimensionMismatch.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
+    values = as_channels(values)
     if values.ndim != 2 or values.shape[0] != grid.count:
         raise DimensionMismatch(
             f"input samples of shape {values.shape} for a {grid.count}-node grid")

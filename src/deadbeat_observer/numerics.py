@@ -6,6 +6,7 @@ machinery is needed.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,12 @@ class Grid:
     count: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.t0) and math.isfinite(self.h)):
+            raise InvalidValue(f"grid start and step must be finite, got {self.t0} and {self.h}")
         if self.h <= 0:
             raise InvalidValue(f"grid step must be positive, got {self.h}")
+        if not isinstance(self.count, numbers.Integral):
+            raise InvalidValue(f"grid node count must be a whole number, got {self.count!r}")
         if self.count < 2:
             raise InvalidValue(f"grid needs at least 2 nodes, got {self.count}")
         require_node_count(self.count)
@@ -47,6 +52,8 @@ class Grid:
     @classmethod
     def from_span(cls, t0, span, h):
         """Grid covering [t0, t0+span]; span must be a positive integer multiple of h > 0."""
+        if not (math.isfinite(span) and math.isfinite(h)):
+            raise InvalidValue(f"span {span} and step {h} must be finite")
         if h > 0:
             require_node_count(span / h + 1)  # before rounding, which fails for an inf
         steps = int(round(span / h)) if h > 0 else 0

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, KappaVanished, NonFiniteState, NotPositiveDefinite
-from .model import SystemSpec, check_point_evaluators, eval_coefficients
+from .model import SystemSpec, as_channels, check_point_evaluators, eval_coefficients
 # cholesky_pivots is not called here; perfbench/spans.py counts calls through this name
 from .numerics import (DEFAULT_REL_THRESHOLD, Grid, all_finite, cholesky_pivots, spd_solve,
                        trapezoid)
@@ -61,15 +61,14 @@ class IoWindow:
     """Sampled (y, u) history over [0, r] in window-local time."""
 
     grid: Grid
-    y_samples: np.ndarray  # (count, k)
-    u_samples: np.ndarray  # (count, m)
+    y_samples: np.ndarray  # (count, k), or (count,) for k = 1
+    u_samples: np.ndarray  # (count, m), or (count,) for m = 1
 
     def __post_init__(self):
-        y = np.atleast_2d(np.asarray(self.y_samples, dtype=float))
-        u = np.atleast_2d(np.asarray(self.u_samples, dtype=float))
-        if y.shape[0] != self.grid.count or u.shape[0] != self.grid.count:
+        y, u = as_channels(self.y_samples), as_channels(self.u_samples)
+        if y.ndim != 2 or u.ndim != 2 or {y.shape[0], u.shape[0]} != {self.grid.count}:
             raise DimensionMismatch(
-                f"window samples ({y.shape[0]}, {u.shape[0]}) do not match "
+                f"window samples of shapes {y.shape} and {u.shape} do not match "
                 f"grid with {self.grid.count} nodes"
             )
         object.__setattr__(self, "y_samples", y)
@@ -108,12 +107,16 @@ class StronglyObservableOnWindow:
 def compute_window(spec, window):
     """Integrate the window ODEs for Phi, theta, q, xi and assemble p.
 
-    Raises NonFiniteState at the first node where any of them is not finite.
+    Raises DimensionMismatch unless the window holds k outputs and m inputs,
+    and NonFiniteState at the first node where any of them is not finite.
     """
     n, k = spec.n, spec.k
     grid = window.grid
     y_s = window.y_samples
     u_s = window.u_samples
+    if y_s.shape[1] != k or u_s.shape[1] != spec.m:
+        raise DimensionMismatch(f"window samples of shapes {y_s.shape} and {u_s.shape} "
+                                f"for a plant with k = {k} and m = {spec.m}")
     steps = grid.count - 1
     h = grid.h
     eye = np.eye(n + 1)
@@ -238,13 +241,17 @@ def determinant_condition(spec, window, wc, node_indices):
     A nonzero value certifies that the window's generating input strongly
     distinguishes the generating state.  The per-point evaluators are checked
     once, at the first requested node, so a spec that breaks their contract
-    raises DimensionMismatch, as does a plant with k != 1.
+    raises DimensionMismatch, as do a plant with k != 1 and a node index
+    outside the window.
     """
     if spec.k != 1:
         raise DimensionMismatch(f"determinant condition requires k = 1, got k = {spec.k}")
     n = spec.n
     if len(node_indices) != n:
         raise DimensionMismatch(f"need exactly {n} node indices, got {len(node_indices)}")
+    count = window.grid.count
+    if not all(0 <= j < count for j in node_indices):
+        raise DimensionMismatch(f"node indices {list(node_indices)} outside 0..{count - 1}")
     first = node_indices[0]
     check_point_evaluators(spec, window.y_samples[first], window.u_samples[first])
     rows = np.empty((n, n))

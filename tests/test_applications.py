@@ -285,8 +285,9 @@ def test_freq_domain_excludes_only_the_origin():
 
 def test_omega_hat_readout():
     assert apps.omega_hat(-9.0) == pytest.approx(3.0)
-    with pytest.raises(NonNegativeZ2):
-        apps.omega_hat(0.0)
+    for z2 in (0.0, float("nan")):
+        with pytest.raises(NonNegativeZ2):
+            apps.omega_hat(z2)
 
 
 def test_clean_sweep_windows_match_the_plant():
@@ -332,6 +333,18 @@ def test_phase_sweep_count_over_the_node_limit_is_rejected_before_any_array():
     for count in (MAX_NODES + 1.0, 1e300, float("inf")):
         with pytest.raises(InvalidValue, match="exceeds the limit of 10000000 nodes"):
             apps.phase_sweep(scn, count)
+
+
+@pytest.mark.parametrize("phases", [0, 0.0, [], np.array([]), -3, -3.0, 2.5, float("nan")])
+def test_phase_sweep_without_a_whole_number_of_phases_is_rejected(phases):
+    scn = apps.FrequencyScenario(amplitude=2.0, omega=3.0, r=1.0, h=2e-3)
+    with pytest.raises(InvalidValue):
+        apps.phase_sweep(scn, phases)
+
+
+def test_horizon_sweep_without_a_scenario_is_rejected():
+    with pytest.raises(InvalidValue):
+        apps.horizon_sweep([])
 
 
 def test_phase_sweep_defaults_to_64_phases():

@@ -63,8 +63,7 @@ def test_simulate_frequency_full_order(tmp_path):
     prefix = str(tmp_path / "freq")
     cfg = {
         "system": {"kind": "frequency",
-                   "scenario": {"amplitude": 2.0, "omega": 3.0, "phase": 1.0,
-                                "noise_amplitude": 0.0, "r": 1.0, "h": 0.002}},
+                   "scenario": {"amplitude": 2.0, "omega": 3.0, "phase": 1.0}},
         "sim": {"t_end": 2.0, "h": 0.002},
         "observer": {"r": 1.0, "mode": "full", "z0": [1.0, -4.0],
                      "w0": [1.6829419696157930]},
@@ -285,9 +284,10 @@ def test_sweep_phase_small_grid(tmp_path):
     prefix = str(tmp_path / "sweep")
     cfg = {
         "system": {"kind": "frequency",
-                   "scenario": {"amplitude": 2.0, "omega": 3.0,
-                                "noise_amplitude": 0.2, "noise_frequency": 10.0,
-                                "r": 1.0, "h": 0.002}},
+                   "scenario": {"amplitude": 2.0, "omega": 3.0}},
+        "sim": {"h": 0.002},
+        "observer": {"r": 1.0},
+        "sensor": {"amplitude": 0.2, "frequency": 10.0},
         "sweep": {"phases": 8},
         "output_prefix": prefix,
     }
@@ -300,9 +300,12 @@ def test_sweep_phase_small_grid(tmp_path):
     assert len(lines) == 10  # header + 8 rows + trailing newline
 
 
-def frequency_sweep_config(prefix, **scenario):
-    return {"system": {"kind": "frequency", "scenario": {"omega": 3.0, "r": 1.0, "h": 5e-4,
-                                                         **scenario}},
+def frequency_sweep_config(prefix, noise=0.0, **scenario):
+    """A sweep config of the scenario's signal, read through a sensor of amplitude ``noise``."""
+    return {"system": {"kind": "frequency", "scenario": {"omega": 3.0, **scenario}},
+            "sim": {"h": 5e-4},
+            "observer": {"r": 1.0},
+            "sensor": {"amplitude": noise, "frequency": 10.0},
             "sweep": {"phases": [0.3, 1.1, 4.0], "r_values": [1.0, 2.0]},
             "output_prefix": prefix}
 
@@ -313,7 +316,7 @@ def test_sweep_of_a_large_finite_amplitude(tmp_path, mode):
     # the estimate does not depend on the amplitude, up to rounding
     def omegas(amplitude):
         prefix = str(tmp_path / "big")
-        cfg = frequency_sweep_config(prefix, amplitude=amplitude, noise_amplitude=0.1 * amplitude)
+        cfg = frequency_sweep_config(prefix, 0.1 * amplitude, amplitude=amplitude)
         assert main(["sweep", write_config(tmp_path, cfg), "--mode", mode]) == EXIT_OK
         return np.loadtxt(f"{prefix}_sweep.csv", delimiter=",", skiprows=1)[:, 1]
 
@@ -327,8 +330,7 @@ def test_sweep_of_a_large_finite_amplitude(tmp_path, mode):
 def test_sweep_of_an_overflowing_signal_is_a_runtime_error(tmp_path, capsys):
     # signal and noise both peak near t = pi/20; their sum first exceeds the
     # largest float at node 191
-    cfg = frequency_sweep_config(str(tmp_path / "inf"), amplitude=1e308,
-                                 noise_amplitude=1e308, noise_frequency=10.0)
+    cfg = frequency_sweep_config(str(tmp_path / "inf"), 1e308, amplitude=1e308)
     cfg["sweep"]["phases"] = [np.pi / 2 - 0.15 * np.pi]
     assert main(["sweep", write_config(tmp_path, cfg)]) == EXIT_RUNTIME
     assert "non-finite output sample at window node 191" in capsys.readouterr().err
@@ -337,7 +339,9 @@ def test_sweep_of_an_overflowing_signal_is_a_runtime_error(tmp_path, capsys):
 
 def test_sweep_mode_comes_from_the_config(tmp_path):
     cfg = {
-        "system": {"kind": "frequency", "scenario": {"r": 1.0, "h": 0.002}},
+        "system": {"kind": "frequency", "scenario": {}},
+        "sim": {"h": 0.002},
+        "observer": {"r": 1.0},
         "sweep": {"mode": "horizon", "r_values": [0.5, 1.0], "phases": 3},
         "output_prefix": str(tmp_path / "s"),
     }
@@ -385,7 +389,9 @@ def test_sweep_requires_frequency_system(tmp_path, capsys):
 
 def test_sweep_horizon_missing_r_values(tmp_path, capsys):
     cfg = {
-        "system": {"kind": "frequency", "scenario": {"r": 1.0, "h": 0.002}},
+        "system": {"kind": "frequency", "scenario": {}},
+        "sim": {"h": 0.002},
+        "observer": {"r": 1.0},
         "output_prefix": str(tmp_path / "x"),
     }
     cfg_path = write_config(tmp_path, cfg)
@@ -495,11 +501,12 @@ def test_example26_initial_state_of_the_wrong_shape_is_a_runtime_error(tmp_path,
 
 @pytest.mark.parametrize("command", ["simulate", "observability", "sweep"])
 def test_scenario_noise_without_a_frequency_is_a_config_error(tmp_path, capsys, command):
+    # every command, the sweep included, reads the signal's noise from `sensor`
     def edit(cfg):
-        cfg["system"]["scenario"].update(noise_amplitude=0.1, noise_frequency=0.0)
+        cfg["sensor"].update(amplitude=0.1, frequency=0.0)
     cfg = shipped_config("frequency_clean", str(tmp_path / "bad"), edit)
     assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == ("error: invalid config: `system.scenario`: "
+    assert capsys.readouterr().err == ("error: invalid config: `sensor`: "
                                        "noise frequency must be > 0\n")
     assert not list(tmp_path.glob("bad_*"))
 
@@ -518,18 +525,51 @@ def test_simulate_summary_reports_a_non_finite_error_as_null(tmp_path):
 
 
 def test_h_override_sets_the_frequency_scenario_step(tmp_path):
-    cfg = frequency_sweep_config(str(tmp_path / "given"), noise_amplitude=0.2)
+    # a sweep's window is stepped at `sim.h`, which `--h` sets
+    cfg = frequency_sweep_config(str(tmp_path / "given"), 0.2)
     assert main(["sweep", write_config(tmp_path, cfg), "--h", "0.002",
                  "--out-prefix", str(tmp_path / "override")]) == EXIT_OK
-    cfg["system"]["scenario"]["h"] = 0.002
+    cfg["sim"]["h"] = 0.002
     assert main(["sweep", write_config(tmp_path, cfg)]) == EXIT_OK
     assert (tmp_path / "override_sweep.csv").read_bytes() == \
         (tmp_path / "given_sweep.csv").read_bytes()
-    cfg["system"]["scenario"]["h"] = 5e-4
+    cfg["sim"]["h"] = 5e-4
     cfg["output_prefix"] = str(tmp_path / "default")
     assert main(["sweep", write_config(tmp_path, cfg)]) == EXIT_OK
     assert (tmp_path / "default_sweep.csv").read_bytes() != \
         (tmp_path / "given_sweep.csv").read_bytes()
+
+
+def outputs_of(command, cfg, tmp_path):
+    """{file name: bytes} of the outputs of one run of ``command`` on ``cfg``."""
+    out = tmp_path / f"{command}_{len(list(tmp_path.iterdir()))}"
+    out.mkdir()
+    cfg = dict(cfg, output_prefix=str(out / "run"))
+    assert main([command, write_config(out, cfg)]) == EXIT_OK
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "config.json"}
+
+
+@pytest.mark.parametrize("path, value", [
+    ("sensor.amplitude", 0.1), ("sensor.frequency", 20.0), ("observer.r", 0.5),
+    ("sim.h", 0.001)], ids=["noise_amplitude", "noise_frequency", "r", "h"])
+def test_each_window_and_noise_setting_moves_simulate_and_sweep(tmp_path, path, value):
+    # one setting per quantity: `simulate` and `sweep` read the same noise, window and step
+    cfg = shipped_config("frequency_clean", "unused", set_path("sensor.amplitude", 0.05))
+    changed = json.loads(json.dumps(cfg))
+    set_path(path, value)(changed)
+    for command in ("simulate", "sweep"):
+        assert outputs_of(command, changed, tmp_path) != outputs_of(command, cfg, tmp_path)
+
+
+@pytest.mark.parametrize("key", ["r", "h", "noise_amplitude", "noise_frequency"])
+def test_scenario_is_the_signal_alone(tmp_path, capsys, key):
+    cfg = shipped_config("frequency_clean", str(tmp_path / "old"),
+                         add_field("system.scenario", key, 1.0))
+    for command in ("simulate", "observability", "sweep"):
+        assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"error: invalid config: unknown field "
+                                           f"`system.scenario.{key}`\n")
+    assert not list(tmp_path.glob("old_*"))
 
 
 def test_unknown_sweep_mode_in_config(tmp_path, capsys):
@@ -678,10 +718,10 @@ def set_path(path, value):
      "`system.params.k1` must be a number"),
     ("scalar_oracle", "simulate", "sim.t_end", 2.5003,
      "`sim`: span 2.5003 is not a positive integer multiple of step 0.0005"),
-    ("frequency_clean", "sweep", "system.scenario.h", 0.3,
-     "`system.scenario`: span 1.0 is not a positive integer multiple of step 0.3"),
-    ("frequency_clean", "simulate", "system.scenario.h", 0.3,
-     "`system.scenario`: span 1.0 is not a positive integer multiple of step 0.3"),
+    ("frequency_clean", "sweep", "sim.h", 0.3,
+     "`observer`: span 1.0 is not a positive integer multiple of step 0.3"),
+    ("frequency_clean", "simulate", "sim.h", 0.3,
+     "`sim`: span 2.5 is not a positive integer multiple of step 0.3"),
     ("scalar_oracle", "simulate", "sim.t_end", 1e300,
      "`sim`: a grid of 2e+303 nodes exceeds the limit of 10000000 nodes"),
     ("figure1", "sweep", "sweep.phases", 1e300,

@@ -155,7 +155,7 @@ def run(name, command, path, value, *options):
 @example(case=("figure1", "sweep", ("sweep", "phases"), 1.5))
 @example(case=("figure4", "sweep", ("sweep", "r_values"), [-1.0]))
 @example(case=("scalar_oracle", "simulate", ("sim", "t_end"), 2.5003))
-@example(case=("frequency_clean", "sweep", ("system", "scenario", "h"), 0.3))
+@example(case=("frequency_clean", "sweep", ("sim", "h"), 0.3))
 # values of another JSON type in place of a number
 @example(case=("scalar_oracle", "observability", ("system", "a0"), "x"))
 @example(case=("reactor_lumped", "simulate", ("system", "params", "k1"), None))

@@ -29,6 +29,18 @@ def test_grid_invariants():
             Grid.from_span(0.0, 1.0, h)
 
 
+def test_grid_rejects_non_finite_values_and_fractional_counts():
+    nan, inf = float("nan"), float("inf")
+    for t0, h, count in ((0.0, nan, 5), (nan, 0.1, 5), (inf, 0.1, 5), (0.0, inf, 5),
+                         (0.0, 0.1, 5.5), (0.0, 0.1, 5.0), (0.0, 0.1, inf)):
+        with pytest.raises(InvalidValue):
+            Grid(t0, h, count)
+    assert Grid(0.0, 0.1, np.int64(5)).count == 5
+    for span, h in ((nan, 0.1), (inf, 0.1), (1.0, nan), (1.0, inf), (-inf, 0.1)):
+        with pytest.raises(InvalidValue):
+            Grid.from_span(0.0, span, h)
+
+
 def test_grid_over_the_node_limit_is_rejected_before_any_array():
     assert Grid(0.0, 1.0, MAX_NODES).count == MAX_NODES
     with pytest.raises(InvalidValue, match="^a grid of 10000001 nodes exceeds the limit of "

@@ -11,6 +11,7 @@ from deadbeat_observer.errors import (
     DimensionMismatch,
     DomainExit,
     GramDegenerate,
+    InvalidValue,
     NonFiniteState,
 )
 from deadbeat_observer.model import SystemSpec, make_lti, scalar_oracle_spec
@@ -35,6 +36,9 @@ def test_config_validation():
         ObserverConfig(r=1.0, h=0.3)  # r not a multiple of h
     with pytest.raises(ValueError):
         ObserverConfig(r=0.1, h=0.1)  # fewer than 2 steps per window
+    for r in (float("nan"), float("inf")):  # the grid's value rule, not numpy's int()
+        with pytest.raises(InvalidValue):
+            ObserverConfig(r=r, h=0.1)
     for rel_threshold in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="rel_threshold must be >= 0"):
             ObserverConfig(r=0.1, h=0.01, rel_threshold=rel_threshold)

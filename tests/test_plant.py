@@ -5,7 +5,7 @@ import pytest
 
 from deadbeat_observer import applications as apps
 from deadbeat_observer.cli import build_scalar_spec, canonical_example26
-from deadbeat_observer.errors import DimensionMismatch, DomainExit, NonFiniteState
+from deadbeat_observer.errors import DimensionMismatch, DomainExit, InvalidValue, NonFiniteState
 from deadbeat_observer.model import (
     SystemSpec,
     make_lti,
@@ -88,6 +88,13 @@ def test_simulate_finite_time_blowup():
     with pytest.raises(NonFiniteState):
         simulate_plant(spec, None, SimConfig(t_end=2.0, h=0.01,
                                              x0=[0.0], y0=[1.0]))
+
+
+@pytest.mark.parametrize("t_end, h", [(float("nan"), 0.1), (float("inf"), 0.1),
+                                       (1.0, float("nan"))])
+def test_sim_config_rejects_a_non_finite_span_or_step(t_end, h):
+    with pytest.raises(InvalidValue):
+        SimConfig(t_end=t_end, h=h, x0=[1.0], y0=[0.0])
 
 
 def test_simulate_deterministic():

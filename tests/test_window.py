@@ -193,6 +193,38 @@ def test_window_sample_count_mismatch():
     g = Grid.from_span(0.0, 1.0, 0.25)
     with pytest.raises(DimensionMismatch):
         IoWindow(grid=g, y_samples=np.zeros((3, 1)), u_samples=np.zeros((5, 1)))
+    for y, u in ((np.zeros((5, 1)), np.zeros(())), (np.zeros((5, 1, 1)), np.zeros((5, 1))),
+                 (np.zeros(4), np.zeros(5))):
+        with pytest.raises(DimensionMismatch):
+            IoWindow(grid=g, y_samples=y, u_samples=u)
+
+
+def sinusoid_window():
+    """2 sin(3t + 1) on 101 nodes at h = 0.01: y (101, 1) and a zero u (101, 1)."""
+    grid = Grid(0.0, 0.01, 101)
+    y = 2.0 * np.sin(3.0 * grid.times() + 1.0)[:, None]
+    return grid, y, np.zeros((grid.count, 1))
+
+
+def test_window_takes_one_dimensional_samples_as_one_channel():
+    grid, y, u = sinusoid_window()
+    flat = IoWindow(grid=grid, y_samples=y[:, 0], u_samples=u[:, 0])
+    assert flat.y_samples.shape == flat.u_samples.shape == (101, 1)
+    spec = apps.freq_spec(True)
+    assert np.array_equal(apply_P(spec, flat),
+                          apply_P(spec, IoWindow(grid=grid, y_samples=y, u_samples=u)))
+
+
+@pytest.mark.parametrize("widths", [(3, 1), (1, 2), (0, 1), (1, 0)],
+                         ids=["y-3", "u-2", "y-0", "u-0"])
+def test_window_of_the_wrong_widths_is_a_dimension_mismatch(widths):
+    # the frequency plant has k = m = 1; a repeated y column moved the estimate to 5.2
+    grid, y, u = sinusoid_window()
+    k, m = widths
+    window = IoWindow(grid=grid, y_samples=np.repeat(y, k, axis=1),
+                      u_samples=np.repeat(u, m, axis=1))
+    with pytest.raises(DimensionMismatch, match="k = 1 and m = 1"):
+        apply_P(apps.freq_spec(True), window)
 
 
 def test_compute_window_initial_node():
@@ -385,6 +417,13 @@ def test_determinant_condition_errors():
     wc1 = compute_window(spec1, window1)
     with pytest.raises(DimensionMismatch):
         determinant_condition(spec1, window1, wc1, [0, 4])
+    spec2, window2 = reactor_window()
+    wc2 = compute_window(spec2, window2)
+    count = window2.grid.count
+    for nodes in ([0, count], [0, 500 * count], [-1, 0], [0, -count]):
+        with pytest.raises(DimensionMismatch, match="outside"):
+            determinant_condition(spec2, window2, wc2, nodes)
+    assert determinant_condition(spec2, window2, wc2, [0, count - 1]) != 0.0
 
 
 def test_determinant_condition_checks_the_evaluators_once():
