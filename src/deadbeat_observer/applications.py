@@ -9,7 +9,7 @@ signals) or approximately (under additive sinusoidal noise).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .errors import (DimensionMismatch, DomainExit, HypothesisFails, InvalidValu
                      NonNegativeZ2)
 from .model import SystemSpec
 from .numerics import (Grid, cumulative_trapezoid, require_node_count, require_pivot, spd_solve,
-                       trapezoid)
+                       trapezoid, window_grid)
 # simulate_plant and corrupt are not called here; perfbench/spans.py times calls through these names
 from .plant import SensorModel, corrupt, simulate_plant
 from .window import IoWindow
@@ -251,12 +251,6 @@ def reactor_gains(T_window, p, grid):
                         state_estimate=Phi_r @ G)
 
 
-def optimal_stop(z, T, p):
-    """Signed rate balance; its zero crossing marks the peak of c_B."""
-    return (p.k1 * np.exp(-p.E1 / T) * z[0]
-            - p.k2 * np.exp(-p.E2 / T) * z[1])
-
-
 # ---------------------------------------------------------------------------
 # Frequency estimation
 # ---------------------------------------------------------------------------
@@ -281,14 +275,10 @@ class FrequencyScenario:
                                                         self.noise_frequency))
         if self.h is None:
             object.__setattr__(self, "h", self.r / 2000.0)
-        object.__setattr__(self, "grid", Grid.from_span(0.0, self.r, self.h))  # of [0, r]
+        object.__setattr__(self, "grid", window_grid(self.r, self.h))  # of [0, r]
 
     def sensor(self):
         return self._sensor
-
-    def with_window(self, r):
-        """This scenario over a window of length r: at its own h at its own r, else r/2000."""
-        return replace(self, r=r, h=self.h if abs(self.r - r) < 1e-12 else None)
 
     def initial_state(self):
         """Plant initial condition generating A sin(w t + phase)."""
@@ -436,8 +426,8 @@ def phase_sweep(scn, phases=None):
 def horizon_sweep(scenarios):
     """Relative frequency-estimation error as a function of the window length.
 
-    ``scenarios`` are one scenario over several window lengths, as
-    ``FrequencyScenario.with_window`` builds them.  Returns (r_values, omega_hats, rel_errors).
+    ``scenarios`` are one signal over several window lengths, each ``replace(scn, r=r, h=h)``
+    at one step h, or at r/2000 with h None.  Returns (r_values, omega_hats, rel_errors).
     """
     if not scenarios:
         raise InvalidValue("a horizon sweep needs at least one scenario")

@@ -329,25 +329,27 @@ def cmd_sweep(cfg, prefix, mode):
     spec, kind, extras = build_system(cfg)
     if kind != "frequency":
         raise ConfigError("sweeps require `system.kind` = \"frequency\"")
-    # the signal over [0, observer.r] at sim.h, read through the sensor; the scenario's
-    # own defaults (r = 1, h = r/2000) stand in for an absent observer.r or sim.h
     sensor = build_sensor(cfg)
-    scn = extras["scenario"]
-    scn = _built("observer", replace, scn, r=cfg.get("observer", {}).get("r", scn.r),
-                 h=cfg.get("sim", {}).get("h"), noise_amplitude=sensor.amplitude,
-                 noise_frequency=sensor.frequency)
+    scn, h = extras["scenario"], cfg.get("sim", {}).get("h")
+
+    def window(section, r):
+        """The signal over [0, r] at sim.h (at r/2000 without one), read through the sensor."""
+        return _built(section, replace, scn, r=r, h=h, noise_amplitude=sensor.amplitude,
+                      noise_frequency=sensor.frequency)
+
     sweep_cfg = cfg.get("sweep", {})
     mode = mode or sweep_cfg.get("mode", "phase")
     if mode == "phase":
-        values, omegas, errors, max_err = _built("sweep.phases", apps.phase_sweep, scn,
-                                                 sweep_cfg.get("phases"))
+        r = cfg.get("observer", {}).get("r", scn.r)  # the scenario's own r = 1 without one
+        values, omegas, errors, max_err = _built("sweep.phases", apps.phase_sweep,
+                                                 window("observer", r), sweep_cfg.get("phases"))
         label = "phase"
     elif mode == "horizon":
         r_values = sweep_cfg.get("r_values")
         if r_values is None:
             raise ConfigError("missing field `sweep.r_values` for horizon sweeps")
-        scenarios = [_built("sweep.r_values", scn.with_window, r=r) for r in r_values]
-        values, omegas, errors = apps.horizon_sweep(scenarios)
+        values, omegas, errors = apps.horizon_sweep([window("sweep.r_values", r)
+                                                     for r in r_values])
         max_err = float(np.max(errors))
         label = "r"
     else:
@@ -357,8 +359,8 @@ def cmd_sweep(cfg, prefix, mode):
     write_json(f"{prefix}_sweep_summary.json", {
         "mode": mode,
         "omega": scn.omega,
-        "noise_amplitude": scn.noise_amplitude,
-        "noise_frequency": scn.noise_frequency,
+        "noise_amplitude": sensor.amplitude,
+        "noise_frequency": sensor.frequency,
         "max_rel_error": max_err,
     })
     return EXIT_OK

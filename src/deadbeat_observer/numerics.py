@@ -54,12 +54,26 @@ class Grid:
         """Grid covering [t0, t0+span]; span must be a positive integer multiple of h > 0."""
         if not (math.isfinite(span) and math.isfinite(h)):
             raise InvalidValue(f"span {span} and step {h} must be finite")
-        if h > 0:
-            require_node_count(span / h + 1)  # before rounding, which fails for an inf
-        steps = int(round(span / h)) if h > 0 else 0
-        if steps < 1 or abs(steps * h - span) > 1e-9 * max(span, h):
+        steps = _whole_steps(span, h)
+        if steps < 1:
             raise InvalidValue(f"span {span} is not a positive integer multiple of step {h}")
         return cls(t0, h, steps + 1)
+
+
+def _whole_steps(span, h):
+    """span/h if it is a whole number (to 1e-9), else 0; a span/h + 1 over MAX_NODES raises."""
+    ratio = span / h if h > 0 else math.nan
+    require_node_count(ratio + 1)  # before rounding, which fails for an inf
+    steps = int(round(ratio)) if math.isfinite(ratio) else 0
+    return steps if abs(steps * h - span) <= 1e-9 * max(span, h) else 0
+
+
+def window_grid(r, h):
+    """Grid of a reset or sweep window [0, r]; the one rule is that r/h is a whole number >= 2."""
+    steps = _whole_steps(r, h)
+    if steps < 2:
+        raise InvalidValue(f"window length r={r} must be an integer multiple (>= 2) of h={h}")
+    return Grid(0.0, h, steps + 1)
 
 
 def rk4_step(field, t, s, h):

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import (DimensionMismatch, DomainExit, GramDegenerate, InvalidValue, NonFiniteState,
                      NotPositiveDefinite)
 from .model import check_point_evaluators, point_rate
-from .numerics import DEFAULT_REL_THRESHOLD, Grid, all_finite, require_node_count, rk4_step
+from .numerics import DEFAULT_REL_THRESHOLD, Grid, all_finite, rk4_step, window_grid
 from .window import IoWindow, apply_P, end_state, flow_window
 
 FULL = "full"
@@ -68,17 +68,7 @@ class ObserverConfig:
             raise InvalidValue(f"on_degenerate must be '{HOLD}' or '{FAIL}'")
         if not self.rel_threshold >= 0:
             raise InvalidValue(f"rel_threshold must be >= 0, got {self.rel_threshold}")
-        if self.h > 0:  # the limit's own message, not the multiple's below
-            require_node_count(self.r / self.h + 1)
-        try:
-            steps = Grid.from_span(0.0, self.r, self.h).count - 1
-        except InvalidValue:
-            steps = 0
-        if steps < 2:
-            raise InvalidValue(
-                f"window length r={self.r} must be an integer multiple (>= 2) of h={self.h}"
-            )
-        object.__setattr__(self, "steps_per_window", steps)
+        object.__setattr__(self, "steps_per_window", window_grid(self.r, self.h).count - 1)
 
 
 class ObserverSnapshot(NamedTuple):

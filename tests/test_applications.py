@@ -207,18 +207,6 @@ def test_reactor_gains_validation():
     assert left.value.index == 4
 
 
-def test_optimal_stop_sign_structure():
-    p = apps.canonical_reactor_params()
-    # balanced concentrations make the signed rate difference vanish
-    T = 320.0
-    r1 = p.k1 * np.exp(-p.E1 / T)
-    r2 = p.k2 * np.exp(-p.E2 / T)
-    z = np.array([1.0, r1 / r2])
-    assert apps.optimal_stop(z, T, p) == pytest.approx(0.0, abs=1e-15)
-    assert apps.optimal_stop(np.array([1.0, 0.0]), T, p) > 0.0
-    assert apps.optimal_stop(np.array([0.0, 1.0]), T, p) < 0.0
-
-
 def test_frequency_scenario_defaults():
     scn = apps.FrequencyScenario()
     assert scn.h == pytest.approx(scn.r / 2000.0)
@@ -358,7 +346,8 @@ def test_phase_sweep_defaults_to_64_phases():
 def test_horizon_sweep_error_drops_with_window_length():
     scn = apps.FrequencyScenario(phase=1.9, noise_amplitude=0.2,
                                  noise_frequency=10.0)
-    r_vals, _, errors = apps.horizon_sweep([scn.with_window(r) for r in (1.0, 3.0)])
+    r_vals, _, errors = apps.horizon_sweep([dataclasses.replace(scn, r=r, h=None)
+                                            for r in (1.0, 3.0)])
     assert errors[1] < errors[0]
 
 

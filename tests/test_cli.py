@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deadbeat_observer import cli, numerics
+from deadbeat_observer import applications as apps, cli, numerics
 from deadbeat_observer.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -561,6 +561,22 @@ def test_each_window_and_noise_setting_moves_simulate_and_sweep(tmp_path, path, 
         assert outputs_of(command, changed, tmp_path) != outputs_of(command, cfg, tmp_path)
 
 
+def test_sim_h_steps_every_window_of_a_horizon_sweep(tmp_path):
+    # figure4 has no sim.h, so each r is stepped at r/2000; 0.002 is r/2000 of no r_values entry
+    def rows(edit):
+        cfg = shipped_config("figure4", "unused", edit)
+        csv = outputs_of("sweep", cfg, tmp_path)["run_sweep.csv"].decode()
+        return [row.split(",") for row in csv.splitlines()[1:]]
+
+    shipped, stepped = rows(lambda cfg: None), rows(set_path("sim.h", 0.002))
+    assert len(stepped) == len(shipped) == 6
+    for old, (r, omega, _) in zip(shipped, stepped):
+        assert old[1] != omega, r
+        scn = apps.FrequencyScenario(amplitude=2.0, omega=3.0, phase=1.9, noise_amplitude=0.2,
+                                     noise_frequency=10.0, r=float(r), h=0.002)
+        assert omega == f"{apps.estimate_frequency(scn):.12e}", r
+
+
 @pytest.mark.parametrize("key", ["r", "h", "noise_amplitude", "noise_frequency"])
 def test_scenario_is_the_signal_alone(tmp_path, capsys, key):
     cfg = shipped_config("frequency_clean", str(tmp_path / "old"),
@@ -719,7 +735,7 @@ def set_path(path, value):
     ("scalar_oracle", "simulate", "sim.t_end", 2.5003,
      "`sim`: span 2.5003 is not a positive integer multiple of step 0.0005"),
     ("frequency_clean", "sweep", "sim.h", 0.3,
-     "`observer`: span 1.0 is not a positive integer multiple of step 0.3"),
+     "`observer`: window length r=1.0 must be an integer multiple (>= 2) of h=0.3"),
     ("frequency_clean", "simulate", "sim.h", 0.3,
      "`sim`: span 2.5 is not a positive integer multiple of step 0.3"),
     ("scalar_oracle", "simulate", "sim.t_end", 1e300,
@@ -732,14 +748,21 @@ def set_path(path, value):
      "`sim`: a grid of inf nodes exceeds the limit of 10000000 nodes"),
     ("scalar_oracle", "simulate", "observer.r", 1e300,
      "`observer`: a grid of 2e+303 nodes exceeds the limit of 10000000 nodes"),
+    ("figure4", "sweep", ("sim.h", "sweep.r_values"), (0.001, [1.0, 1.0005]),
+     "`sweep.r_values`: window length r=1.0005 must be an integer multiple (>= 2) of h=0.001"),
+    ("figure1", "sweep", "sim.h", 1.0,
+     "`observer`: window length r=1.0 must be an integer multiple (>= 2) of h=1.0"),
 ], ids=["phases-nested", "phases-zero", "phases-negative", "phases-fraction", "r_values-empty",
         "r_values-negative", "h-true", "a0-string", "z0-object", "input-nested", "omega-list",
         "k1-null", "t_end-multiple", "scenario-h-sweep", "scenario-h-simulate",
         "t_end-unindexable", "phases-unindexable", "t_end-unallocatable", "h-inf-nodes",
-        "r-oversized"])
+        "r-oversized", "r_values-multiple", "sweep-one-step"])
 def test_config_value_of_the_wrong_type_or_range_is_a_config_error(tmp_path, capsys, name,
                                                                    command, path, value, message):
-    cfg = shipped_config(name, str(tmp_path / "bad"), set_path(path, value))
+    # a tuple of paths sets each to its own value
+    edits = [set_path(*pair) for pair in (zip(path, value) if isinstance(path, tuple)
+                                          else [(path, value)])]
+    cfg = shipped_config(name, str(tmp_path / "bad"), lambda cfg: [edit(cfg) for edit in edits])
     assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: invalid config: {message}\n"
     assert not list(tmp_path.glob("bad_*"))

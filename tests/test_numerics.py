@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from deadbeat_observer.applications import FrequencyScenario
 from deadbeat_observer.errors import (DimensionMismatch, InvalidValue, NonFiniteState,
                                       NotPositiveDefinite)
 from deadbeat_observer.numerics import (
@@ -11,7 +14,9 @@ from deadbeat_observer.numerics import (
     rk4_step,
     spd_solve,
     trapezoid,
+    window_grid,
 )
+from deadbeat_observer.observer import ObserverConfig
 
 
 def test_grid_invariants():
@@ -50,6 +55,24 @@ def test_grid_over_the_node_limit_is_rejected_before_any_array():
     for span, h, count in ((1e9, 5e-4, "2e\\+12"), (2.5, 1e-310, "inf")):
         with pytest.raises(InvalidValue, match=f"^a grid of {count} nodes exceeds the limit"):
             Grid.from_span(0.0, span, h)
+
+
+@pytest.mark.parametrize("r, h, message", [
+    (1.0, 0.5, None),
+    (1.0, 1.0, "window length r=1.0 must be an integer multiple (>= 2) of h=1.0"),
+    (1.0, 0.3, "window length r=1.0 must be an integer multiple (>= 2) of h=0.3"),
+    (1e300, 1.0, "a grid of 1e+300 nodes exceeds the limit of 10000000 nodes"),
+], ids=["two-steps", "one-step", "no-multiple", "over-the-limit"])
+def test_observer_and_sweep_windows_follow_one_rule(r, h, message):
+    # a reset window and a sweep window accept and reject the same (r, h), with one message
+    windows = (lambda: Grid(0.0, h, ObserverConfig(r=r, h=h).steps_per_window + 1),
+               lambda: FrequencyScenario(r=r, h=h).grid)
+    for window in windows:
+        if message is None:
+            assert window() == window_grid(r, h) == Grid(0.0, h, 3)
+        else:
+            with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
+                window()
 
 
 def test_rk4_exponential():
