@@ -11,7 +11,7 @@ from .errors import (
     NonNegativeZ2,
     NotPositiveDefinite,
 )
-from .model import SystemSpec, make_lti, sampled_input, scalar_oracle_spec
+from .model import SystemSpec, make_lti, sampled_input
 from .numerics import Grid, cumulative_trapezoid, integrate_rk4, spd_solve, trapezoid
 from .observer import (
     EstimateTrace,
@@ -33,7 +33,6 @@ from .window import (
     compute_window,
     determinant_condition,
     gram,
-    indistinguishable_partner,
     indistinguishing_input,
     observability_certificate,
     reconstruct_initial,

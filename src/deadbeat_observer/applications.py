@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, DomainExit, HypothesisFails, InvalidValue, NonFiniteState,
-                     NonNegativeZ2)
+from .errors import HypothesisFails, InvalidValue, NonFiniteState, NonNegativeZ2
 from .model import SystemSpec
-from .numerics import (Grid, cumulative_trapezoid, require_node_count, require_pivot, spd_solve,
-                       trapezoid, window_grid)
+from .numerics import (Grid, cumulative_trapezoid, require_node_count, require_pivot, trapezoid,
+                       window_grid)
 # simulate_plant and corrupt are not called here; perfbench/spans.py times calls through these names
 from .plant import SensorModel, corrupt, simulate_plant
 from .window import IoWindow
@@ -203,54 +202,6 @@ def min_window_reactor(p, which="A1"):
     return (p.Tmax - p.Tmin) / a
 
 
-@dataclass(frozen=True)
-class ReactorGains:
-    G: np.ndarray  # least-squares coefficients (window-initial concentrations)
-    phi1: np.ndarray
-    phi2: np.ndarray
-    Phi_r: np.ndarray  # transition matrix over the window
-    state_estimate: np.ndarray  # Phi_r @ G: concentrations at the window end
-
-
-def reactor_gains(T_window, p, grid):
-    """Closed-form reduced-order reconstruction from a temperature window.
-
-    Builds the two kernel functions phi1, phi2 by nested quadrature, solves
-    the 2x2 least-squares system for the window-initial concentrations and
-    maps them forward with the explicit lower-triangular transition matrix.
-    """
-    T = np.asarray(T_window, dtype=float).reshape(-1)
-    if T.shape[0] != grid.count:
-        raise DimensionMismatch(f"{T.shape[0]} temperature samples for a {grid.count}-node grid")
-    outside = np.flatnonzero((T <= p.Tmin) | (T >= p.Tmax))
-    if outside.size:
-        raise DomainExit(int(outside[0]), f"temperature window leaves (Tmin, Tmax) "
-                                          f"at window node {outside[0]}")
-    r1 = p.k1 * np.exp(-p.E1 / T)
-    r2 = p.k2 * np.exp(-p.E2 / T)
-    K1 = cumulative_trapezoid(r1, grid)
-    K2 = cumulative_trapezoid(r2, grid)
-    # I(t) = int_0^t exp(-E1/T(tau) - (K2(t) - K2(tau)) - K1(tau)) dtau
-    inner = cumulative_trapezoid(np.exp(-p.E1 / T + K2 - K1), grid)
-    I = np.exp(-K2) * inner
-    phi1 = (p.J1 + p.J2) * (1.0 - np.exp(-K1)) - p.J2 * p.k1 * I
-    phi2 = p.J2 * (1.0 - np.exp(-K2))
-    psi = T - T[0] - cumulative_trapezoid(p.h_coef * (p.Ts - T), grid)
-
-    s11 = trapezoid(phi1 * phi1, grid)
-    s22 = trapezoid(phi2 * phi2, grid)
-    s12 = trapezoid(phi1 * phi2, grid)
-    b1 = trapezoid(psi * phi1, grid)
-    b2 = trapezoid(psi * phi2, grid)
-    G, _ = spd_solve(np.array([[s11, s12], [s12, s22]]), np.array([b1, b2]))
-    Phi_r = np.array([
-        [np.exp(-K1[-1]), 0.0],
-        [p.k1 * I[-1], np.exp(-K2[-1])],
-    ])
-    return ReactorGains(G=G, phi1=phi1, phi2=phi2, Phi_r=Phi_r,
-                        state_estimate=Phi_r @ G)
-
-
 # ---------------------------------------------------------------------------
 # Frequency estimation
 # ---------------------------------------------------------------------------
@@ -260,8 +211,8 @@ class FrequencyScenario:
     amplitude: float = 2.0  # signal amplitude
     omega: float = 3.0  # true frequency (rad/s)
     phase: float = 0.0  # phase (rad)
-    noise_amplitude: float = 0.0
-    noise_frequency: float = 10.0  # rad/s
+    noise_amplitude: float = SensorModel.amplitude
+    noise_frequency: float = SensorModel.frequency  # rad/s
     r: float = 1.0  # window length (s)
     h: float = None  # grid step; defaults to r/2000
 
@@ -291,13 +242,13 @@ class FrequencyScenario:
         return x0, y0
 
 
-def freq_spec(relaxed_domain=False):
+def freq_spec():
     """Plant casting frequency estimation as state reconstruction.
 
         y' = x1,  x1' = x2 y,  x2' = 0   with x2 = -omega^2.
 
-    The default domain excludes x2 >= 0 so that the frequency readout is
-    well defined; ``relaxed_domain`` drops that restriction.
+    The domain is x2 < 0 away from the origin, so that the frequency readout
+    is well defined.
     """
 
     def eval_A(y, u):
@@ -314,7 +265,7 @@ def freq_spec(relaxed_domain=False):
     def in_domain(x, y):
         if y[0] == 0.0 and x[0] == 0.0:  # the origin; no squares, so no overflow
             return False
-        return True if relaxed_domain else x[1] < 0.0
+        return x[1] < 0.0
 
     b, C, f = np.zeros(2), np.array([[1.0], [0.0]]), np.zeros(1)
 
@@ -435,28 +386,3 @@ def horizon_sweep(scenarios):
     omega = scenarios[0].omega
     return np.array([scn.r for scn in scenarios]), omegas, np.abs(omegas - omega) / omega
 
-
-# ---------------------------------------------------------------------------
-# Scalar reduced-order observer
-# ---------------------------------------------------------------------------
-
-def scalar_observer_P(window, a_eval, f_eval, c_eval):
-    """Closed-form reconstruction for scalar plants x' = a(y,u) x, y' = f + c(y) x.
-
-    Evaluates the single-fraction formula by nested quadrature:
-    exp(int a) times the quotient int p g / int g^2 with
-    g(tau) = int_0^tau c(y) exp(int_0^s a) ds and p = y - y(0) - int f.
-    """
-    grid = window.grid
-    y = window.y_samples[:, 0]
-    u = window.u_samples
-    a_s = np.array([a_eval(y[j], u[j]) for j in range(grid.count)])
-    f_s = np.array([f_eval(y[j], u[j]) for j in range(grid.count)])
-    c_s = np.array([c_eval(y[j]) for j in range(grid.count)])
-    int_a = cumulative_trapezoid(a_s, grid)
-    g = cumulative_trapezoid(c_s * np.exp(int_a), grid)
-    p = y - y[0] - cumulative_trapezoid(f_s, grid)
-    num = trapezoid(p * g, grid)
-    den = trapezoid(g * g, grid)
-    require_pivot(den, den, 1)
-    return float(np.exp(int_a[-1]) * num / den)

@@ -60,9 +60,6 @@ _VECTOR = ("a number or a list of numbers", lambda v: _NUMBER[1](v) or _LIST[1](
 _MATRIX = ("a list of lists of numbers of one length",
            lambda v: isinstance(v, list) and all(map(_LIST[1], v)) and len(set(map(len, v))) < 2)
 _STRING = ("a string", lambda v: isinstance(v, str))
-_SERIES = ("a non-empty list of numbers", lambda v: _LIST[1](v) and len(v) > 0)
-_COUNT = ("a whole number >= 1 or a non-empty list of numbers",
-          lambda v: _SERIES[1](v) or isinstance(v, float) and v >= 1 and v.is_integer())
 _LATER = ("", lambda v: True)  # checked by load_config
 
 # Each field's type, or the table of its nested section; in `system`, per kind besides `kind`
@@ -73,7 +70,7 @@ _FIELDS = {
                  "rel_threshold": _NUMBER, "on_degenerate": _STRING},
     "sensor": {f.name: _NUMBER for f in fields(SensorModel)},
     "input": {"kind": _STRING, "value": _VECTOR},
-    "sweep": {"mode": _STRING, "phases": _COUNT, "r_values": _SERIES},
+    "sweep": {"mode": _STRING, "phases": _VECTOR, "r_values": _LIST},
     "output_prefix": _STRING,
 }
 _SYSTEM_FIELDS = {
@@ -348,8 +345,8 @@ def cmd_sweep(cfg, prefix, mode):
         r_values = sweep_cfg.get("r_values")
         if r_values is None:
             raise ConfigError("missing field `sweep.r_values` for horizon sweeps")
-        values, omegas, errors = apps.horizon_sweep([window("sweep.r_values", r)
-                                                     for r in r_values])
+        values, omegas, errors = _built("sweep.r_values", apps.horizon_sweep,
+                                        [window("sweep.r_values", r) for r in r_values])
         max_err = float(np.max(errors))
         label = "r"
     else:

@@ -157,7 +157,3 @@ def make_lti(A, b, C, f):
                                       for a in (A, b, C, f)),
     )
 
-
-def scalar_oracle_spec():
-    """The canonical test system x' = 0, y' = x (n = k = 1)."""
-    return make_lti(np.zeros((1, 1)), np.zeros(1), np.ones((1, 1)), np.zeros(1))

@@ -44,7 +44,9 @@ from .errors import (DimensionMismatch, DomainExit, GramDegenerate, InvalidValue
                      NotPositiveDefinite)
 from .model import check_point_evaluators, point_rate
 from .numerics import DEFAULT_REL_THRESHOLD, Grid, all_finite, rk4_step, window_grid
-from .window import IoWindow, apply_P, end_state, flow_window
+# compute_window is looked up on its module, where perfbench/spans.py times it
+from . import window as _window
+from .window import IoWindow, apply_P, end_state
 
 FULL = "full"
 REDUCED = "reduced"
@@ -294,7 +296,7 @@ def run_observer(spec, config, trace, z0, w0=None):
     through the trace from ``observer_init``.  Full mode does exactly that,
     node by node.  Reduced mode works one reset window at a time, without the
     history buffer: resets fire at the nodes i*M (M = r/h), each reset window
-    is the trace slice [j - M, j], and one ``window.flow_window`` per window
+    is the trace slice [j - M, j], and one ``window.compute_window`` per window
     gives the flow z_j = Phi_j z_a + theta_j from the window start a and,
     through ``window.end_state``, the reset.  The flowed nodes of a window
     are checked with ``spec.in_domain`` in order, and a NonFiniteState from
@@ -332,7 +334,8 @@ def run_observer(spec, config, trace, z0, w0=None):
             b = min(a + M, count - 1)
             window = IoWindow(grid=Grid(0.0, config.h, b - a + 1),
                               y_samples=y[a:b + 1], u_samples=u[a:b + 1])
-            flow, wc = _at_trace_nodes(a, flow_window, spec, window, z[a])
+            wc = _at_trace_nodes(a, _window.compute_window, spec, window)
+            flow = wc.phi @ z[a] + wc.theta  # z' = A z + b is the window's Phi/theta ODE
             z[a + 1:b + 1] = flow[1:]
             bad = np.flatnonzero(~np.isfinite(flow[1:]).all(axis=1))
             end = a + 1 + int(bad[0]) if bad.size else b

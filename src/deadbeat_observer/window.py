@@ -206,17 +206,6 @@ def apply_P(spec, window, rel_threshold=DEFAULT_REL_THRESHOLD):
     return end_state(compute_window(spec, window), rel_threshold)
 
 
-def flow_window(spec, window, z0):
-    """Reduced-order flow z' = A(y, u) z + b(y, u) over the window from z0.
-
-    This is the window's Phi/theta ODE, so the flow is z_j = Phi_j z0 + theta_j
-    at every node.  Returns the (count, n) flow and the WindowComputation,
-    from which ``end_state`` gives the reset at the window's end.
-    """
-    wc = compute_window(spec, window)
-    return wc.phi @ z0 + wc.theta, wc
-
-
 def observability_certificate(gs, rel_threshold=DEFAULT_REL_THRESHOLD):
     """Strong-distinguishability verdict on the window.
 
@@ -336,12 +325,3 @@ def indistinguishing_input(ex, x0, y0, grid):
     u = drift - c2_along * np.exp(int_a2) * mix
     return u.reshape(-1, 1), y.reshape(-1, 1)
 
-
-def indistinguishable_partner(ex, x0, y0, xi1):
-    """The state sharing the output of (x0, y0) under the constructed input.
-
-    Any first component xi1 works; the second is pinned by the construction.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    ratio = ex.c1(float(y0)) / ex.c2(float(y0))
-    return np.array([xi1, x0[1] + ratio * (x0[0] - xi1)])

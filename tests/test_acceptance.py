@@ -14,7 +14,7 @@ import numpy as np
 
 from deadbeat_observer import applications as apps
 from deadbeat_observer.cli import EXIT_OK, main as cli_main
-from deadbeat_observer.model import make_lti, scalar_oracle_spec
+from deadbeat_observer.model import make_lti
 from deadbeat_observer.numerics import trapezoid
 from deadbeat_observer.observer import FULL, ObserverConfig, run_observer
 from deadbeat_observer.plant import SimConfig, simulate_plant
@@ -28,6 +28,8 @@ from deadbeat_observer.window import (
     observability_certificate,
     reconstruct_initial,
 )
+
+from oracles import indistinguishable_partner, reactor_gains, scalar_observer_P, scalar_oracle_spec
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -211,7 +213,6 @@ def test_criterion_6_indistinguishing_counterexample():
     degenerate = (isinstance(observability_certificate(gs), Degenerate)
                   and eigvals[0] <= 1e-8 * np.trace(gs.Q))
 
-    from deadbeat_observer.window import indistinguishable_partner
     partner = indistinguishable_partner(ex, x0, y0, xi1=1.2)
     trace_b = simulate_plant(spec, signal,
                              SimConfig(t_end=1.0, h=5e-4, x0=partner, y0=[y0]))
@@ -252,7 +253,7 @@ def test_criterion_7_closed_form_cross_validation():
         y0 = [float(rng.uniform(306.0, 330.0))]
         trace = simulate_plant(spec, None, SimConfig(t_end=r, h=r / 2000.0, x0=x0, y0=y0))
         window = IoWindow(grid=trace.grid, y_samples=trace.y_meas, u_samples=trace.u)
-        gains = apps.reactor_gains(trace.y_meas[:, 0], p, trace.grid)
+        gains = reactor_gains(trace.y_meas[:, 0], p, trace.grid)
         worst = max(worst, rel(gains.state_estimate, apply_P(spec, window)))
 
     # scalar plant: single-fraction formula vs generic reconstruction
@@ -273,7 +274,7 @@ def test_criterion_7_closed_form_cross_validation():
                                          y0=[rng.uniform(-0.5, 0.5)]))
         window = IoWindow(grid=trace.grid, y_samples=trace.y_meas,
                           u_samples=trace.u)
-        z = apps.scalar_observer_P(
+        z = scalar_observer_P(
             window,
             a_eval=lambda y, u: a0,
             f_eval=lambda y, u: f0 + g * float(np.atleast_1d(u)[0]),

@@ -13,8 +13,10 @@ from deadbeat_observer.errors import (
     NotPositiveDefinite,
 )
 from deadbeat_observer.numerics import MAX_NODES, Grid
-from deadbeat_observer.plant import SimConfig, simulate_plant
+from deadbeat_observer.plant import SensorModel, SimConfig, simulate_plant
 from deadbeat_observer.window import IoWindow, apply_P
+
+from oracles import reactor_gains, scalar_observer_P
 
 
 def lumped_reactor_params(k2=0.3):
@@ -186,7 +188,7 @@ def test_reactor_gains_matches_generic_reconstruction():
     p = apps.canonical_reactor_params()
     r = 1.0 / 3.0
     spec, trace, window = reactor_window(p, [0.8, 0.5], 315.0, r, r / 2000.0)
-    gains = apps.reactor_gains(trace.y_meas[:, 0], p, trace.grid)
+    gains = reactor_gains(trace.y_meas[:, 0], p, trace.grid)
     z_generic = apply_P(spec, window)
     assert np.max(np.abs(gains.state_estimate - z_generic)) < 1e-6
     assert np.max(np.abs(gains.state_estimate - trace.x_true[-1])) < 1e-4
@@ -199,11 +201,11 @@ def test_reactor_gains_validation():
     p = apps.canonical_reactor_params()
     grid = Grid.from_span(0.0, 1.0, 0.1)
     with pytest.raises(DimensionMismatch):
-        apps.reactor_gains(np.full(5, 315.0), p, grid)
+        reactor_gains(np.full(5, 315.0), p, grid)
     T = np.full(grid.count, 315.0)
     T[4:] = 299.0
     with pytest.raises(DomainExit) as left:
-        apps.reactor_gains(T, p, grid)
+        reactor_gains(T, p, grid)
     assert left.value.index == 4
 
 
@@ -213,6 +215,7 @@ def test_frequency_scenario_defaults():
     x0, y0 = scn.initial_state()
     assert np.allclose(x0, [6.0, -9.0])
     assert y0[0] == 0.0
+    assert apps.FrequencyScenario(noise_amplitude=0.2).sensor() == SensorModel(0.2)
     with pytest.raises(ValueError):
         apps.FrequencyScenario(omega=-1.0)
     with pytest.raises(ValueError):
@@ -260,15 +263,14 @@ def test_freq_closed_form_singular_window():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_freq_domain_excludes_only_the_origin():
-    for relaxed in (False, True):
-        spec = apps.freq_spec(relaxed_domain=relaxed)
-        assert not spec.in_domain(np.array([0.0, -1.0]), np.array([-0.0]))
-        assert spec.in_domain(np.array([1e-200, -1.0]), np.array([0.0]))  # squares underflow
-        assert spec.in_domain(np.array([0.0, -1.0]), np.array([1e-200]))
-        assert spec.in_domain(np.array([1e300, -1.0]), np.array([1e300]))  # squares overflow
-        assert spec.in_domain(np.array([np.nan, -1.0]), np.array([np.nan]))
-        assert spec.in_domain(np.array([0.0, 1.0]), np.array([2.0])) == relaxed
-        assert spec.in_domain(np.array([0.0, np.nan]), np.array([2.0])) == relaxed
+    spec = apps.freq_spec()
+    assert not spec.in_domain(np.array([0.0, -1.0]), np.array([-0.0]))
+    assert spec.in_domain(np.array([1e-200, -1.0]), np.array([0.0]))  # squares underflow
+    assert spec.in_domain(np.array([0.0, -1.0]), np.array([1e-200]))
+    assert spec.in_domain(np.array([1e300, -1.0]), np.array([1e300]))  # squares overflow
+    assert spec.in_domain(np.array([np.nan, -1.0]), np.array([np.nan]))
+    assert not spec.in_domain(np.array([0.0, 1.0]), np.array([2.0]))
+    assert not spec.in_domain(np.array([0.0, np.nan]), np.array([2.0]))
 
 
 def test_omega_hat_readout():
@@ -366,7 +368,7 @@ def test_scalar_observer_matches_generic_reconstruction():
     trace = simulate_plant(spec, lambda t: u,
                            SimConfig(t_end=1.0, h=5e-4, x0=[1.4], y0=[0.2]))
     window = IoWindow(grid=trace.grid, y_samples=trace.y_meas, u_samples=trace.u)
-    z_closed = apps.scalar_observer_P(
+    z_closed = scalar_observer_P(
         window,
         a_eval=lambda y, u: a0,
         f_eval=lambda y, u: f0 + float(np.atleast_1d(u)[0]),
@@ -382,6 +384,6 @@ def test_scalar_observer_singular_kernel():
     window = IoWindow(grid=grid, y_samples=np.zeros((grid.count, 1)),
                       u_samples=np.zeros((grid.count, 1)))
     with pytest.raises(NotPositiveDefinite):
-        apps.scalar_observer_P(window, a_eval=lambda y, u: 0.0,
-                               f_eval=lambda y, u: 0.0,
-                               c_eval=lambda y: 0.0)
+        scalar_observer_P(window, a_eval=lambda y, u: 0.0,
+                          f_eval=lambda y, u: 0.0,
+                          c_eval=lambda y: 0.0)

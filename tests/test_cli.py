@@ -711,15 +711,17 @@ def set_path(path, value):
 
 @pytest.mark.parametrize("name, command, path, value, message", [
     ("figure1", "sweep", "sweep.phases", [[1.0]],
-     "`sweep.phases` must be a whole number >= 1 or a non-empty list of numbers"),
+     "`sweep.phases` must be a number or a list of numbers"),
     ("figure1", "sweep", "sweep.phases", 0.0,
-     "`sweep.phases` must be a whole number >= 1 or a non-empty list of numbers"),
+     "`sweep.phases`: a phase count must be a whole number >= 1, got 0.0"),
     ("figure1", "sweep", "sweep.phases", -1.0,
-     "`sweep.phases` must be a whole number >= 1 or a non-empty list of numbers"),
+     "`sweep.phases`: a phase count must be a whole number >= 1, got -1.0"),
     ("figure1", "sweep", "sweep.phases", 1.5,
-     "`sweep.phases` must be a whole number >= 1 or a non-empty list of numbers"),
+     "`sweep.phases`: a phase count must be a whole number >= 1, got 1.5"),
+    ("figure1", "sweep", "sweep.phases", [],
+     "`sweep.phases`: a phase sweep needs at least one phase"),
     ("figure4", "sweep", "sweep.r_values", [],
-     "`sweep.r_values` must be a non-empty list of numbers"),
+     "`sweep.r_values`: a horizon sweep needs at least one scenario"),
     ("figure4", "sweep", "sweep.r_values", [-1.0],
      "`sweep.r_values`: amplitude, omega and r must be positive"),
     ("scalar_oracle", "simulate", "sim.h", True, "`sim.h` must be a number"),
@@ -752,9 +754,9 @@ def set_path(path, value):
      "`sweep.r_values`: window length r=1.0005 must be an integer multiple (>= 2) of h=0.001"),
     ("figure1", "sweep", "sim.h", 1.0,
      "`observer`: window length r=1.0 must be an integer multiple (>= 2) of h=1.0"),
-], ids=["phases-nested", "phases-zero", "phases-negative", "phases-fraction", "r_values-empty",
-        "r_values-negative", "h-true", "a0-string", "z0-object", "input-nested", "omega-list",
-        "k1-null", "t_end-multiple", "scenario-h-sweep", "scenario-h-simulate",
+], ids=["phases-nested", "phases-zero", "phases-negative", "phases-fraction", "phases-empty",
+        "r_values-empty", "r_values-negative", "h-true", "a0-string", "z0-object", "input-nested",
+        "omega-list", "k1-null", "t_end-multiple", "scenario-h-sweep", "scenario-h-simulate",
         "t_end-unindexable", "phases-unindexable", "t_end-unallocatable", "h-inf-nodes",
         "r-oversized", "r_values-multiple", "sweep-one-step"])
 def test_config_value_of_the_wrong_type_or_range_is_a_config_error(tmp_path, capsys, name,

@@ -12,9 +12,10 @@ from deadbeat_observer.model import (
     make_lti,
     point_rate,
     sampled_input,
-    scalar_oracle_spec,
 )
 from deadbeat_observer.numerics import Grid
+
+from oracles import scalar_oracle_spec
 
 
 def test_eval_rhs_frequency_system():
@@ -52,7 +53,7 @@ def test_eval_rhs_domain_violation():
 
 def test_eval_rhs_linear_in_x():
     rng = np.random.default_rng(3)
-    spec = apps.freq_spec(relaxed_domain=True)
+    spec = apps.freq_spec()
     y = np.array([1.3])
     u = np.zeros(1)
 

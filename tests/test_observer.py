@@ -14,7 +14,7 @@ from deadbeat_observer.errors import (
     InvalidValue,
     NonFiniteState,
 )
-from deadbeat_observer.model import SystemSpec, make_lti, scalar_oracle_spec
+from deadbeat_observer.model import SystemSpec, make_lti
 from deadbeat_observer.observer import (
     FAIL,
     FULL,
@@ -25,6 +25,8 @@ from deadbeat_observer.observer import (
     run_observer,
 )
 from deadbeat_observer.plant import SimConfig, Trace, simulate_plant
+
+from oracles import scalar_oracle_spec
 
 
 def test_config_validation():

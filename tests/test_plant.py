@@ -10,7 +10,6 @@ from deadbeat_observer.model import (
     SystemSpec,
     make_lti,
     sampled_input,
-    scalar_oracle_spec,
 )
 from deadbeat_observer.numerics import Grid, integrate_rk4
 from deadbeat_observer.plant import (
@@ -21,6 +20,8 @@ from deadbeat_observer.plant import (
     simulate_plant,
 )
 from deadbeat_observer.window import indistinguishing_input
+
+from oracles import scalar_oracle_spec
 
 
 def test_simulate_scalar_oracle():
@@ -120,7 +121,7 @@ def test_input_width_must_match_the_spec():
                                     ([[1.0, -4.0]] * 2, [[2.0]] * 2)],
                          ids=["x0 short", "y0 empty", "2-D states"])
 def test_initial_state_widths_must_match_the_spec(x0, y0):
-    good = apps.freq_spec(relaxed_domain=True)  # n = 2, k = 1
+    good = apps.freq_spec()  # n = 2, k = 1
     calls = []
 
     def in_domain(x, y):

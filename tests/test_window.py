@@ -12,7 +12,7 @@ from deadbeat_observer.errors import (
     NonFiniteState,
     NotPositiveDefinite,
 )
-from deadbeat_observer.model import make_lti, scalar_oracle_spec
+from deadbeat_observer.model import make_lti
 from deadbeat_observer.numerics import Grid, cumulative_trapezoid
 from deadbeat_observer.plant import SimConfig, simulate_plant
 from deadbeat_observer.window import (
@@ -25,11 +25,12 @@ from deadbeat_observer.window import (
     compute_window,
     determinant_condition,
     gram,
-    indistinguishable_partner,
     indistinguishing_input,
     observability_certificate,
     reconstruct_initial,
 )
+
+from oracles import indistinguishable_partner, scalar_oracle_spec
 
 
 def scalar_window(r=1.0, h=1e-3, x0=2.0, y0=0.0):
@@ -210,7 +211,7 @@ def test_window_takes_one_dimensional_samples_as_one_channel():
     grid, y, u = sinusoid_window()
     flat = IoWindow(grid=grid, y_samples=y[:, 0], u_samples=u[:, 0])
     assert flat.y_samples.shape == flat.u_samples.shape == (101, 1)
-    spec = apps.freq_spec(True)
+    spec = apps.freq_spec()
     assert np.array_equal(apply_P(spec, flat),
                           apply_P(spec, IoWindow(grid=grid, y_samples=y, u_samples=u)))
 
@@ -224,7 +225,7 @@ def test_window_of_the_wrong_widths_is_a_dimension_mismatch(widths):
     window = IoWindow(grid=grid, y_samples=np.repeat(y, k, axis=1),
                       u_samples=np.repeat(u, m, axis=1))
     with pytest.raises(DimensionMismatch, match="k = 1 and m = 1"):
-        apply_P(apps.freq_spec(True), window)
+        apply_P(apps.freq_spec(), window)
 
 
 def test_compute_window_initial_node():
