@@ -280,6 +280,42 @@ def freq_spec():
     )
 
 
+def _closed_form_rows(rows, grid):
+    """Closed-form window reconstructions (z1, z2), one per output row on ``grid``.
+
+    ``rows`` gives the (count,) output samples of one window at a time.  The
+    unit-window grid and its times are built once per call; each row is then
+    reconstructed on arrays of its own length, so a sweep's working arrays
+    stay a few times the size of one row whatever its phase count.  A row
+    raises NonFiniteState at its first non-finite sample or
+    NotPositiveDefinite through ``require_pivot`` before the next row is
+    taken, as a loop over the windows would.  See ``freq_closed_form`` for
+    the formula.
+    """
+    r = grid.span
+    unit = Grid(0.0, grid.h / r, grid.count)
+    t = unit.times()
+    for y in rows:
+        s = float(np.max(np.abs(y)))  # non-finite just when a sample is
+        if not math.isfinite(s):
+            bad = np.flatnonzero(~np.isfinite(y))[0]
+            raise NonFiniteState(int(bad), f"non-finite output sample at window node {bad}")
+        s = s or 1.0
+        y = y / s
+        Y = cumulative_trapezoid(y, unit)
+        phi = cumulative_trapezoid(Y, unit)
+        dy = y - y[0]
+        I_pp = trapezoid(phi * phi, unit)
+        I_tp = trapezoid(t * phi, unit)
+        I_yt = trapezoid(dy * t, unit)
+        I_yp = trapezoid(dy * phi, unit)
+        den = I_pp - 3.0 * I_tp ** 2  # second Cholesky pivot of [[1/3, I_tp], [I_tp, I_pp]]
+        require_pivot(min(den, 1.0 / 3.0), 1.0 / 3.0 + I_pp, 2)
+        z2 = (I_yp - 3.0 * I_tp * I_yt) / den
+        z1 = (3.0 * (I_pp - Y[-1] * I_tp) * I_yt + (Y[-1] - 3.0 * I_tp) * I_yp) / den
+        yield float(z1) * s / r, float(z2) / r / r
+
+
 def freq_closed_form(window):
     """Closed-form window reconstruction (z1, z2) for the frequency plant.
 
@@ -290,26 +326,7 @@ def freq_closed_form(window):
     back by s/r and z2 by 1/r^2.  A non-finite sample raises NonFiniteState
     at its window node.
     """
-    y = window.y_samples[:, 0]
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise NonFiniteState(int(bad[0]), f"non-finite output sample at window node {bad[0]}")
-    s = float(np.max(np.abs(y))) or 1.0
-    y = y / s
-    r = window.grid.span
-    grid = Grid(0.0, window.grid.h / r, window.grid.count)
-    t = grid.times()
-    Y = cumulative_trapezoid(y, grid)
-    phi = cumulative_trapezoid(Y, grid)
-    I_pp = trapezoid(phi * phi, grid)
-    I_tp = trapezoid(t * phi, grid)
-    I_yt = trapezoid((y - y[0]) * t, grid)
-    I_yp = trapezoid((y - y[0]) * phi, grid)
-    den = I_pp - 3.0 * I_tp ** 2  # second Cholesky pivot of [[1/3, I_tp], [I_tp, I_pp]]
-    require_pivot(min(den, 1.0 / 3.0), 1.0 / 3.0 + I_pp, 2)
-    z2 = (I_yp - 3.0 * I_tp * I_yt) / den
-    z1 = (3.0 * (I_pp - Y[-1] * I_tp) * I_yt + (Y[-1] - 3.0 * I_tp) * I_yp) / den
-    return float(z1) * s / r, float(z2) / r / r
+    return next(_closed_form_rows([window.y_samples[:, 0]], window.grid))
 
 
 def omega_hat(z2):
@@ -319,27 +336,41 @@ def omega_hat(z2):
     return float(np.sqrt(-z2))
 
 
-PHASE_BLOCK = 256  # phase windows that phase_sweep builds at a time
+def _sweep_basis(scn):
+    """What every phase of a sweep shares: t, sin(w t), cos(w t) and the sensor's noise."""
+    t = scn.grid.times()
+    with np.errstate(over="ignore", invalid="ignore"):
+        wt = scn.omega * t
+        return t, np.sin(wt), np.cos(wt), scn.sensor().noise(t)
+
+
+def _measured_rows(scn, basis, phases):
+    """The measured samples of the scenario's signal, one (nodes,) row per phase.
+
+    Each row is the exact sinusoid A sin(w t + phase) on the scenario's grid,
+    expanded as A (cos(phase) sin(w t) + sin(phase) cos(w t)) so that the
+    phase enters as the plant's initial state does, plus the sensor's noise
+    as ``SensorModel.measure`` adds it.  Rows are made one at a time, when
+    taken.  No numpy warning is raised: a sample that overflows is
+    non-finite, and the closed form rejects its window.
+    """
+    t, sin_wt, cos_wt, noise = basis
+    phases = np.asarray(phases, dtype=float)
+    for c, s in zip(np.cos(phases).tolist(), np.sin(phases).tolist()):
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = c * sin_wt
+            y += s * cos_wt
+            y *= scn.amplitude
+            if noise is not None:
+                y += noise
+        yield y
 
 
 def _windows_from_scenario(scn, phases):
-    """The measured window [0, r] of the scenario's signal for each phase.
-
-    Each is the exact sinusoid A sin(w t + phase) on the scenario's grid,
-    expanded as A (cos(phase) sin(w t) + sin(phase) cos(w t)) so that the
-    phase enters as the plant's initial state does, and read through the
-    scenario's sensor.  No numpy warning is raised: a sample that overflows
-    is non-finite, and ``freq_closed_form`` rejects its window.
-    """
-    grid = scn.grid
-    t = grid.times()
-    phases = np.asarray(phases, dtype=float)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        wt = scn.omega * t
-        y = scn.amplitude * (np.cos(phases) * np.sin(wt) + np.sin(phases) * np.cos(wt))
-        y = scn.sensor().measure(y[:, :, None], t)
-    u = np.zeros((grid.count, 1))
-    return [IoWindow(grid=grid, y_samples=row, u_samples=u) for row in y]
+    """The measured window [0, r] of the scenario's signal for each phase."""
+    u = np.zeros((scn.grid.count, 1))
+    return [IoWindow(grid=scn.grid, y_samples=y[:, None], u_samples=u)
+            for y in _measured_rows(scn, _sweep_basis(scn), phases)]
 
 
 def estimate_frequency(scn):
@@ -349,14 +380,12 @@ def estimate_frequency(scn):
     return omega_hat(z2)
 
 
-def phase_sweep(scn, phases=None):
-    """Relative frequency-estimation error as a function of the signal phase.
+def sweep_phases(phases=None):
+    """The phases of a phase sweep, as a float array: the one rule of ``sweep.phases``.
 
     ``phases`` lists the phases, or counts them evenly spaced on [0, 2 pi] (64
-    when None); no phases, or a count that is not a whole number >= 1, raise InvalidValue.
-    Returns (phases, omega_hats, rel_errors, max_rel_error), one window each.  The
-    windows are built PHASE_BLOCK phases at a time, so that memory grows with the
-    phase count only by the results.
+    when None).  No phases, or a count that is not a whole number >= 1 or is
+    above MAX_NODES, raise InvalidValue before any array is made.
     """
     if phases is None or np.ndim(phases) == 0:
         count = 64 if phases is None else phases
@@ -364,14 +393,35 @@ def phase_sweep(scn, phases=None):
         if not (count >= 1 and float(count).is_integer()):
             raise InvalidValue(f"a phase count must be a whole number >= 1, got {count}")
         phases = np.linspace(0.0, 2.0 * np.pi, int(count))
-    phi_grid = np.asarray(phases, dtype=float)
-    if phi_grid.size == 0:
+    phases = np.asarray(phases, dtype=float)
+    if phases.size == 0:
         raise InvalidValue("a phase sweep needs at least one phase")
-    blocks = (_windows_from_scenario(scn, phi_grid[i:i + PHASE_BLOCK])
-              for i in range(0, len(phi_grid), PHASE_BLOCK))
-    omegas = np.array([omega_hat(freq_closed_form(w)[1]) for windows in blocks for w in windows])
+    return phases
+
+
+def phase_sweep(scn, phases=None):
+    """Relative frequency-estimation error as a function of the signal phase.
+
+    ``phases`` is read by ``sweep_phases``.  Returns (phases, omega_hats,
+    rel_errors, max_rel_error), one window each.  The signal's basis and the
+    sensor's noise are made once per sweep; each phase's row is then made
+    and reconstructed before the next, so that memory grows with the phase
+    count only by the results.  The first failing phase in phase order
+    raises what ``freq_closed_form`` or ``omega_hat`` would raise for its
+    window alone.
+    """
+    phi_grid = sweep_phases(phases)
+    rows = _measured_rows(scn, _sweep_basis(scn), phi_grid)
+    omegas = np.array([omega_hat(z2) for _, z2 in _closed_form_rows(rows, scn.grid)])
     errors = np.abs(omegas - scn.omega) / scn.omega
     return phi_grid, omegas, errors, float(np.max(errors))
+
+
+def horizon_scenarios(scenarios):
+    """``scenarios``, checked by the one rule of ``sweep.r_values``: InvalidValue when empty."""
+    if not scenarios:
+        raise InvalidValue("a horizon sweep needs at least one scenario")
+    return scenarios
 
 
 def horizon_sweep(scenarios):
@@ -380,8 +430,7 @@ def horizon_sweep(scenarios):
     ``scenarios`` are one signal over several window lengths, each ``replace(scn, r=r, h=h)``
     at one step h, or at r/2000 with h None.  Returns (r_values, omega_hats, rel_errors).
     """
-    if not scenarios:
-        raise InvalidValue("a horizon sweep needs at least one scenario")
+    scenarios = horizon_scenarios(scenarios)
     omegas = np.array([estimate_frequency(scn) for scn in scenarios])
     omega = scenarios[0].omega
     return np.array([scn.r for scn in scenarios]), omegas, np.abs(omegas - omega) / omega

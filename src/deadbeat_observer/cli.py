@@ -336,21 +336,26 @@ def cmd_sweep(cfg, prefix, mode):
 
     sweep_cfg = cfg.get("sweep", {})
     mode = mode or sweep_cfg.get("mode", "phase")
+    r_values = sweep_cfg.get("r_values")
     if mode == "phase":
         r = cfg.get("observer", {}).get("r", scn.r)  # the scenario's own r = 1 without one
-        values, omegas, errors, max_err = _built("sweep.phases", apps.phase_sweep,
-                                                 window("observer", r), sweep_cfg.get("phases"))
+        phase_window = window("observer", r)
+    elif mode != "horizon":
+        raise ConfigError(f"unknown sweep mode {mode!r}")
+    elif r_values is None:
+        raise ConfigError("missing field `sweep.r_values` for horizon sweeps")
+    # each sweep field present obeys its sweep's rule, whichever sweep runs
+    phases = _built("sweep.phases", apps.sweep_phases, sweep_cfg.get("phases"))
+    if r_values is not None:
+        scenarios = _built("sweep.r_values", apps.horizon_scenarios,
+                           [window("sweep.r_values", r) for r in r_values])
+    if mode == "phase":
+        values, omegas, errors, max_err = apps.phase_sweep(phase_window, phases)
         label = "phase"
-    elif mode == "horizon":
-        r_values = sweep_cfg.get("r_values")
-        if r_values is None:
-            raise ConfigError("missing field `sweep.r_values` for horizon sweeps")
-        values, omegas, errors = _built("sweep.r_values", apps.horizon_sweep,
-                                        [window("sweep.r_values", r) for r in r_values])
+    else:
+        values, omegas, errors = apps.horizon_sweep(scenarios)
         max_err = float(np.max(errors))
         label = "r"
-    else:
-        raise ConfigError(f"unknown sweep mode {mode!r}")
 
     write_csv(f"{prefix}_sweep.csv", [label, "omega_hat", "rel_error"], [values, omegas, errors])
     write_json(f"{prefix}_sweep_summary.json", {

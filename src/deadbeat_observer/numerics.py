@@ -137,7 +137,10 @@ def trapezoid(samples, grid):
         raise DimensionMismatch(
             f"got {samples.shape[0]} samples for a {grid.count}-node grid"
         )
-    total = (grid.h * (samples[1:] + samples[:-1]) / 2.0).sum(axis=0)
+    mid = samples[1:] + samples[:-1]  # h (a + b) / 2 in place, the same bits
+    mid *= grid.h
+    mid /= 2.0
+    total = mid.sum(axis=0)
     return float(total) if samples.ndim == 1 else total
 
 
@@ -148,8 +151,11 @@ def cumulative_trapezoid(samples, grid):
         raise DimensionMismatch(
             f"got {samples.shape[0]} samples for a {grid.count}-node grid"
         )
-    out = np.zeros_like(samples)
-    out[1:] = np.cumsum(0.5 * grid.h * (samples[1:] + samples[:-1]), axis=0)
+    mid = samples[1:] + samples[:-1]  # 0.5 h (a + b) in place, the same bits
+    mid *= 0.5 * grid.h
+    out = np.empty_like(samples)
+    out[0] = 0.0
+    np.cumsum(mid, axis=0, out=out[1:])
     return out
 
 

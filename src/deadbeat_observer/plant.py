@@ -41,6 +41,12 @@ class SensorModel:
         if self.amplitude > 0 and self.frequency <= 0:
             raise InvalidValue("noise frequency must be > 0")
 
+    def noise(self, t):
+        """The noise this sensor adds at the node times ``t``; None for a clean sensor."""
+        if self.amplitude == 0.0:
+            return None
+        return self.amplitude * np.sin(self.frequency * t)
+
     def measure(self, y_true, t):
         """``y_true`` as this sensor reads it at the node times ``t``.
 
@@ -49,9 +55,10 @@ class SensorModel:
         sweep phase, say) gets the same per-node noise on every channel.  A
         clean sensor returns a copy.
         """
-        if self.amplitude == 0.0:
+        noise = self.noise(t)
+        if noise is None:
             return y_true.copy()
-        return y_true + (self.amplitude * np.sin(self.frequency * t))[:, None]
+        return y_true + noise[:, None]
 
 
 @dataclass(frozen=True)

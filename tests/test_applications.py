@@ -5,6 +5,7 @@ import pytest
 
 from deadbeat_observer import applications as apps
 from deadbeat_observer.errors import (
+    DeadbeatError,
     DimensionMismatch,
     DomainExit,
     HypothesisFails,
@@ -308,14 +309,56 @@ def test_phase_sweep_matches_per_phase_loop():
 
 
 def test_phase_sweep_in_blocks_matches_one_sweep_per_phase():
-    # two full blocks and three phases more; each phase swept alone gives the same estimate
+    # a sweep of many phases; each phase swept alone gives the same estimate
     scn = apps.FrequencyScenario(amplitude=2.0, omega=3.0, noise_amplitude=0.2,
                                  noise_frequency=10.0, r=1.0, h=1e-2)
-    phases = np.linspace(0.0, 2.0 * np.pi, 2 * apps.PHASE_BLOCK + 3)
+    phases = np.linspace(0.0, 2.0 * np.pi, 67)
     _, omegas, errors, _ = apps.phase_sweep(scn, phases)
     ref = [apps.phase_sweep(scn, [ph]) for ph in phases]
     assert np.array_equal(omegas, [omega for _, (omega,), _, _ in ref])
     assert np.array_equal(errors, [error for _, _, (error,), _ in ref])
+
+
+def closed_form_of_each_window(scn, phases):
+    """The ω̂ of each phase's window alone, or the (type, message) of the first error."""
+    try:
+        return [apps.omega_hat(apps.freq_closed_form(w)[1])
+                for w in apps._windows_from_scenario(scn, phases)]
+    except DeadbeatError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("h", [5e-4, 1e-4], ids=["2001-nodes", "10001-nodes"])
+@pytest.mark.parametrize("noise", [0.0, 0.2], ids=["clean", "noisy"])
+def test_phase_sweep_matches_the_closed_form_of_each_window(h, noise):
+    # short sweeps of 1 to 9 phases, and a full sweep
+    scn = apps.FrequencyScenario(amplitude=2.0, omega=3.0, noise_amplitude=noise,
+                                 noise_frequency=10.0, r=1.0, h=h)
+    rng = np.random.default_rng(29)
+    for count in (1, 2, 3, 4, 5, 8, 9, 64):
+        phases = rng.uniform(0.0, 2.0 * np.pi, count)
+        _, omegas, _, _ = apps.phase_sweep(scn, phases)
+        assert np.array_equal(omegas, closed_form_of_each_window(scn, phases)), count
+
+
+# A signal and a noise both near the largest float: phase k pi/20 overflows at
+# window node 1961 (k = 25), 1590 (k = 30) or 1136 (k = 0), gives z2 >= 0 for
+# k = 13 to 16, and an estimate for k = 1 to 12.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("ks", [(25, 30), (30, 25), (5, 25), (5, 13, 30), (30, 13),
+                                (1, 2, 3, 4, 0, 13), (1, 2, 3, 4, 5, 6, 7, 8, 13, 0)],
+                         ids=["two-overflows", "two-overflows-reversed", "overflow-after-good",
+                              "z2-before-overflow", "overflow-before-z2", "fifth-phase",
+                              "ninth-phase"])
+def test_phase_sweep_raises_what_the_first_failing_window_raises(ks):
+    scn = apps.FrequencyScenario(amplitude=1e308, omega=3.0, noise_amplitude=1.5e308,
+                                 noise_frequency=1.0, r=1.0, h=5e-4)
+    phases = [k * np.pi / 20 for k in ks]
+    expected = closed_form_of_each_window(scn, phases)
+    assert isinstance(expected, tuple)
+    with pytest.raises(expected[0]) as info:
+        apps.phase_sweep(scn, phases)
+    assert str(info.value) == expected[1]
 
 
 def test_phase_sweep_count_over_the_node_limit_is_rejected_before_any_array():

@@ -754,11 +754,16 @@ def set_path(path, value):
      "`sweep.r_values`: window length r=1.0005 must be an integer multiple (>= 2) of h=0.001"),
     ("figure1", "sweep", "sim.h", 1.0,
      "`observer`: window length r=1.0 must be an integer multiple (>= 2) of h=1.0"),
+    ("figure4", "sweep", "sweep.phases", 0.0,
+     "`sweep.phases`: a phase count must be a whole number >= 1, got 0.0"),
+    ("figure1", "sweep", "sweep.r_values", [],
+     "`sweep.r_values`: a horizon sweep needs at least one scenario"),
 ], ids=["phases-nested", "phases-zero", "phases-negative", "phases-fraction", "phases-empty",
         "r_values-empty", "r_values-negative", "h-true", "a0-string", "z0-object", "input-nested",
         "omega-list", "k1-null", "t_end-multiple", "scenario-h-sweep", "scenario-h-simulate",
         "t_end-unindexable", "phases-unindexable", "t_end-unallocatable", "h-inf-nodes",
-        "r-oversized", "r_values-multiple", "sweep-one-step"])
+        "r-oversized", "r_values-multiple", "sweep-one-step", "phases-in-horizon-mode",
+        "r_values-in-phase-mode"])
 def test_config_value_of_the_wrong_type_or_range_is_a_config_error(tmp_path, capsys, name,
                                                                    command, path, value, message):
     # a tuple of paths sets each to its own value

@@ -148,6 +148,15 @@ def test_corrupt_batched_trace_shares_noise():
     assert np.array_equal(noisy.x_true, trace.x_true)
 
 
+def test_sensor_noise_is_what_measure_adds():
+    t = Grid.from_span(0.0, 1.0, 0.01).times()
+    assert SensorModel().noise(t) is None
+    sensor = SensorModel(amplitude=0.2, frequency=10.0)
+    assert np.array_equal(sensor.noise(t), 0.2 * np.sin(10.0 * t))
+    y = np.array([2.0, -1.0])[:, None] * t  # one row per phase, as a sweep makes them
+    assert np.array_equal(sensor.measure(y[:, :, None], t)[:, :, 0], y + sensor.noise(t))
+
+
 def test_corrupt_additive_sinusoid():
     spec = scalar_oracle_spec()
     trace = simulate_plant(spec, None, SimConfig(t_end=1.0, h=0.01,
