@@ -5,7 +5,6 @@ from .errors import (
     DimensionMismatch,
     DomainExit,
     GramDegenerate,
-    HypothesisFails,
     KappaVanished,
     NonFiniteState,
     NonNegativeZ2,

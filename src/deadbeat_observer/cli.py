@@ -388,7 +388,8 @@ def cmd_observability(cfg, prefix):
     gs = gram(wc)
     verdict = observability_certificate(gs, obs_cfg.rel_threshold)
     eigvals = verdict.eigenvalues
-    cond = eigvals[-1] / eigvals[0] if eigvals[0] > 0 else np.inf
+    with np.errstate(over="ignore"):  # an overflow is inf, reported as null
+        cond = eigvals[-1] / eigvals[0] if eigvals[0] > 0 else np.inf
     report = {
         "system": kind,
         "r": r,

@@ -49,7 +49,3 @@ class GramDegenerate(DeadbeatError):
 
 class NonNegativeZ2(DeadbeatError):
     pass
-
-
-class HypothesisFails(DeadbeatError):
-    pass

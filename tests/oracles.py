@@ -6,6 +6,9 @@ derives closed forms for some of its examples; they live here, beside the
 tests that compare them with that construction (criterion 7 among them):
 
   * ``reactor_gains``: the batch reactor's kernel-quotient reconstruction;
+  * ``check_hypothesis`` and ``min_window_reactor``: the paper's sufficient
+    margin condition for the reactor, for a given margin a > 0, and the
+    window r = (Tmax - Tmin)/a it guarantees;
   * ``scalar_observer_P``: the single-fraction formula of scalar plants;
   * ``scalar_oracle_spec``: the canonical scalar test system;
   * ``indistinguishable_partner``: the state that example 2.6's constructed
@@ -69,6 +72,77 @@ def reactor_gains(T_window, p, grid):
     ])
     return ReactorGains(G=G, phi1=phi1, phi2=phi2, Phi_r=Phi_r,
                         state_estimate=Phi_r @ G)
+
+
+class HypothesisFails(Exception):
+    """The margin hypothesis fails, so ``min_window_reactor`` has no window."""
+
+
+@dataclass(frozen=True)
+class HypothesisHolds:
+    margin: float
+    gated_points: int
+
+
+@dataclass(frozen=True)
+class HypothesisFailsAt:
+    worst_T: float
+    worst_value: float
+
+
+def _margin_expression(p, T):
+    """Drift of the temperature along a hypothetical indistinguishable trajectory."""
+    bracket = (p.J1 + p.J2) * p.k2 - p.J1 * p.k1 * np.exp((p.E2 - p.E1) / T)
+    return T * T / ((p.E2 - p.E1) * p.J1) * np.exp(-p.E2 / T) * bracket
+
+
+def check_hypothesis(p, a, which="A1"):
+    """Observability-margin hypothesis check, for a margin a > 0 (K/s), inside a
+    10001-point grid on [Tmin, Tmax].
+
+    For equal activation temperatures the condition is algebraic:
+    (J1 + J2) k2 != J1 k1.  Otherwise the drift expression is scanned over
+    temperatures where the gating inequality fires: the signed drift (-drift
+    for "A1", drift for "A2") must be >= a there.  The margin is its minimum
+    over the gated set, or min |drift| over the whole grid when no point is
+    gated; then no indistinguishable trajectory exists at all and both
+    labels hold with the same margin.
+    """
+    if which not in ("A1", "A2"):
+        raise ValueError(f"which must be 'A1' or 'A2', got {which!r}")
+    if p.E1 == p.E2:
+        gap = abs((p.J1 + p.J2) * p.k2 - p.J1 * p.k1)
+        ref = max((p.J1 + p.J2) * p.k2, p.J1 * p.k1)
+        if gap <= 1e-12 * ref:
+            return HypothesisFailsAt(worst_T=p.Tmin, worst_value=0.0)
+        return HypothesisHolds(margin=gap, gated_points=0)
+    T_grid = np.linspace(p.Tmin, p.Tmax, 10001)[1:-1]
+    drift = _margin_expression(p, T_grid)
+    gated = drift / p.h_coef + T_grid > p.Ts
+    if not np.any(gated):
+        return HypothesisHolds(margin=float(np.min(np.abs(drift))), gated_points=0)
+    active, vals = T_grid[gated], drift[gated]
+    signed = -vals if which == "A1" else vals
+    worst = np.argmin(signed)
+    if signed[worst] < a:
+        return HypothesisFailsAt(worst_T=float(active[worst]), worst_value=float(vals[worst]))
+    return HypothesisHolds(margin=float(signed[worst]), gated_points=int(np.count_nonzero(gated)))
+
+
+DEFAULT_EQUAL_E_WINDOW = 1.0  # any r > 0 works when E1 = E2; a documented default
+
+
+def min_window_reactor(p, a, which="A1"):
+    """Smallest window length guaranteeing strong observability for the margin a."""
+    result = check_hypothesis(p, a, which)
+    if isinstance(result, HypothesisFailsAt):
+        raise HypothesisFails(
+            f"hypothesis {which} fails at T = {result.worst_T:.6g} "
+            f"(value {result.worst_value:.6g})"
+        )
+    if p.E1 == p.E2:
+        return DEFAULT_EQUAL_E_WINDOW
+    return (p.Tmax - p.Tmin) / min(a, result.margin)
 
 
 def scalar_observer_P(window, a_eval, f_eval, c_eval):

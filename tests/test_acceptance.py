@@ -293,7 +293,7 @@ def test_criterion_8_reactor_observability_boundary():
         return apps.ReactorParams(
             k1=0.4, k2=k2, E1=350.0, E2=350.0, J1=30.0, J2=10.0,
             h_coef=1.0, Ts=310.0, c1_bar=1.0, c2_bar=4.0,
-            Tmin=300.0, Tmax=350.0, a_margin=1.0,
+            Tmin=300.0, Tmax=350.0,
         )
 
     def certificate(p):

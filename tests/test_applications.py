@@ -8,16 +8,35 @@ from deadbeat_observer.errors import (
     DeadbeatError,
     DimensionMismatch,
     DomainExit,
-    HypothesisFails,
     InvalidValue,
     NonNegativeZ2,
     NotPositiveDefinite,
 )
 from deadbeat_observer.numerics import MAX_NODES, Grid
 from deadbeat_observer.plant import SensorModel, SimConfig, simulate_plant
-from deadbeat_observer.window import IoWindow, apply_P
+from deadbeat_observer.window import (
+    Degenerate,
+    IoWindow,
+    StronglyObservableOnWindow,
+    apply_P,
+    compute_window,
+    gram,
+    observability_certificate,
+)
 
-from oracles import reactor_gains, scalar_observer_P
+from oracles import (
+    DEFAULT_EQUAL_E_WINDOW,
+    HypothesisFails,
+    HypothesisFailsAt,
+    HypothesisHolds,
+    check_hypothesis,
+    min_window_reactor,
+    reactor_gains,
+    scalar_observer_P,
+)
+
+CANONICAL_MARGIN = 150.0  # K/s; the margin whose window is the reactor config's r = 1/3 s
+LUMPED_MARGIN = 1.0  # K/s
 
 
 def lumped_reactor_params(k2=0.3):
@@ -25,7 +44,7 @@ def lumped_reactor_params(k2=0.3):
     return apps.ReactorParams(
         k1=0.4, k2=k2, E1=350.0, E2=350.0, J1=30.0, J2=10.0,
         h_coef=1.0, Ts=310.0, c1_bar=1.0, c2_bar=4.0,
-        Tmin=300.0, Tmax=350.0, a_margin=1.0,
+        Tmin=300.0, Tmax=350.0,
     )
 
 
@@ -57,68 +76,68 @@ def test_reactor_params_rejections():
 
 
 def test_check_hypothesis_canonical_margin():
-    result = apps.check_hypothesis(apps.canonical_reactor_params(), "A1")
-    assert isinstance(result, apps.HypothesisHolds)
+    result = check_hypothesis(apps.canonical_reactor_params(), CANONICAL_MARGIN, "A1")
+    assert isinstance(result, HypothesisHolds)
     assert result.margin == pytest.approx(169.9861997378996, rel=1e-9)
 
 
 def test_check_hypothesis_ungated_margin_is_positive_for_both_labels():
     # no grid point of the canonical set is gated, so neither label can fail
     p = apps.canonical_reactor_params()
-    a1, a2 = apps.check_hypothesis(p, "A1"), apps.check_hypothesis(p, "A2")
-    assert a1 == a2 == apps.HypothesisHolds(margin=a1.margin, gated_points=0)
+    a1, a2 = (check_hypothesis(p, CANONICAL_MARGIN, which) for which in ("A1", "A2"))
+    assert a1 == a2 == HypothesisHolds(margin=a1.margin, gated_points=0)
     assert a1.margin == pytest.approx(169.9861997378996, rel=1e-9)
     for which in ("A1", "A2"):
-        assert apps.min_window_reactor(p, which) == pytest.approx(1.0 / 3.0)
+        assert min_window_reactor(p, CANONICAL_MARGIN, which) == pytest.approx(1.0 / 3.0)
 
 
 def test_check_hypothesis_rejects_unknown_label():
     with pytest.raises(ValueError):
-        apps.check_hypothesis(apps.canonical_reactor_params(), "A3")
+        check_hypothesis(apps.canonical_reactor_params(), CANONICAL_MARGIN, "A3")
 
 
 def test_check_hypothesis_a2_fails_below_the_margin():
     # with k1 = 0.1 the drift is positive, about 62 K/s at Tmin, and every point is gated
     p = dataclasses.replace(apps.canonical_reactor_params(), k1=0.1)
-    result = apps.check_hypothesis(p, "A2")
-    assert isinstance(result, apps.HypothesisFailsAt)
+    result = check_hypothesis(p, CANONICAL_MARGIN, "A2")
+    assert isinstance(result, HypothesisFailsAt)
     assert result.worst_T == pytest.approx(300.005)
     assert result.worst_value == pytest.approx(61.78943656345341, rel=1e-9)
     with pytest.raises(HypothesisFails, match="hypothesis A2 fails"):
-        apps.min_window_reactor(p, "A2")
-    held = apps.check_hypothesis(dataclasses.replace(p, a_margin=50.0), "A2")
-    assert isinstance(held, apps.HypothesisHolds)
+        min_window_reactor(p, CANONICAL_MARGIN, "A2")
+    held = check_hypothesis(p, 50.0, "A2")
+    assert isinstance(held, HypothesisHolds)
     assert held.margin == result.worst_value
 
 
 def test_check_hypothesis_lumped_fails():
-    result = apps.check_hypothesis(lumped_reactor_params(), "A1")
-    assert isinstance(result, apps.HypothesisFailsAt)
+    result = check_hypothesis(lumped_reactor_params(), LUMPED_MARGIN, "A1")
+    assert isinstance(result, HypothesisFailsAt)
     assert result.worst_value == 0.0
 
 
 def test_check_hypothesis_perturbed_lumped_holds():
-    result = apps.check_hypothesis(lumped_reactor_params(k2=0.303), "A1")
-    assert isinstance(result, apps.HypothesisHolds)
+    result = check_hypothesis(lumped_reactor_params(k2=0.303), LUMPED_MARGIN, "A1")
+    assert isinstance(result, HypothesisHolds)
     assert result.margin == pytest.approx(abs(40.0 * 0.303 - 12.0), rel=1e-9)
 
 
 def test_check_hypothesis_a1_on_a_gated_set():
     # a stiffer jacket gates 3475 grid points, where the drift is <= -226.2 K/s
     p = dataclasses.replace(apps.canonical_reactor_params(), h_coef=10.0)
-    held = apps.check_hypothesis(p, "A1")
-    assert held == apps.HypothesisHolds(margin=held.margin, gated_points=3475)
+    held = check_hypothesis(p, CANONICAL_MARGIN, "A1")
+    assert held == HypothesisHolds(margin=held.margin, gated_points=3475)
     assert held.margin == pytest.approx(226.21633296760075, rel=1e-12)
-    a2 = apps.check_hypothesis(p, "A2")
-    assert isinstance(a2, apps.HypothesisFailsAt)
+    a2 = check_hypothesis(p, CANONICAL_MARGIN, "A2")
+    assert isinstance(a2, HypothesisFailsAt)
     assert a2.worst_T == pytest.approx(349.995, rel=1e-12)
     assert a2.worst_value == pytest.approx(-259.6112168047385, rel=1e-12)
-    failed = apps.check_hypothesis(dataclasses.replace(p, a_margin=250.0), "A1")
-    assert isinstance(failed, apps.HypothesisFailsAt)
+    failed = check_hypothesis(p, 250.0, "A1")
+    assert isinstance(failed, HypothesisFailsAt)
     assert failed.worst_T == pytest.approx(332.625, rel=1e-12)
     assert failed.worst_value == -held.margin
     with pytest.raises(HypothesisFails, match="hypothesis A1 fails at T = 332.625"):
-        apps.min_window_reactor(dataclasses.replace(p, a_margin=250.0), "A1")
+        min_window_reactor(p, 250.0, "A1")
 
 
 def test_reactor_params_concentration_bound_when_e1_exceeds_e2():
@@ -130,16 +149,37 @@ def test_reactor_params_concentration_bound_when_e1_exceeds_e2():
 
 def test_min_window_canonical():
     p = apps.canonical_reactor_params()
-    # margin exceeds the claimed a_margin = 150, so r = (Tmax - Tmin) / 150
-    assert apps.min_window_reactor(p) == pytest.approx(1.0 / 3.0)
+    # margin exceeds the claimed a = 150, so r = (Tmax - Tmin) / 150
+    assert min_window_reactor(p, CANONICAL_MARGIN) == pytest.approx(1.0 / 3.0)
 
 
 def test_min_window_equal_activation_default():
-    assert apps.min_window_reactor(lumped_reactor_params(k2=0.303)) == \
-        apps.DEFAULT_EQUAL_E_WINDOW
+    assert min_window_reactor(lumped_reactor_params(k2=0.303), LUMPED_MARGIN) == \
+        DEFAULT_EQUAL_E_WINDOW
     with pytest.raises(HypothesisFails):
-        apps.min_window_reactor(lumped_reactor_params())
+        min_window_reactor(lumped_reactor_params(), LUMPED_MARGIN)
 
+
+
+def test_margin_hypothesis_predicts_the_certificate():
+    # canonical set: the hypothesis holds at a = 150 and guarantees r = 1/3 s;
+    # there the pivot is 6.4e-7 to 7.3e-7 of trace(Q)/n, against the 1e-8 threshold
+    p = apps.canonical_reactor_params()
+    assert isinstance(check_hypothesis(p, CANONICAL_MARGIN), HypothesisHolds)
+    r = min_window_reactor(p, CANONICAL_MARGIN)
+    assert r == pytest.approx(1.0 / 3.0)
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        x0 = [rng.uniform(0.1, 0.9), rng.uniform(0.1, 3.5)]
+        spec, _, window = reactor_window(p, x0, rng.uniform(305.0, 330.0), r, r / 2000)
+        assert isinstance(observability_certificate(gram(compute_window(spec, window))),
+                          StronglyObservableOnWindow)
+    # lumped set: both labels fail, and criterion 8's window is degenerate (pivot 5.7e-17)
+    lumped = lumped_reactor_params()
+    for which in ("A1", "A2"):
+        assert isinstance(check_hypothesis(lumped, LUMPED_MARGIN, which), HypothesisFailsAt)
+    spec, _, window = reactor_window(lumped, [0.9, 0.5], 315.0, 16.0, 0.008)
+    assert isinstance(observability_certificate(gram(compute_window(spec, window))), Degenerate)
 
 def reference_reactor_evaluators(p):
     """The reactor's per-point evaluators computing on y[0] as an np.float64."""

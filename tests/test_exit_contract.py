@@ -131,6 +131,7 @@ def run(name, command, path, value, *options):
 @example(case=("example26", "observability", ("sim", "x0", 1), -3e7))
 @example(case=("example26", "observability", ("sim", "y0", 0), 1e160))
 @example(case=("reactor_lumped", "simulate", ("system", "params", "E2"), 1e300))
+@example(case=("reactor_lumped", "observability", ("system", "params", "J2"), 1e-153))
 @example(case=("scalar_oracle", "simulate", ("system", "a0"), 1e300))
 @example(case=("scalar_oracle", "simulate", ("system", "c1"), 1e300))
 @example(case=("scalar_oracle", "simulate", ("sim", "x0", 0), 1e300))
