@@ -242,10 +242,11 @@ def sim_section(cfg, extras, kind):
 
 
 def write_csv(path, header, columns, flags=0):
-    """Write the header, then one row per entry of the stacked ``columns``.
+    """Write the header, then one row per entry of ``columns``.
 
+    Each column is a (count,) array, or a (count, c) array of c table columns.
     Every value is written ``%.12e``, except in the last ``flags`` columns,
-    which hold 0/1 flags and are written ``%d``.  The rows are stacked and
+    which hold 0/1 flags and are written ``%d``.  The rows are listed and
     formatted CSV_BLOCK_ROWS at a time, so the writer's memory does not grow
     with the table.
     """
@@ -253,8 +254,11 @@ def write_csv(path, header, columns, flags=0):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns])
-            fh.writelines(fmt % tuple(row) for row in block.tolist())
+            lists = []
+            for c in columns:
+                block = c[start:start + CSV_BLOCK_ROWS]
+                lists.extend(block.T.tolist() if block.ndim == 2 else [block.tolist()])
+            fh.writelines(map(fmt.__mod__, zip(*lists)))
 
 
 def _write_node_csv(path, est, full_order, named):

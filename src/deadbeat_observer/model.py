@@ -26,6 +26,7 @@ An input is any function u(t) that returns an ndarray of shape (m,);
 ``sampled_input`` holds recorded per-node samples.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -65,7 +66,7 @@ def sampled_input(grid, values):
             f"input samples of shape {values.shape} for a {grid.count}-node grid")
 
     def u(t):
-        j = int(np.floor((t - grid.t0) / grid.h + 1e-9))
+        j = math.floor((t - grid.t0) / grid.h + 1e-9)
         return values[min(max(j, 0), grid.count - 1)]
 
     return u

@@ -5,6 +5,7 @@ problem sizes are tiny (state dimension <= ~10), so no sparse or adaptive
 machinery is needed.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -87,13 +88,26 @@ def rk4_step(field, t, s, h):
     operations as with Python floats and 2.0 * k, but cheaper numpy operands.
     The sum is ((k1 + 2 k2) + 2 k3) + k4.
     """
-    half, full = np.array(0.5 * h), np.array(h)
+    half, full, sixth = _step_constants(h)
     t_mid = t + 0.5 * h
     k1 = field(t, s)
     k2 = field(t_mid, s + half * k1)
     k3 = field(t_mid, s + half * k2)
     k4 = field(t + h, s + full * k3)
-    return s + np.array(h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
+    return s + sixth * (k1 + (k2 + k2) + (k3 + k3) + k4)
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _step_constants(h):
+    """Read-only 0-d arrays h/2, h and h/6 of ``rk4_step``, made once per step size.
+
+    A run steps with one or two sizes, so a few entries hold them all; the
+    arrays are shared by every caller and so cannot be written.
+    """
+    constants = np.array(0.5 * h), np.array(h), np.array(h / 6.0)
+    for c in constants:
+        c.flags.writeable = False
+    return constants
 
 
 def all_finite(x):

@@ -257,6 +257,8 @@ class Example26Spec:
 
     ``kappa`` is d/dy ln(c1(y)/c2(y)); the construction requires it to keep
     its sign and stay away from zero along the constructed output trajectory.
+    The callables take and return Python floats; the system spec's
+    ``eval_batch`` calls a1, a2, c1 and c2 once per point.
     """
 
     a1: Callable
@@ -272,6 +274,16 @@ class Example26Spec:
         def eval_C(y):
             return np.array([[self.c1(y[0])], [self.c2(y[0])]])
 
+        def eval_batch(Y, U):
+            ys = Y[:, 0].tolist()
+            A = np.zeros((len(ys), 2, 2))
+            A[:, 0, 0] = [self.a1(y) for y in ys]
+            A[:, 1, 1] = [self.a2(y) for y in ys]
+            C = np.empty((len(ys), 2, 1))
+            C[:, 0, 0] = [self.c1(y) for y in ys]
+            C[:, 1, 0] = [self.c2(y) for y in ys]
+            return A, np.zeros((len(ys), 2)), C, U[:, :1]
+
         b = np.zeros(2)
         return SystemSpec(
             n=2, k=1, m=1,
@@ -279,6 +291,7 @@ class Example26Spec:
             eval_b=lambda y, u: b,
             eval_C=eval_C,
             eval_f=lambda y, u: np.array([u[0]]),
+            eval_batch=eval_batch,
         )
 
 
@@ -307,7 +320,7 @@ def indistinguishing_input(ex, x0, y0, grid):
     from .numerics import integrate_rk4
 
     def field(t, s):
-        y, _ = s
+        y = s[0].item()
         kap = ex.kappa(y)
         if sign * kap <= _KAPPA_TOL:
             raise KappaVanished(f"kappa vanished or changed sign at y = {y:.6g}")
@@ -317,11 +330,12 @@ def indistinguishing_input(ex, x0, y0, grid):
     y = traj[:, 0]
     int_a2 = traj[:, 1]
     mix = x0[1] + x0[0] * ex.c1(y0) / ex.c2(y0)
-    kap = np.array([ex.kappa(v) for v in y])
+    ys = y.tolist()
+    kap = np.array([ex.kappa(v) for v in ys])
     if np.any(sign * kap <= _KAPPA_TOL):
         raise KappaVanished("kappa vanished or changed sign along the constructed trajectory")
-    drift = np.array([(ex.a2(v) - ex.a1(v)) for v in y]) / kap
-    c2_along = np.array([ex.c2(v) for v in y])
+    drift = np.array([(ex.a2(v) - ex.a1(v)) for v in ys]) / kap
+    c2_along = np.array([ex.c2(v) for v in ys])
     u = drift - c2_along * np.exp(int_a2) * mix
     return u.reshape(-1, 1), y.reshape(-1, 1)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deadbeat_observer import applications as apps
-from deadbeat_observer.cli import build_scalar_spec
+from deadbeat_observer.cli import build_scalar_spec, canonical_example26
 from deadbeat_observer.errors import DimensionMismatch
 from deadbeat_observer.model import (
     check_point_evaluators,
@@ -109,7 +109,10 @@ def test_input_signals():
     grid = Grid.from_span(0.0, 1.0, 0.25)
     for values in (np.arange(5.0), np.arange(5.0).reshape(-1, 1)):
         u = sampled_input(grid, values)
-        for t, held in ((0.0, 0.0), (0.1, 0.0), (0.26, 1.0), (1.0, 4.0), (2.0, 4.0)):
+        # the 1e-9 guard puts a time just short of a node on that node; a time
+        # before the grid holds the first sample
+        for t, held in ((0.0, 0.0), (0.1, 0.0), (0.25 - 1e-12, 1.0), (0.26, 1.0),
+                        (1.0, 4.0), (2.0, 4.0), (-0.5, 0.0)):
             assert np.array_equal(u(t), [held])
     assert sampled_input(grid, np.ones((5, 2)))(0.5).shape == (2,)
     for values in (np.arange(4.0), np.ones((6, 1)), np.ones((5, 1, 1))):
@@ -126,6 +129,7 @@ BATCH_FACTORIES = {
                              np.array([0.3, -0.1])), -2.0, 2.0),
     "scalar": (lambda: build_scalar_spec({"a0": -0.4, "f0": 0.2, "input_gain": 0.7,
                                           "c0": 1.1, "c1": -0.3}), -2.0, 2.0),
+    "example26": (lambda: canonical_example26().to_system_spec(), -2.0, 2.0),
 }
 
 

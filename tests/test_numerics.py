@@ -9,6 +9,7 @@ from deadbeat_observer.errors import (DimensionMismatch, InvalidValue, NonFinite
 from deadbeat_observer.numerics import (
     MAX_NODES,
     Grid,
+    _step_constants,
     cumulative_trapezoid,
     integrate_rk4,
     rk4_step,
@@ -112,6 +113,39 @@ def test_rk4_step_is_bit_identical_to_the_textbook_step():
                     got = rk4_step(field, t, s, h)
                     want = textbook_rk4_step(field, t, s, h)
                     assert got.tobytes() == want.tobytes(), (n, trial, s, t, h)
+
+
+def fresh_constants_rk4_step(field, t, s, h):
+    """rk4_step's operations, with its step-size arrays built afresh for this step."""
+    half, full = np.array(0.5 * h), np.array(h)
+    t_mid = t + 0.5 * h
+    k1 = field(t, s)
+    k2 = field(t_mid, s + half * k1)
+    k3 = field(t_mid, s + half * k2)
+    k4 = field(t + h, s + full * k3)
+    return s + np.array(h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
+
+
+def test_rk4_step_interleaving_two_step_sizes_keeps_each_bit_for_bit():
+    A = np.array([[-0.3, 1.0], [-1.0, -0.2]])
+
+    def field(t, s):
+        return A.dot(s) + np.sin(t)
+
+    states = {1e-3: np.array([1.0, -0.5]), 1.0 / 750.0: np.array([-2.0, 0.25])}
+    for j in range(200):
+        for h in states:
+            got = rk4_step(field, j * h, states[h], h)
+            want = fresh_constants_rk4_step(field, j * h, states[h], h)
+            assert got.tobytes() == want.tobytes(), (j, h)
+            states[h] = got
+    for h in states:
+        constants = _step_constants(h)
+        assert constants is _step_constants(h)
+        for c in constants:
+            assert not c.flags.writeable
+            with pytest.raises(ValueError):
+                c[...] = 0.0
 
 
 def test_rk4_step_leaves_the_field_arrays_alone():

@@ -153,25 +153,25 @@ def test_compute_window_matches_per_node_rk4(case):
 
 
 def test_compute_window_one_batch_call_and_no_point_calls():
-    spec, window = reactor_window()
-    calls = {"batch": 0, "point": 0}
-
     def counted(key, fn):
         def wrapper(*args):
             calls[key] += 1
             return fn(*args)
         return wrapper
 
-    counting = dataclasses.replace(
-        spec,
-        eval_A=counted("point", spec.eval_A),
-        eval_b=counted("point", spec.eval_b),
-        eval_C=counted("point", spec.eval_C),
-        eval_f=counted("point", spec.eval_f),
-        eval_batch=counted("batch", spec.eval_batch),
-    )
-    compute_window(counting, window)
-    assert calls == {"batch": 1, "point": 0}
+    for case in ("reactor", "example26"):
+        spec, window = WINDOW_CASES[case]()
+        calls = {"batch": 0, "point": 0}
+        counting = dataclasses.replace(
+            spec,
+            eval_A=counted("point", spec.eval_A),
+            eval_b=counted("point", spec.eval_b),
+            eval_C=counted("point", spec.eval_C),
+            eval_f=counted("point", spec.eval_f),
+            eval_batch=counted("batch", spec.eval_batch),
+        )
+        compute_window(counting, window)
+        assert calls == {"batch": 1, "point": 0}, case
 
 
 @pytest.mark.parametrize("batched", [True, False])
