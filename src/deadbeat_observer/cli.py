@@ -69,7 +69,7 @@ _FIELDS = {
     "observer": {"r": _NUMBER, "mode": _STRING, "z0": _VECTOR, "w0": _VECTOR,
                  "rel_threshold": _NUMBER, "on_degenerate": _STRING},
     "sensor": {f.name: _NUMBER for f in fields(SensorModel)},
-    "input": {"kind": _STRING, "value": _VECTOR},
+    "input": {"value": _VECTOR},
     "sweep": {"mode": _STRING, "phases": _VECTOR, "r_values": _LIST},
     "output_prefix": _STRING,
 }
@@ -136,9 +136,6 @@ def load_config(path):
         _check_fields("system.params", system["params"], params)
         for key in params:  # every parameter is required
             _require(system["params"], key, "system.params")
-    input_kind = cfg.get("input", {}).get("kind", "constant")
-    if input_kind != "constant":
-        raise ConfigError(f"unknown input.kind {input_kind!r}")
     return cfg
 
 
@@ -427,8 +424,6 @@ def main(argv=None):
     for name in ("simulate", "sweep", "observability"):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a JSON scenario config")
-        p.add_argument("--h", type=float, default=None,
-                       help="override the grid step")
         p.add_argument("--out-prefix", default=None,
                        help="override the output file prefix")
         if name == "sweep":
@@ -445,8 +440,6 @@ def main(argv=None):
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.h is not None:
-        cfg.setdefault("sim", {})["h"] = args.h
     prefix = args.out_prefix or cfg.get("output_prefix", "out")
 
     try:

@@ -17,10 +17,11 @@ writes into a result: ``point_rate``, the observer's reduced flow step and its
 kept right-node A and b, ``check_point_evaluators`` and ``eval_coefficients``
 only read it.
 
-The optional ``eval_batch(Y, U)`` evaluates all four maps at N points at
+The required ``eval_batch(Y, U)`` evaluates all four maps at N points at
 once: given (N, k) Y and (N, m) U it returns arrays (A, b, C, f) of
-shapes (N, n, n), (N, n), (N, n, k) and (N, k).  ``eval_coefficients``
-uses it when it is set and otherwise calls the per-point evaluators.
+shapes (N, n, n), (N, n), (N, n, k) and (N, k).  ``eval_coefficients``,
+which fills the window engine's coefficient stacks, calls only it; the
+plant and ``observer_step`` call the per-point evaluators.
 
 An input is any function u(t) that returns an ndarray of shape (m,);
 ``sampled_input`` holds recorded per-node samples.
@@ -44,7 +45,7 @@ class SystemSpec:
     eval_b: Callable
     eval_C: Callable
     eval_f: Callable
-    eval_batch: Callable = None
+    eval_batch: Callable
     in_domain: Callable = field(default=lambda x, y: True)
 
 
@@ -75,28 +76,16 @@ def sampled_input(grid, values):
 def eval_coefficients(spec, Y, U):
     """(A, b, C, f) at each row of (Y, U), stacked along a leading axis.
 
-    Calls ``spec.eval_batch`` once when it is set; otherwise checks the four
-    per-point evaluators at the first row and fills the stacks point by point.
+    Calls ``spec.eval_batch`` once and raises DimensionMismatch unless its
+    arrays have shapes (N, n, n), (N, n), (N, n, k) and (N, k).
     """
     n, k = spec.n, spec.k
     N = Y.shape[0]
-    shapes = ((N, n, n), (N, n), (N, n, k), (N, k))
-    if spec.eval_batch is not None:
-        out = tuple(np.asarray(a, dtype=float) for a in spec.eval_batch(Y, U))
-        for a, shape in zip(out, shapes):
-            if a.shape != shape:
-                raise DimensionMismatch(
-                    f"eval_batch returned shape {a.shape}, expected {shape}")
-        return out
-    check_point_evaluators(spec, Y[0], U[0])
-    A, b, C, f = (np.empty(shape) for shape in shapes)
-    for i in range(N):
-        y, u = Y[i], U[i]
-        A[i] = spec.eval_A(y, u)
-        b[i] = spec.eval_b(y, u)
-        C[i] = spec.eval_C(y)
-        f[i] = spec.eval_f(y, u)
-    return A, b, C, f
+    out = tuple(np.asarray(a, dtype=float) for a in spec.eval_batch(Y, U))
+    for a, shape in zip(out, ((N, n, n), (N, n), (N, n, k), (N, k))):
+        if a.shape != shape:
+            raise DimensionMismatch(f"eval_batch returned shape {a.shape}, expected {shape}")
+    return out
 
 
 def check_point_evaluators(spec, y, u):
@@ -139,9 +128,8 @@ def make_lti(A, b, C, f):
     if b.shape != (n,):
         raise DimensionMismatch(f"b must have length {n}, got {b.shape}")
     C = np.asarray(C, dtype=float)
-    if C.size % n:
+    if C.ndim != 2 or C.shape[0] != n:
         raise DimensionMismatch(f"C must have {n} rows, got {C.shape}")
-    C = C.reshape(n, -1)
     k = C.shape[1]
     f = np.atleast_1d(np.asarray(f, dtype=float))
     if f.shape != (k,):

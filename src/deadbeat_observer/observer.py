@@ -93,20 +93,6 @@ class ObserverSnapshot(NamedTuple):
     degenerate_events: int = 0
     last_reset_applied: bool = False
 
-    @property
-    def t(self):
-        return self.t0 + self.node * self.config.h
-
-    @property
-    def history(self):
-        """(y, u) per node of the current window, oldest first.
-
-        u is the input held from that node; the newest node repeats the input
-        of the step into it.
-        """
-        y, u = _window_samples(self.link, self.node % self.config.steps_per_window + 1)
-        return tuple(zip(y, u))
-
 
 @dataclass(frozen=True)
 class EstimateTrace:

@@ -12,7 +12,10 @@ tests that compare them with that construction (criterion 7 among them):
   * ``scalar_observer_P``: the single-fraction formula of scalar plants;
   * ``scalar_oracle_spec``: the canonical scalar test system;
   * ``indistinguishable_partner``: the state that example 2.6's constructed
-    input does not distinguish from the generating one.
+    input does not distinguish from the generating one;
+  * ``pointwise_coefficients``: a system's window coefficients filled point
+    by point from its per-point evaluators, the reference of every
+    ``eval_batch``; ``pointwise_spec`` builds a test system whose batch is it.
 
 Test modules import them as ``from oracles import ...``.
 """
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from deadbeat_observer.errors import DimensionMismatch, DomainExit
-from deadbeat_observer.model import make_lti
+from deadbeat_observer.model import SystemSpec, check_point_evaluators, make_lti
 from deadbeat_observer.numerics import cumulative_trapezoid, require_pivot, spd_solve, trapezoid
 
 
@@ -180,3 +183,28 @@ def indistinguishable_partner(ex, x0, y0, xi1):
     x0 = np.asarray(x0, dtype=float)
     ratio = ex.c1(float(y0)) / ex.c2(float(y0))
     return np.array([xi1, x0[1] + ratio * (x0[0] - xi1)])
+
+
+def pointwise_coefficients(spec, Y, U):
+    """(A, b, C, f) at each row of (Y, U), stacked along a leading axis.
+
+    Checks the four per-point evaluators at the first row, then fills the
+    stacks point by point.
+    """
+    check_point_evaluators(spec, Y[0], U[0])
+    n, k, N = spec.n, spec.k, Y.shape[0]
+    A, b, C, f = (np.empty(shape) for shape in ((N, n, n), (N, n), (N, n, k), (N, k)))
+    for i in range(N):
+        y, u = Y[i], U[i]
+        A[i] = spec.eval_A(y, u)
+        b[i] = spec.eval_b(y, u)
+        C[i] = spec.eval_C(y)
+        f[i] = spec.eval_f(y, u)
+    return A, b, C, f
+
+
+def pointwise_spec(**fields):
+    """SystemSpec of ``fields`` whose ``eval_batch`` is ``pointwise_coefficients``
+    of the per-point evaluators it is built with."""
+    spec = SystemSpec(eval_batch=lambda Y, U: pointwise_coefficients(spec, Y, U), **fields)
+    return spec

@@ -31,6 +31,7 @@ from oracles import (
     HypothesisHolds,
     check_hypothesis,
     min_window_reactor,
+    pointwise_spec,
     reactor_gains,
     scalar_observer_P,
 )
@@ -437,10 +438,8 @@ def test_horizon_sweep_error_drops_with_window_length():
 
 
 def test_scalar_observer_matches_generic_reconstruction():
-    from deadbeat_observer.model import SystemSpec
-
     a0, c0, c1v, f0 = -0.5, 1.0, 0.1, 0.2
-    spec = SystemSpec(
+    spec = pointwise_spec(
         n=1, k=1, m=1,
         eval_A=lambda y, u: np.array([[a0]]),
         eval_b=lambda y, u: np.zeros(1),

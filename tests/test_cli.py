@@ -235,6 +235,39 @@ def test_observability_report_reads_the_verdict(tmp_path, monkeypatch, name):
     assert report["smallest_pivot"] == float(verdict.smallest_pivot)
 
 
+def shipped_run(tmp_path, name, command):
+    """Run a shipped config unchanged; its loaded config and its JSON report."""
+    assert main([command, str(CONFIG_DIR / f"{name}.json"),
+                 "--out-prefix", str(tmp_path / name)]) == EXIT_OK
+    suffix = "summary" if command == "simulate" else "observability"
+    return (json.loads((CONFIG_DIR / f"{name}.json").read_text()),
+            json.loads((tmp_path / f"{name}_{suffix}.json").read_text()))
+
+
+def test_lumped_reactor_holds_every_reset(tmp_path):
+    # E1 = E2: no reset window is strongly observable, so the flowed estimate is held
+    cfg, summary = shipped_run(tmp_path, "reactor_lumped", "simulate")
+    assert summary["degenerate_events"] == cfg["sim"]["t_end"] / cfg["observer"]["r"]
+    header, *rows = (tmp_path / "reactor_lumped_estimate.csv").read_text().splitlines()
+    column = header.split(",").index("reset_flag")
+    assert {row.split(",")[column] for row in rows} == {"0"}
+
+
+def test_example26_generic_input_distinguishes_and_constructed_input_does_not(tmp_path):
+    _, summary = shipped_run(tmp_path, "example26", "simulate")
+    assert summary["max_post_window_relative_error"] <= 1e-8
+    assert summary["degenerate_events"] == 0
+    _, report = shipped_run(tmp_path, "example26", "observability")
+    assert report["certificate"] == "degenerate"
+
+
+def test_lti_config_reconstructs_exactly(tmp_path):
+    _, summary = shipped_run(tmp_path, "lti", "simulate")
+    assert summary["max_post_window_relative_error"] <= 1e-10
+    _, report = shipped_run(tmp_path, "lti", "observability")
+    assert report["certificate"] == "strongly_observable"
+
+
 def overflowing_gram_config(prefix):
     """LTI plant q' = 2000 q: the first reset window's Gram matrix overflows."""
     return {
@@ -270,12 +303,14 @@ def test_bad_observer_field_is_a_config_error(tmp_path, capsys, field, value):
 
 
 def test_zero_step_is_a_config_error(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, scalar_config(str(tmp_path / "zero")))
+    cfg = scalar_config(str(tmp_path / "zero"))
+    cfg["sim"]["h"] = 0.0
+    cfg_path = write_config(tmp_path, cfg)
     for command, message in (
             ("simulate", "`sim`: span 1.5 is not a positive integer multiple of step 0.0"),
             ("observability", "`observer`: window length r=0.5 must be an integer multiple "
                               "(>= 2) of h=0.0")):
-        assert main([command, cfg_path, "--h", "0"]) == EXIT_CONFIG
+        assert main([command, cfg_path]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: invalid config: {message}\n"
     assert not list(tmp_path.glob("zero_*"))
 
@@ -360,7 +395,7 @@ def test_sweep_mode_comes_from_the_config(tmp_path):
 
 def test_input_of_the_wrong_width_is_an_error(tmp_path, capsys):
     prefix = str(tmp_path / "wide")
-    cfg = scalar_config(prefix, input={"kind": "constant", "value": [1.0, 2.0]})
+    cfg = scalar_config(prefix, input={"value": [1.0, 2.0]})
     assert main(["simulate", write_config(tmp_path, cfg)]) == EXIT_RUNTIME
     assert "input has shape (2,)" in capsys.readouterr().err
     assert not (tmp_path / "wide_trace.csv").exists()
@@ -401,10 +436,10 @@ def test_sweep_horizon_missing_r_values(tmp_path, capsys):
 
 def test_out_prefix_and_h_overrides(tmp_path):
     cfg = scalar_config(str(tmp_path / "ignored"))
+    cfg["sim"]["h"] = 0.01
     cfg_path = write_config(tmp_path, cfg)
     prefix = str(tmp_path / "override")
-    assert main(["simulate", cfg_path, "--out-prefix", prefix,
-                 "--h", "0.01"]) == EXIT_OK
+    assert main(["simulate", cfg_path, "--out-prefix", prefix]) == EXIT_OK
     summary = json.loads((tmp_path / "override_summary.json").read_text())
     assert summary["h"] == 0.01
 
@@ -525,14 +560,10 @@ def test_simulate_summary_reports_a_non_finite_error_as_null(tmp_path):
 
 
 def test_h_override_sets_the_frequency_scenario_step(tmp_path):
-    # a sweep's window is stepped at `sim.h`, which `--h` sets
+    # a sweep's window is stepped at `sim.h`
     cfg = frequency_sweep_config(str(tmp_path / "given"), 0.2)
-    assert main(["sweep", write_config(tmp_path, cfg), "--h", "0.002",
-                 "--out-prefix", str(tmp_path / "override")]) == EXIT_OK
     cfg["sim"]["h"] = 0.002
     assert main(["sweep", write_config(tmp_path, cfg)]) == EXIT_OK
-    assert (tmp_path / "override_sweep.csv").read_bytes() == \
-        (tmp_path / "given_sweep.csv").read_bytes()
     cfg["sim"]["h"] = 5e-4
     cfg["output_prefix"] = str(tmp_path / "default")
     assert main(["sweep", write_config(tmp_path, cfg)]) == EXIT_OK
@@ -599,7 +630,7 @@ def test_unknown_input_kind(tmp_path, capsys):
     cfg = scalar_config(str(tmp_path / "x"), input={"kind": "ramp"})
     for command in ("simulate", "observability"):
         assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
-        assert "unknown input.kind 'ramp'" in capsys.readouterr().err
+        assert "unknown field `input.kind`" in capsys.readouterr().err
     assert not list(tmp_path.glob("x_*"))
 
 
@@ -680,25 +711,27 @@ def test_unknown_section_field_is_a_config_error(tmp_path, capsys, name, command
     assert not list(tmp_path.glob("typo_*"))
 
 
-@pytest.mark.parametrize("name, section, value, options", [
-    ("scalar_oracle", "config", [1.0], []),
-    ("scalar_oracle", "sim", [1.0], []),
-    ("scalar_oracle", "observer", [1.0], []),
-    ("scalar_oracle", "input", [1.0], []),
-    ("scalar_oracle", "sweep", [1.0], []),
-    ("scalar_oracle", "sensor", "x", []),
-    ("frequency_clean", "system", [1.0], []),
-    ("frequency_clean", "system", [1.0], ["--h", "0.001"]),
-    ("frequency_clean", "system.scenario", 5.0, []),
-    ("reactor_lumped", "system.params", [1.0], []),
+@pytest.mark.parametrize("name, section, value, h", [
+    ("scalar_oracle", "config", [1.0], None),
+    ("scalar_oracle", "sim", [1.0], None),
+    ("scalar_oracle", "observer", [1.0], None),
+    ("scalar_oracle", "input", [1.0], None),
+    ("scalar_oracle", "sweep", [1.0], None),
+    ("scalar_oracle", "sensor", "x", None),
+    ("frequency_clean", "system", [1.0], None),
+    ("frequency_clean", "system", [1.0], 0.001),
+    ("frequency_clean", "system.scenario", 5.0, None),
+    ("reactor_lumped", "system.params", [1.0], None),
 ], ids=["config", "sim", "observer", "input", "sweep", "sensor", "system", "system-h",
         "scenario", "params"])
 def test_config_or_section_that_is_not_an_object_is_a_config_error(tmp_path, capsys, name,
-                                                                   section, value, options):
+                                                                   section, value, h):
     parent, _, key = section.rpartition(".")
     cfg = (value if section == "config" else
            shipped_config(name, str(tmp_path / "list"), add_field(parent, key, value)))
-    assert main(["simulate", write_config(tmp_path, cfg)] + options) == EXIT_CONFIG
+    if h is not None:
+        cfg["sim"]["h"] = h
+    assert main(["simulate", write_config(tmp_path, cfg)]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: invalid config: `{section}` must be an object\n"
     assert not list(tmp_path.glob("list_*"))
 
@@ -801,7 +834,11 @@ def test_missing_required_value_is_a_config_error(tmp_path, capsys, name, edit, 
     ([[0.0, 1.0], [0.0]], [[1.0], [0.0]], EXIT_CONFIG,
      "invalid config: `system.A` must be a list of lists of numbers of one length"),
     ([[0.0, 1.0], [0.0, 0.0]], [[1.0]], EXIT_RUNTIME, "C must have 2 rows, got (1, 1)"),
-], ids=["ragged-A", "short-C"])
+    ([[0.0, 1.0], [0.0, 0.0]], [[1.0], [0.0], [2.0], [3.0]], EXIT_RUNTIME,
+     "C must have 2 rows, got (4, 1)"),
+    ([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0, 2.0, 3.0]], EXIT_RUNTIME,
+     "C must have 2 rows, got (1, 4)"),
+], ids=["ragged-A", "short-C", "tall-C", "wide-C"])
 def test_lti_blocks_of_the_wrong_shape_end_with_one_error_line(tmp_path, capsys, A, C, code,
                                                               message):
     cfg = {"system": {"kind": "lti", "A": A, "b": [0.0, 0.0], "C": C, "f": [0.0]},

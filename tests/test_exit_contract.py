@@ -105,7 +105,7 @@ def mistyped_field(name, path, value):
     return None
 
 
-def run(name, command, path, value, *options):
+def run(name, command, path, value):
     cfg = json.loads(json.dumps(CONFIGS[name]))
     *parents, last = path
     leaf(cfg, parents)[last] = value
@@ -114,8 +114,7 @@ def run(name, command, path, value, *options):
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(cfg))
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([command, str(config), "--out-prefix", str(Path(tmp) / "out"),
-                         *options])
+            code = main([command, str(config), "--out-prefix", str(Path(tmp) / "out")])
     return code, stderr.getvalue()
 
 
@@ -139,7 +138,7 @@ def run(name, command, path, value, *options):
 @example(case=("scalar_oracle", "simulate", ("sensor",), "x"))
 @example(case=("frequency_clean", "simulate", ("system", "scenario"), 5.0))
 @example(case=("reactor_lumped", "simulate", ("system", "params"), [1.0]))
-@example(case=("frequency_clean", "simulate", ("system",), [1.0], "--h", "0.0005"))
+@example(case=("frequency_clean", "simulate", ("system",), [1.0]))
 # example26 initial states of the wrong shape, each now a runtime error
 @example(case=("example26", "observability", ("sim", "x0"), 5.0))
 @example(case=("example26", "observability", ("sim", "x0"), [1.0]))
@@ -170,7 +169,7 @@ def test_every_run_ends_with_a_documented_exit(case):
         assert err == ""
     else:
         assert err.startswith("error: ") and err.count("\n") == 1, err
-    name, _, path, value = case[:4]
+    name, _, path, value = case
     field = mistyped_field(name, path, value)
     if field is not None:
         assert code == EXIT_CONFIG, err

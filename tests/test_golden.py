@@ -13,7 +13,7 @@ import golden
 
 def test_every_run_has_a_record():
     assert sorted(p.stem for p in golden.RECORD_DIR.glob("*.json")) == golden.run_names()
-    assert len(golden.run_names()) == 36
+    assert len(golden.run_names()) == 40
 
 
 @pytest.mark.parametrize("name", golden.run_names())

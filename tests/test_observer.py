@@ -14,7 +14,7 @@ from deadbeat_observer.errors import (
     InvalidValue,
     NonFiniteState,
 )
-from deadbeat_observer.model import SystemSpec, make_lti
+from deadbeat_observer.model import make_lti
 from deadbeat_observer.observer import (
     FAIL,
     FULL,
@@ -26,7 +26,7 @@ from deadbeat_observer.observer import (
 )
 from deadbeat_observer.plant import SimConfig, Trace, simulate_plant
 
-from oracles import scalar_oracle_spec
+from oracles import pointwise_spec, scalar_oracle_spec
 
 
 def test_config_validation():
@@ -80,11 +80,16 @@ def test_init_requires_w0_in_full_mode():
 
 
 def test_init_seeds_history():
+    # y0 starts the first reset window: on y = 0.5 + 2t the scalar oracle's
+    # reset at node M = 10 is the exact x = 2
     spec = scalar_oracle_spec()
     cfg = ObserverConfig(r=1.0, h=0.1)
-    seeded = observer_init(spec, cfg, z0=[0.0], y0=[0.5], u0=[0.0])
-    assert len(seeded.history) == 1
-    assert seeded.history[0][0][0] == 0.5
+    snap = observer_init(spec, cfg, z0=[0.0], y0=[0.5], u0=[0.0])
+    assert snap.node == 0
+    for j in range(1, 11):
+        snap = observer_step(spec, cfg, snap, y_meas=[0.5 + 0.2 * j], u=[0.0])
+    assert snap.last_reset_applied
+    assert snap.z[0] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_init_rejects_out_of_domain_estimate():
@@ -140,9 +145,13 @@ def test_step_advances_clock_and_history():
     cfg = ObserverConfig(r=1.0, h=0.1)
     snap = observer_init(spec, cfg, z0=[0.0], y0=[0.0], u0=[0.0])
     snap = observer_step(spec, cfg, snap, y_meas=[0.2], u=[0.0])
-    assert snap.t == pytest.approx(0.1)
-    assert len(snap.history) == 2
+    assert snap.node == 1
     assert not snap.last_reset_applied
+    for j in range(2, 11):  # the first reset fires at node M = r/h = 10
+        assert not snap.last_reset_applied
+        snap = observer_step(spec, cfg, snap, y_meas=[0.2 * j], u=[0.0])
+    assert snap.node == 10
+    assert snap.last_reset_applied
 
 
 def test_run_observer_dead_beat_scalar():
@@ -433,13 +442,7 @@ def test_evaluator_shapes_checked_before_any_step(wrong):
     with pytest.raises(DimensionMismatch, match=name):
         run_observer(spec, ObserverConfig(r=0.1, h=scn.h, mode=FULL), trace,
                      [1.0, -4.0], y0)
-    # without eval_batch the window engine checks the per-point evaluators too
-    batchless = dataclasses.replace(spec, eval_batch=None)
-    with pytest.raises(DimensionMismatch, match=name):
-        run_observer(batchless, ObserverConfig(r=0.1, h=scn.h), trace, [1.0, -4.0])
-    with pytest.raises(DimensionMismatch, match=name):
-        window.compute_window(batchless, window.IoWindow(trace.grid, trace.y_meas, trace.u))
-    assert len(calls) == 5  # one check per call, no flow step
+    assert len(calls) == 3  # one check per call, no flow step
 
 
 def test_plant_samples_stage_times_and_observer_holds_left_input():
@@ -566,11 +569,11 @@ def test_overflowing_gram_raises_at_the_reset_node():
 def test_reset_window_overflow_reports_the_stream_node():
     # A = 2e4 u: the flow from the exact reset at node 50 stays 0, while the
     # second window's transition matrix overflows at its node 40
-    spec = SystemSpec(n=1, k=1, m=1,
-                      eval_A=lambda y, u: np.array([[2e4 * u[0]]]),
-                      eval_b=lambda y, u: np.zeros(1),
-                      eval_C=lambda y: np.ones((1, 1)),
-                      eval_f=lambda y, u: np.ones(1))
+    spec = pointwise_spec(n=1, k=1, m=1,
+                          eval_A=lambda y, u: np.array([[2e4 * u[0]]]),
+                          eval_b=lambda y, u: np.zeros(1),
+                          eval_C=lambda y: np.ones((1, 1)),
+                          eval_f=lambda y, u: np.ones(1))
     step = lambda t: np.array([0.0 if t < 0.5 else 1.0])
     trace = simulate_plant(spec, step, SimConfig(t_end=1.5, h=0.01, x0=[0.0], y0=[0.0]))
     for mode, w0 in ((REDUCED, None), (FULL, [0.0])):
@@ -653,7 +656,6 @@ def test_stepping_one_snapshot_twice_gives_independent_branches():
                 branches[i] = observer_step(spec, cfg, branches[i], tr.y_meas[j], tr.u[j - 1])
                 z[i][j] = branches[i].z
                 flags[i][j] = branches[i].last_reset_applied
-                assert len(branches[i].history) == j % M + 1
         assert not np.array_equal(z[0][-1], z[1][-1])
         for i, tr in enumerate(traces):
             fresh, _, reset_flags, _, _ = stepped(spec, cfg, tr, z0, w0)
@@ -670,9 +672,9 @@ def test_reduced_step_reuses_right_node_coefficients():
         calls.append(1)
         return np.array([[-1.0 - 0.1 * y[0] ** 2 + 0.2 * u[0]]])
 
-    spec = SystemSpec(n=1, k=1, m=1, eval_A=eval_A,
-                      eval_b=lambda y, u: np.array([0.3 * u[0] + np.sin(y[0])]),
-                      eval_C=lambda y: np.ones((1, 1)), eval_f=lambda y, u: np.zeros(1))
+    spec = pointwise_spec(n=1, k=1, m=1, eval_A=eval_A,
+                          eval_b=lambda y, u: np.array([0.3 * u[0] + np.sin(y[0])]),
+                          eval_C=lambda y: np.ones((1, 1)), eval_f=lambda y, u: np.zeros(1))
     h = 0.01
     count = 60
     t = h * np.arange(count)

@@ -6,11 +6,7 @@ import pytest
 from deadbeat_observer import applications as apps
 from deadbeat_observer.cli import build_scalar_spec, canonical_example26
 from deadbeat_observer.errors import DimensionMismatch, DomainExit, InvalidValue, NonFiniteState
-from deadbeat_observer.model import (
-    SystemSpec,
-    make_lti,
-    sampled_input,
-)
+from deadbeat_observer.model import make_lti, sampled_input
 from deadbeat_observer.numerics import Grid, integrate_rk4
 from deadbeat_observer.plant import (
     SensorModel,
@@ -21,7 +17,7 @@ from deadbeat_observer.plant import (
 )
 from deadbeat_observer.window import indistinguishing_input
 
-from oracles import scalar_oracle_spec
+from oracles import pointwise_spec, scalar_oracle_spec
 
 
 def test_simulate_scalar_oracle():
@@ -47,7 +43,7 @@ def test_simulate_frequency_matches_sinusoid():
 
 def ramp_spec(ceiling):
     """y' = 1 with the domain y < ceiling, so y(t) = y0 + t leaves it on a known node."""
-    return SystemSpec(
+    return pointwise_spec(
         n=1, k=1, m=1,
         eval_A=lambda y, u: np.zeros((1, 1)),
         eval_b=lambda y, u: np.zeros(1),
@@ -74,7 +70,7 @@ def test_simulate_initial_condition_outside_domain():
 
 def square_spec():
     """y' = y^2, which blows up at t = 1 / y0."""
-    return SystemSpec(
+    return pointwise_spec(
         n=1, k=1, m=1,
         eval_A=lambda y, u: np.zeros((1, 1)),
         eval_b=lambda y, u: np.zeros(1),

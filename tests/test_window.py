@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -30,7 +31,7 @@ from deadbeat_observer.window import (
     reconstruct_initial,
 )
 
-from oracles import indistinguishable_partner, scalar_oracle_spec
+from oracles import indistinguishable_partner, pointwise_coefficients, scalar_oracle_spec
 
 
 def scalar_window(r=1.0, h=1e-3, x0=2.0, y0=0.0):
@@ -178,8 +179,8 @@ def test_compute_window_one_batch_call_and_no_point_calls():
 @pytest.mark.parametrize("node", [0, 1, 137, 250])
 def test_compute_window_nan_reports_first_bad_node(batched, node):
     spec, window = reactor_window()
-    if not batched:
-        spec = dataclasses.replace(spec, eval_batch=None)
+    if not batched:  # the batch filled point by point
+        spec = dataclasses.replace(spec, eval_batch=functools.partial(pointwise_coefficients, spec))
     y = window.y_samples.copy()
     y[node, 0] = np.nan
     bad = IoWindow(grid=window.grid, y_samples=y, u_samples=window.u_samples)
