@@ -4,7 +4,6 @@ from .errors import (
     DeadbeatError,
     DimensionMismatch,
     DomainExit,
-    GramDegenerate,
     KappaVanished,
     NonFiniteState,
     NonNegativeZ2,

@@ -17,7 +17,6 @@ from . import applications as apps
 from .errors import (
     DeadbeatError,
     DomainExit,
-    GramDegenerate,
     InvalidValue,
     NonFiniteState,
 )
@@ -38,7 +37,6 @@ from .window import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-EXIT_DEGENERATE = 4
 
 CSV_BLOCK_ROWS = 256  # rows that write_csv stacks and formats at a time
 
@@ -66,8 +64,7 @@ _LATER = ("", lambda v: True)  # checked by load_config
 _FIELDS = {
     "system": _LATER,
     "sim": {"t_end": _NUMBER, "h": _NUMBER, "x0": _VECTOR, "y0": _VECTOR},
-    "observer": {"r": _NUMBER, "mode": _STRING, "z0": _VECTOR, "w0": _VECTOR,
-                 "rel_threshold": _NUMBER, "on_degenerate": _STRING},
+    "observer": {"r": _NUMBER, "mode": _STRING, "z0": _VECTOR, "w0": _VECTOR},
     "sensor": {f.name: _NUMBER for f in fields(SensorModel)},
     "input": {"value": _VECTOR},
     "sweep": {"mode": _STRING, "phases": _VECTOR, "r_values": _LIST},
@@ -387,7 +384,7 @@ def cmd_observability(cfg, prefix):
     window = IoWindow(grid=trace.grid, y_samples=trace.y_meas, u_samples=trace.u)
     wc = compute_window(spec, window)
     gs = gram(wc)
-    verdict = observability_certificate(gs, obs_cfg.rel_threshold)
+    verdict = observability_certificate(gs)
     eigvals = verdict.eigenvalues
     with np.errstate(over="ignore"):  # an overflow is inf, reported as null
         cond = eigvals[-1] / eigvals[0] if eigvals[0] > 0 else np.inf
@@ -454,9 +451,6 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except GramDegenerate as exc:
-        print(f"error: degenerate reset window: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except (DomainExit, NonFiniteState) as exc:
         print(f"error: runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -43,9 +43,5 @@ class KappaVanished(DeadbeatError):
     pass
 
 
-class GramDegenerate(DeadbeatError):
-    """Raised by the observer in Fail mode when a reset window is degenerate."""
-
-
 class NonNegativeZ2(DeadbeatError):
     pass

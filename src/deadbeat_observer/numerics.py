@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidValue, NonFiniteState, NotPositiveDefinite
 
-DEFAULT_REL_THRESHOLD = 1e-8
+REL_THRESHOLD = 1e-8  # a Gram matrix is degenerate at a smallest pivot <= this * trace/n
 MAX_NODES = 10**7  # the most nodes of one grid, and the most phases of one phase sweep
 
 
@@ -194,21 +194,19 @@ def cholesky_pivots(Q):
     return L, smallest
 
 
-def require_pivot(smallest, trace, n, rel_threshold=DEFAULT_REL_THRESHOLD):
+def require_pivot(smallest, trace, n):
     """The one test of a degenerate Gram matrix.
 
     ``smallest`` is the smallest squared Cholesky pivot of an n x n Gram
     matrix with the given trace.  Raises NotPositiveDefinite(smallest) unless
-    it is positive and above rel_threshold * trace/n; a factorization that
+    it is positive and above REL_THRESHOLD * trace/n; a factorization that
     stopped early reports a pivot <= 0, so it always raises.
     """
-    if not rel_threshold >= 0:
-        raise ValueError(f"rel_threshold must be >= 0, got {rel_threshold}")
-    if not (smallest > 0 and smallest > rel_threshold * trace / n):
+    if not (smallest > 0 and smallest > REL_THRESHOLD * trace / n):
         raise NotPositiveDefinite(smallest)
 
 
-def spd_solve(Q, rhs, rel_threshold=DEFAULT_REL_THRESHOLD):
+def spd_solve(Q, rhs):
     """Solve Q x = rhs for symmetric positive definite Q via Cholesky.
 
     Returns (x, smallest_pivot).  Raises NotPositiveDefinite unless
@@ -226,7 +224,7 @@ def spd_solve(Q, rhs, rel_threshold=DEFAULT_REL_THRESHOLD):
     if sym_err > 1e-12 * scale:
         raise ValueError(f"Q is not symmetric (relative asymmetry {sym_err / scale:.3e})")
     L, smallest = cholesky_pivots(Q)
-    require_pivot(smallest, np.trace(Q), n, rel_threshold)
+    require_pivot(smallest, np.trace(Q), n)
     y = np.linalg.solve(L, rhs)
     x = np.linalg.solve(L.T, y)
     return x, smallest

@@ -14,10 +14,10 @@ Every run, streamed or replayed, starts at ``observer_init``: the initial
 estimate at the first measurement y0.  Leaving the model domain raises
 DomainExit with the stream or trace node.
 
-A reset window is degenerate when ``numerics.spd_solve`` rejects its Gram
-matrix at ``ObserverConfig.rel_threshold``.  It is either skipped, keeping
-the flowed estimate and retrying one window later ("hold"), or raised as
-GramDegenerate ("fail").
+A reset window is degenerate when ``numerics.require_pivot``, the one rule,
+finds the smallest squared Cholesky pivot of its Gram matrix Q at or below
+REL_THRESHOLD * trace(Q)/n.  A degenerate window is always held: the reset is
+skipped, and the flowed estimate is kept until the next window.
 
 Both flows step with ``numerics.rk4_step`` and hold the input of the left
 node over the step, as ``window.compute_window`` does (the plant instead
@@ -40,18 +40,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DimensionMismatch, DomainExit, GramDegenerate, InvalidValue, NonFiniteState,
-                     NotPositiveDefinite)
+from .errors import DimensionMismatch, DomainExit, InvalidValue, NonFiniteState, NotPositiveDefinite
 from .model import check_point_evaluators, point_rate
-from .numerics import DEFAULT_REL_THRESHOLD, Grid, all_finite, rk4_step, window_grid
+from .numerics import Grid, all_finite, rk4_step, window_grid
 # compute_window is looked up on its module, where perfbench/spans.py times it
 from . import window as _window
 from .window import IoWindow, apply_P, end_state
 
 FULL = "full"
 REDUCED = "reduced"
-HOLD = "hold"
-FAIL = "fail"
 
 
 @dataclass(frozen=True)
@@ -59,17 +56,11 @@ class ObserverConfig:
     r: float
     h: float
     mode: str = REDUCED
-    rel_threshold: float = DEFAULT_REL_THRESHOLD
-    on_degenerate: str = HOLD
     steps_per_window: int = field(init=False, repr=False, compare=False)  # M = r/h
 
     def __post_init__(self):
         if self.mode not in (FULL, REDUCED):
             raise InvalidValue(f"mode must be '{FULL}' or '{REDUCED}', got {self.mode!r}")
-        if self.on_degenerate not in (HOLD, FAIL):
-            raise InvalidValue(f"on_degenerate must be '{HOLD}' or '{FAIL}'")
-        if not self.rel_threshold >= 0:
-            raise InvalidValue(f"rel_threshold must be >= 0, got {self.rel_threshold}")
         object.__setattr__(self, "steps_per_window", window_grid(self.r, self.h).count - 1)
 
 
@@ -232,7 +223,7 @@ def observer_step(spec, config, snap, y_meas, u):
         window = IoWindow(Grid(0.0, config.h, M + 1),
                           *_window_samples((y_meas, u, link), M + 1))
         link = (y_meas, u, None)  # the next window starts at this node
-        z_reset = _reset(config, node - M, t_new, apply_P, spec, window)
+        z_reset = _reset(node - M, apply_P, spec, window)
         reset_applied = z_reset is not None
         if reset_applied:
             z, w = z_reset, y_meas
@@ -255,15 +246,12 @@ def _at_trace_nodes(start, window_fn, *args):
         raise type(exc)(start + exc.index) from exc
 
 
-def _reset(config, start, t, reconstruct, *args):
-    """Reset state ``reconstruct(*args, config.rel_threshold)`` of the window
-    from node ``start`` that ends at time t, or None when it is degenerate and
-    held; under FAIL a degenerate window raises GramDegenerate."""
+def _reset(start, reconstruct, *args):
+    """Reset state ``reconstruct(*args)`` of the window from node ``start``, or
+    None when the window is degenerate, which holds it."""
     try:
-        return _at_trace_nodes(start, reconstruct, *args, config.rel_threshold)
-    except NotPositiveDefinite as exc:
-        if config.on_degenerate == FAIL:
-            raise GramDegenerate(f"degenerate reset window at t = {t:.6g}: {exc}") from exc
+        return _at_trace_nodes(start, reconstruct, *args)
+    except NotPositiveDefinite:
         return None
 
 
@@ -331,7 +319,7 @@ def run_observer(spec, config, trace, z0, w0=None):
             if bad.size:
                 raise _diverged(end, t[end])
             if b - a == M:
-                z_reset = _reset(config, a, t[b], end_state, wc)
+                z_reset = _reset(a, end_state, wc)
                 if z_reset is None:
                     degen_flags[b] = 1
                 else:

@@ -26,9 +26,10 @@ This equals the node-by-node RK4 of the four ODEs up to rounding.
 With p(t) = y(t) - y(0) - xi(t), the Gram matrix Q = int q q' dt and
 right-hand side v = int q p dt give the window-initial unmeasured state as
 x0 = Q^{-1} v, and the reconstruction operator maps the window to the state
-at its end: Phi(r) x0 + theta(r).  The window is strongly observable when Q
-is positive definite; resets and certificates alike decide this by one
-``spd_solve``: one Cholesky, its smallest pivot against rel_threshold * trace(Q)/n.
+at its end: Phi(r) x0 + theta(r).  Resets and certificates alike decide the
+window by one ``spd_solve`` and its one rule, ``numerics.require_pivot``: the
+window is degenerate when the smallest squared Cholesky pivot of Q is at or
+below REL_THRESHOLD * trace(Q)/n, and strongly observable otherwise.
 A Q or v that is not finite is no verdict: ``gram`` raises NonFiniteState at
 the window's last node instead, with a message that names the Gram matrix.
 
@@ -44,8 +45,7 @@ import numpy as np
 from .errors import DimensionMismatch, KappaVanished, NonFiniteState, NotPositiveDefinite
 from .model import SystemSpec, as_channels, check_point_evaluators, eval_coefficients
 # cholesky_pivots is not called here; perfbench/spans.py counts calls through this name
-from .numerics import (DEFAULT_REL_THRESHOLD, Grid, all_finite, cholesky_pivots, spd_solve,
-                       trapezoid)
+from .numerics import Grid, all_finite, cholesky_pivots, spd_solve, trapezoid
 
 _KAPPA_TOL = 1e-9  # |kappa| at or below this counts as vanished
 
@@ -185,38 +185,38 @@ def gram(wc):
     return GramSummary(Q=Q, v=v)
 
 
-def reconstruct_initial(gs, rel_threshold=DEFAULT_REL_THRESHOLD):
+def reconstruct_initial(gs):
     """Window-initial unmeasured state Q^{-1} v (raises NotPositiveDefinite)."""
-    x0_hat, _ = spd_solve(gs.Q, gs.v, rel_threshold)
+    x0_hat, _ = spd_solve(gs.Q, gs.v)
     return x0_hat
 
 
-def end_state(wc, rel_threshold=DEFAULT_REL_THRESHOLD):
+def end_state(wc):
     """Phi(r) Q^{-1} v + theta(r) of a computed window (raises NotPositiveDefinite)."""
-    x0_hat = reconstruct_initial(gram(wc), rel_threshold)
+    x0_hat = reconstruct_initial(gram(wc))
     return wc.phi[-1] @ x0_hat + wc.theta[-1]
 
 
-def apply_P(spec, window, rel_threshold=DEFAULT_REL_THRESHOLD):
+def apply_P(spec, window):
     """Reconstruction operator: unmeasured state at the end of the window.
 
     For a noiseless window of a strongly observable plant this equals the true
     state at the window end, up to integration error.
     """
-    return end_state(compute_window(spec, window), rel_threshold)
+    return end_state(compute_window(spec, window))
 
 
-def observability_certificate(gs, rel_threshold=DEFAULT_REL_THRESHOLD):
+def observability_certificate(gs):
     """Strong-distinguishability verdict on the window.
 
-    Decided exactly as a reset is, by ``spd_solve`` with rel_threshold.  Both
+    Decided exactly as a reset is, by ``spd_solve``.  Both
     verdicts carry the eigenvalues of Q and the smallest Cholesky pivot;
     Degenerate also carries the approximate null direction (eigenvector of
     the smallest eigenvalue; e0 when Q is zero), the only use of ``eigh``.
     """
     eigenvalues = np.linalg.eigvalsh(gs.Q)
     try:
-        _, smallest_pivot = spd_solve(gs.Q, gs.v, rel_threshold)
+        _, smallest_pivot = spd_solve(gs.Q, gs.v)
     except NotPositiveDefinite as exc:
         null = (np.linalg.eigh(gs.Q)[1][:, 0] if np.trace(gs.Q) > 0
                 else np.eye(len(gs.Q))[0])

@@ -132,7 +132,9 @@ def check_hypothesis(p, a, which="A1"):
     return HypothesisHolds(margin=float(signed[worst]), gated_points=int(np.count_nonzero(gated)))
 
 
-DEFAULT_EQUAL_E_WINDOW = 1.0  # any r > 0 works when E1 = E2; a documented default
+# any r > 0 works when E1 = E2 in exact arithmetic only: at numerics.REL_THRESHOLD
+# the 1 s window of the perturbed lumped set is degenerate; a documented default
+DEFAULT_EQUAL_E_WINDOW = 1.0
 
 
 def min_window_reactor(p, a, which="A1"):

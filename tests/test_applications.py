@@ -182,6 +182,22 @@ def test_margin_hypothesis_predicts_the_certificate():
     spec, _, window = reactor_window(lumped, [0.9, 0.5], 315.0, 16.0, 0.008)
     assert isinstance(observability_certificate(gram(compute_window(spec, window))), Degenerate)
 
+
+def test_equal_e_window_is_degenerate_at_the_fixed_threshold():
+    # the oracle's E1 = E2 window holds in exact arithmetic only: on the perturbed
+    # lumped set the 1 s window's smallest pivot is 1.83e-9 of trace(Q)/n, at or
+    # below REL_THRESHOLD = 1e-8, while criterion 8's 16 s window reaches 1.88e-7
+    perturbed = lumped_reactor_params(k2=0.303)
+    assert min_window_reactor(perturbed, LUMPED_MARGIN) == DEFAULT_EQUAL_E_WINDOW
+    for r, h, verdict, ratio in ((DEFAULT_EQUAL_E_WINDOW, 5e-4, Degenerate, 1.83e-9),
+                                 (16.0, 0.008, StronglyObservableOnWindow, 1.88e-7)):
+        spec, _, window = reactor_window(perturbed, [0.9, 0.5], 315.0, r, h)
+        gs = gram(compute_window(spec, window))
+        certificate = observability_certificate(gs)
+        assert isinstance(certificate, verdict), r
+        assert certificate.smallest_pivot / (np.trace(gs.Q) / 2) == pytest.approx(ratio, rel=0.01)
+
+
 def reference_reactor_evaluators(p):
     """The reactor's per-point evaluators computing on y[0] as an np.float64."""
 

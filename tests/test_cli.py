@@ -8,7 +8,6 @@ import pytest
 from deadbeat_observer import applications as apps, cli, numerics
 from deadbeat_observer.cli import (
     EXIT_CONFIG,
-    EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_RUNTIME,
     main,
@@ -134,22 +133,31 @@ def test_runtime_error_exit_code(tmp_path, capsys):
     assert "runtime failure" in capsys.readouterr().err
 
 
-def degenerate_scalar_configs(prefix):
-    """Scalar configs whose reset windows are all degenerate."""
+def degenerate_configs(prefix):
+    """Configs whose three reset windows are all degenerate.
+
+    The scalar plant's output carries no state information: Q = 0.  The
+    second state of the LTI plant never reaches the output, so Q is not zero
+    but its smallest Cholesky pivot is.
+    """
     flat = scalar_config(prefix)
-    flat["system"]["c0"] = 0.0  # output carries no state information: Q = 0
-    strict = scalar_config(prefix)
-    # n = 1: the smallest pivot over trace/n is exactly 1
-    strict["observer"]["rel_threshold"] = 1.01
-    return [flat, strict]
+    flat["system"]["c0"] = 0.0
+    hidden = scalar_config(prefix, system={
+        "kind": "lti", "A": [[0.0, 0.0], [0.0, -1.0]], "b": [0.0, 0.0], "C": [[1.0], [0.0]],
+        "f": [0.0]})
+    hidden["sim"]["x0"] = [2.0, 2.0]
+    hidden["observer"]["z0"] = [0.0, 0.0]
+    return [flat, hidden]
 
 
 def test_degenerate_exit_code(tmp_path, capsys):
-    for cfg in degenerate_scalar_configs(str(tmp_path / "flat")):
-        cfg["observer"]["on_degenerate"] = "fail"
+    # a degenerate reset window is held, so the run succeeds
+    for cfg in degenerate_configs(str(tmp_path / "flat")):
         cfg_path = write_config(tmp_path, cfg)
-        assert main(["simulate", cfg_path]) == EXIT_DEGENERATE
-        assert "degenerate" in capsys.readouterr().err
+        assert main(["simulate", cfg_path]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        summary = json.loads((tmp_path / "flat_summary.json").read_text())
+        assert summary["degenerate_events"] == 3
 
 
 def test_observability_report_planar_counterexample(tmp_path, capsys):
@@ -182,14 +190,15 @@ def test_observability_report_observable(tmp_path):
 
 
 def test_observability_report_degenerate_scalar(tmp_path):
-    flat, strict = degenerate_scalar_configs(str(tmp_path / "obs"))
-    for cfg, condition in ((flat, None), (strict, 1.0)):
+    flat, hidden = degenerate_configs(str(tmp_path / "obs"))
+    for cfg, null_direction in ((flat, [1.0]), (hidden, [0.0, 1.0])):
         cfg_path = write_config(tmp_path, cfg)
         assert main(["observability", cfg_path]) == EXIT_OK
         report = json.loads((tmp_path / "obs_observability.json").read_text())
         assert report["certificate"] == "degenerate"
-        assert report["condition_estimate"] == condition
-        assert report["null_direction"] in ([1.0], [-1.0])
+        assert (report["trace"] > 0) == (cfg is hidden)
+        assert report["condition_estimate"] is None
+        assert [abs(v) for v in report["null_direction"]] == null_direction
 
 
 def counting(monkeypatch, owner, name, calls):
@@ -280,25 +289,25 @@ def overflowing_gram_config(prefix):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_gram_is_a_runtime_error(tmp_path, capsys):
-    hold = overflowing_gram_config(str(tmp_path / "ovf"))
-    fail = overflowing_gram_config(str(tmp_path / "ovf"))
-    fail["observer"]["on_degenerate"] = "fail"
-    for command, cfg in (("simulate", hold), ("simulate", fail), ("observability", hold)):
-        assert main([command, write_config(tmp_path, cfg)]) == EXIT_RUNTIME
+    cfg_path = write_config(tmp_path, overflowing_gram_config(str(tmp_path / "ovf")))
+    for command in ("simulate", "observability"):
+        assert main([command, cfg_path]) == EXIT_RUNTIME
         assert ("non-finite Gram matrix of the window ending at grid index 50"
                 in capsys.readouterr().err)
     assert not list(tmp_path.glob("ovf_*"))
 
 
-@pytest.mark.parametrize("field, value", [("rel_threshold", -1.0), ("mode", "adaptive"),
-                                          ("on_degenerate", "retry")])
+@pytest.mark.parametrize("field, value", [("mode", "adaptive"), ("rel_threshold", 1e-8),
+                                          ("on_degenerate", "hold")])
 def test_bad_observer_field_is_a_config_error(tmp_path, capsys, field, value):
+    # the degeneracy threshold and policy are fixed, so their old fields are unknown
+    message = "`observer`: mode must be" if field == "mode" else f"unknown field `observer.{field}`"
     cfg = scalar_config(str(tmp_path / "bad"))
     cfg["observer"][field] = value
     cfg_path = write_config(tmp_path, cfg)
     for command in ("simulate", "observability"):
         assert main([command, cfg_path]) == EXIT_CONFIG
-        assert field in capsys.readouterr().err
+        assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("bad_*"))
 
 

@@ -4,7 +4,7 @@ Each example sets one numeric leaf of one shipped config to another number or
 to a value of another JSON type (a string, a bool, null, a list or an object),
 or replaces one of its sections (an object, nested ones included) with a
 string, a number, a list or null, and runs one command in-process, with
-warnings raised as errors.  The contract: the exit code is 0, 2, 3 or 4;
+warnings raised as errors.  The contract: the exit code is 0, 2 or 3;
 nothing escapes ``main`` (no traceback, no numpy warning); a failing run prints
 exactly one ``error:`` line, and a successful one prints nothing on stderr.  A
 number or a section replaced by a value of another JSON type is a config error
@@ -28,7 +28,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from deadbeat_observer.cli import (  # noqa: E402
-    EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, EXIT_RUNTIME, main)
+    EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 CONFIGS = {path.stem: json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))}
@@ -164,7 +164,7 @@ def run(name, command, path, value):
 @example(case=("example26", "observability", ("sim", "x0", 0), False))
 def test_every_run_ends_with_a_documented_exit(case):
     code, err = run(*case)
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME, EXIT_DEGENERATE)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)
     if code == EXIT_OK:
         assert err == ""
     else:

@@ -10,13 +10,11 @@ from deadbeat_observer.cli import build_scalar_spec
 from deadbeat_observer.errors import (
     DimensionMismatch,
     DomainExit,
-    GramDegenerate,
     InvalidValue,
     NonFiniteState,
 )
 from deadbeat_observer.model import make_lti
 from deadbeat_observer.observer import (
-    FAIL,
     FULL,
     REDUCED,
     ObserverConfig,
@@ -33,17 +31,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ObserverConfig(r=1.0, h=0.1, mode="adaptive")
     with pytest.raises(ValueError):
-        ObserverConfig(r=1.0, h=0.1, on_degenerate="retry")
-    with pytest.raises(ValueError):
         ObserverConfig(r=1.0, h=0.3)  # r not a multiple of h
     with pytest.raises(ValueError):
         ObserverConfig(r=0.1, h=0.1)  # fewer than 2 steps per window
     for r in (float("nan"), float("inf")):  # the grid's value rule, not numpy's int()
         with pytest.raises(InvalidValue):
             ObserverConfig(r=r, h=0.1)
-    for rel_threshold in (-1.0, float("nan")):
-        with pytest.raises(ValueError, match="rel_threshold must be >= 0"):
-            ObserverConfig(r=0.1, h=0.01, rel_threshold=rel_threshold)
     cfg = ObserverConfig(r=1.0, h=0.01)
     assert cfg.steps_per_window == 100
 
@@ -158,21 +151,17 @@ def test_run_observer_dead_beat_scalar():
     spec = scalar_oracle_spec()
     trace = simulate_plant(spec, None, SimConfig(t_end=1.5, h=0.005,
                                                  x0=[2.0], y0=[0.0]))
-    # n = 1, so the smallest pivot over trace/n is exactly 1: any threshold
-    # below 1 accepts every window
-    for rel_threshold in (1e-8, 0.99):
-        cfg = ObserverConfig(r=0.5, h=0.005, rel_threshold=rel_threshold)
-        est = run_observer(spec, cfg, trace, z0=[0.0])
-        t = trace.grid.times()
-        # before the first reset the estimate flows from z0 = 0 (x' = 0)
-        assert np.max(np.abs(est.z[t < 0.5 - 1e-12, 0])) < 1e-12
-        # from the first reset on, the estimate matches the true state
-        post = t >= 0.5 - 1e-12
-        assert np.max(np.abs(est.z[post, 0] - trace.x_true[post, 0])) < 1e-8
-        # resets fire exactly at multiples of r
-        reset_nodes = np.flatnonzero(est.reset_flags)
-        assert list(reset_nodes) == [100, 200, 300]
-        assert est.degenerate_events == 0
+    est = run_observer(spec, ObserverConfig(r=0.5, h=0.005), trace, z0=[0.0])
+    t = trace.grid.times()
+    # before the first reset the estimate flows from z0 = 0 (x' = 0)
+    assert np.max(np.abs(est.z[t < 0.5 - 1e-12, 0])) < 1e-12
+    # from the first reset on, the estimate matches the true state
+    post = t >= 0.5 - 1e-12
+    assert np.max(np.abs(est.z[post, 0] - trace.x_true[post, 0])) < 1e-8
+    # resets fire exactly at multiples of r
+    reset_nodes = np.flatnonzero(est.reset_flags)
+    assert list(reset_nodes) == [100, 200, 300]
+    assert est.degenerate_events == 0
 
 
 def test_run_observer_full_mode_frequency():
@@ -200,36 +189,42 @@ def test_run_observer_reduced_mirrors_measurement():
 
 
 def degenerate_cases():
-    """(spec, rel_threshold) pairs whose every reset window is degenerate.
+    """(name, spec, trace) triples whose every r = 0.25 reset window is degenerate.
 
-    The zero output map gives Q = 0.  The scalar oracle's smallest pivot over
-    trace/n is exactly 1, so a threshold of 1.01 rejects every window.
+    The zero output map gives Q = 0.  The second state of the hidden-state
+    plant never reaches the output, so Q = [[q, 0], [0, 0]] with q > 0 and a
+    smallest pivot of 0: the fixed rule rejects a Q that is not zero.  Every
+    plant state starts at 3.
     """
     zero_output = make_lti(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1)),
                            np.zeros(1))
-    return [(zero_output, 1e-8), (scalar_oracle_spec(), 1.01)]
+    hidden_state = make_lti([[0, 0], [0, -1]], [0, 0], [[1], [0]], [0])
+    return [(name, spec, simulate_plant(spec, None, SimConfig(t_end=1.0, h=0.01,
+                                                              x0=np.full(spec.n, 3.0),
+                                                              y0=[0.0])))
+            for name, spec in (("zero output", zero_output), ("hidden state", hidden_state))]
 
 
 def test_degenerate_window_hold_keeps_estimate():
-    for spec, rel_threshold in degenerate_cases():
-        trace = simulate_plant(spec, None, SimConfig(t_end=1.0, h=0.01,
-                                                     x0=[3.0], y0=[0.0]))
-        cfg = ObserverConfig(r=0.25, h=0.01, rel_threshold=rel_threshold)
-        est = run_observer(spec, cfg, trace, z0=[0.5])
-        assert est.degenerate_events == 4
-        assert np.all(est.z == 0.5)
-        assert np.all(est.reset_flags == 0)
-        assert np.count_nonzero(est.degenerate_flags) == 4
-
-
-def test_degenerate_window_fail_raises():
-    for spec, rel_threshold in degenerate_cases():
-        trace = simulate_plant(spec, None, SimConfig(t_end=1.0, h=0.01,
-                                                     x0=[3.0], y0=[0.0]))
-        cfg = ObserverConfig(r=0.25, h=0.01, rel_threshold=rel_threshold,
-                             on_degenerate=FAIL)
-        with pytest.raises(GramDegenerate):
-            run_observer(spec, cfg, trace, z0=[0.5])
+    for name, spec, trace in degenerate_cases():
+        first = window.IoWindow(numerics.Grid(0.0, 0.01, 26), trace.y_meas[:26], trace.u[:26])
+        Q = window.gram(window.compute_window(spec, first)).Q
+        assert (np.trace(Q) > 0) == (name == "hidden state"), name
+        z0 = np.full(spec.n, 0.5)
+        # the flow from z0 with no reset: 0.5, and 0.5 exp(-t) for a second state
+        flowed = 0.5 * np.exp(-np.outer(trace.grid.times(), np.arange(spec.n)))
+        for mode, w0 in ((REDUCED, None), (FULL, [0.0])):
+            cfg = ObserverConfig(r=0.25, h=0.01, mode=mode)
+            est = run_observer(spec, cfg, trace, z0, w0)
+            streamed = stepped(spec, cfg, trace, z0, w0)
+            for z, reset_flags, degenerate_flags, events in (
+                    (est.z, est.reset_flags, est.degenerate_flags, est.degenerate_events),
+                    (streamed[0], *streamed[2:])):
+                assert events == 4, (name, mode)
+                assert np.all(z[:, 0] == 0.5), (name, mode)
+                assert np.allclose(z, flowed, rtol=0.0, atol=1e-9), (name, mode)
+                assert np.all(reset_flags == 0), (name, mode)
+                assert np.count_nonzero(degenerate_flags) == 4, (name, mode)
 
 
 def test_run_observer_rejects_mismatched_step():
@@ -320,11 +315,9 @@ def replay_cases():
     for mode in (REDUCED, FULL):
         cases.append((f"scalar plant under a varying input, {mode}", spec,
                       ObserverConfig(r=0.5, h=0.005, mode=mode), trace, [0.0], [0.2]))
-    for spec, rel_threshold in degenerate_cases():
-        trace = simulate_plant(spec, None, SimConfig(t_end=1.0, h=0.01, x0=[3.0], y0=[0.0]))
-        cases.append((f"degenerate at {rel_threshold}", spec,
-                      ObserverConfig(r=0.25, h=0.01, rel_threshold=rel_threshold),
-                      trace, [0.5], None))
+    for name, spec, trace in degenerate_cases():
+        cases.append((f"degenerate, {name}", spec, ObserverConfig(r=0.25, h=0.01), trace,
+                      np.full(spec.n, 0.5), None))
     return cases
 
 
@@ -379,7 +372,7 @@ def assert_full_mode_as_hand_written(name, spec, cfg, trace, z0, w0):
         if j % M == 0:
             io = window.IoWindow(numerics.Grid(0.0, cfg.h, M + 1),
                                  y[j - M:j + 1], u[j - M:j + 1])
-            zj, wj = window.apply_P(spec, io, cfg.rel_threshold), y[j]
+            zj, wj = window.apply_P(spec, io), y[j]
         z.append(zj)
         w.append(wj)
     est = run_observer(spec, cfg, trace, z0, w0)
@@ -461,24 +454,17 @@ def test_plant_samples_stage_times_and_observer_holds_left_input():
 
 
 def test_replay_and_streaming_fail_alike():
-    cases = []
-    for spec, rel_threshold in degenerate_cases():
-        trace = simulate_plant(spec, None, SimConfig(t_end=1.0, h=0.01, x0=[3.0], y0=[0.0]))
-        cfg = ObserverConfig(r=0.25, h=0.01, rel_threshold=rel_threshold,
-                             on_degenerate=FAIL)
-        cases.append((spec, cfg, trace, [0.5], GramDegenerate))
     # the estimate holds at 0 until the reset at node 50 puts it on the true
     # x = 2, outside its domain x < 1.5
     plant = make_lti([[0.0]], [0.0], [[1.0]], [0.0])
     trace = simulate_plant(plant, None, SimConfig(t_end=1.0, h=0.01, x0=[2.0], y0=[0.0]))
     spec = dataclasses.replace(plant, in_domain=lambda x, y: x[0] < 1.5)
-    cases.append((spec, ObserverConfig(r=0.5, h=0.01), trace, [0.0], DomainExit))
-    for spec, cfg, trace, z0, error in cases:
-        with pytest.raises(error) as replayed:
-            run_observer(spec, cfg, trace, z0=z0)
-        with pytest.raises(error) as streamed:
-            stepped(spec, cfg, trace, z0)
-        assert str(replayed.value) == str(streamed.value)
+    cfg = ObserverConfig(r=0.5, h=0.01)
+    with pytest.raises(DomainExit) as replayed:
+        run_observer(spec, cfg, trace, z0=[0.0])
+    with pytest.raises(DomainExit) as streamed:
+        stepped(spec, cfg, trace, [0.0])
+    assert str(replayed.value) == str(streamed.value)
     assert replayed.value.index == streamed.value.index == 50
 
 
@@ -552,18 +538,17 @@ def test_overflowing_gram_raises_at_the_reset_node():
     spec = make_lti([[2000.0]], [0.0], [[1.0]], [0.0])
     trace = simulate_plant(spec, None, SimConfig(t_end=1.0, h=0.01, x0=[0.0], y0=[0.0]))
     for mode, w0 in ((REDUCED, None), (FULL, [0.0])):
-        for on_degenerate in ("hold", FAIL):
-            cfg = ObserverConfig(r=0.5, h=0.01, mode=mode, on_degenerate=on_degenerate)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(NonFiniteState) as replayed:
-                    run_observer(spec, cfg, trace, [1.0], w0)
-                with pytest.raises(NonFiniteState) as streamed:
-                    stepped(spec, cfg, trace, [1.0], w0)
-            assert replayed.value.index == streamed.value.index == 50, cfg
-            for raised in (replayed, streamed):
-                assert str(raised.value) == ("non-finite Gram matrix of the window "
-                                             "ending at grid index 50"), cfg
+        cfg = ObserverConfig(r=0.5, h=0.01, mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState) as replayed:
+                run_observer(spec, cfg, trace, [1.0], w0)
+            with pytest.raises(NonFiniteState) as streamed:
+                stepped(spec, cfg, trace, [1.0], w0)
+        assert replayed.value.index == streamed.value.index == 50, cfg
+        for raised in (replayed, streamed):
+            assert str(raised.value) == ("non-finite Gram matrix of the window "
+                                         "ending at grid index 50"), cfg
 
 
 def test_reset_window_overflow_reports_the_stream_node():
@@ -738,9 +723,7 @@ def test_step_keeps_the_window_of_its_snapshot():
         observer_step(spec, ObserverConfig(r=0.5, h=0.1), snap, y_meas=[0.4], u=[0.0])
 
 
-@pytest.mark.parametrize("change", [{"mode": FULL}, {"on_degenerate": FAIL},
-                                    {"rel_threshold": 1e-6}],
-                         ids=["mode", "on_degenerate", "rel_threshold"])
+@pytest.mark.parametrize("change", [{"mode": FULL}], ids=["mode"])
 def test_step_rejects_a_config_other_than_its_snapshots(change):
     spec = scalar_oracle_spec()
     config = ObserverConfig(r=1.0, h=0.1)
