@@ -27,6 +27,9 @@ from .window import IoWindow
 
 @dataclass(frozen=True)
 class ReactorParams:
+    """The reactor's twelve parameters, checked when built: a non-positive one or a
+    structural inequality they break raises InvalidValue."""
+
     k1: float  # pre-exponential rate of A -> B (1/s)
     k2: float  # pre-exponential rate of B -> C (1/s)
     E1: float  # activation temperature of A -> B (K)
@@ -141,6 +144,14 @@ def reactor_spec(p):
 
 @dataclass(frozen=True)
 class FrequencyScenario:
+    """The signal A sin(w t + phase) on the window [0, r], read through its sensor.
+
+    The noise fields default to ``SensorModel``'s (amplitude 0, 1 rad/s).  The
+    sensor and the window ``grid`` are built with the scenario, so the
+    sensor's rules and ``numerics.window_grid`` reject a bad scenario there,
+    with InvalidValue.
+    """
+
     amplitude: float = 2.0  # signal amplitude
     omega: float = 3.0  # true frequency (rad/s)
     phase: float = 0.0  # phase (rad)
@@ -165,7 +176,7 @@ class FrequencyScenario:
         return self._sensor
 
     def initial_state(self):
-        """Plant initial condition generating A sin(w t + phase)."""
+        """Plant initial condition generating A sin(w t + phase); x2 = -inf when w^2 overflows."""
         try:
             x2 = -self.omega ** 2
         except OverflowError:  # the plant rejects the state at node 0 (NonFiniteState)
@@ -181,7 +192,9 @@ def freq_spec():
         y' = x1,  x1' = x2 y,  x2' = 0   with x2 = -omega^2.
 
     The domain is x2 < 0 away from the origin, so that the frequency readout
-    is well defined.
+    is well defined.  The origin y = x1 = 0 is tested by comparing with zero,
+    not by squaring, so no finite state overflows the test and a tiny state
+    whose square underflows counts as inside.
     """
 
     def eval_A(y, u):
@@ -263,7 +276,7 @@ def freq_closed_form(window):
 
 
 def omega_hat(z2):
-    """Frequency readout sqrt(-z2); valid only in the admissible region z2 < 0."""
+    """Frequency readout sqrt(-z2); a z2 that is not negative, NaN included, raises NonNegativeZ2."""
     if not z2 < 0:  # NaN included
         raise NonNegativeZ2(f"z2 = {z2:.6g} is not negative")
     return float(np.sqrt(-z2))

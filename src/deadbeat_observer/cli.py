@@ -280,6 +280,12 @@ def write_json(path, payload):
 
 
 def cmd_simulate(cfg, prefix):
+    """Plant run and observer replay: the trace, estimate and summary files.
+
+    ``observer.z0``, and ``observer.w0`` in full mode, are required before
+    the plant runs.  The summary's ``max_post_window_relative_error`` is null
+    when no node follows the first window or the error is not finite.
+    """
     spec, kind, extras = build_system(cfg)
     sim_cfg = sim_section(cfg, extras, kind)
     obs_cfg = build_observer_config(cfg)
@@ -321,6 +327,16 @@ def cmd_simulate(cfg, prefix):
 
 
 def cmd_sweep(cfg, prefix, mode):
+    """Phase or horizon sweep of the config's frequency signal.
+
+    Each quantity has one setting, which every command reads: a window is
+    [0, ``observer.r``] (1 s when absent) in a phase sweep and [0, r] for each
+    ``sweep.r_values`` entry in a horizon sweep, each at ``sim.h`` (r/2000
+    when absent), with its noise from ``sensor``.  ``sweep.phases`` is a list
+    of phases or their count (64 when absent).  Each of ``sweep.phases`` and
+    ``sweep.r_values`` that is present obeys its sweep's rule whichever sweep
+    runs, and a rule it breaks is a config error that names it.
+    """
     spec, kind, extras = build_system(cfg)
     if kind != "frequency":
         raise ConfigError("sweeps require `system.kind` = \"frequency\"")
@@ -367,6 +383,13 @@ def cmd_sweep(cfg, prefix, mode):
 
 
 def cmd_observability(cfg, prefix):
+    """Certificate of the first window: the observability report.
+
+    The eigenvalues and the smallest pivot come from the certificate; the
+    condition estimate is the largest eigenvalue over the smallest (null when
+    the smallest is not positive or the quotient overflows).  ``det_nodes``
+    are n evenly spaced nodes of the window.
+    """
     spec, kind, extras = build_system(cfg)
     obs_cfg = build_observer_config(cfg)
     sensor = build_sensor(cfg)

@@ -25,6 +25,9 @@ plant and ``observer_step`` call the per-point evaluators.
 
 An input is any function u(t) that returns an ndarray of shape (m,);
 ``sampled_input`` holds recorded per-node samples.
+
+``in_domain(x, y)`` is the only domain predicate: the plant and both observer
+paths call it at every node.
 """
 
 import math
@@ -58,8 +61,10 @@ def as_channels(samples):
 def sampled_input(grid, values):
     """Input u(t) that holds the sample of the most recent node of ``grid``.
 
-    ``values`` is (count, m), or (count,) for m = 1; another count raises
-    DimensionMismatch.
+    That node is floor((t - t0)/h + 1e-9), clamped to the grid: a time less
+    than 1e-9 steps short of a node holds that node's sample, and a time
+    before the grid the first sample.  ``values`` is (count, m), or (count,)
+    for m = 1; another count raises DimensionMismatch.
     """
     values = as_channels(values)
     if values.ndim != 2 or values.shape[0] != grid.count:
@@ -119,6 +124,9 @@ def make_lti(A, b, C, f):
     """SystemSpec with constant evaluators; domains are all of R^n x R^k.
 
     ``C`` is the n-by-k matrix whose transpose appears in the output dynamics.
+    An A that is not square, a b or f of the wrong length, or a C that is not
+    a 2-D array of n rows raises DimensionMismatch; nothing is reshaped, so a
+    4x1 or 1x4 C for n = 2 is rejected.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]

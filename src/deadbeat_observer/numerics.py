@@ -19,14 +19,24 @@ MAX_NODES = 10**7  # the most nodes of one grid, and the most phases of one phas
 
 
 def require_node_count(count):
-    """Raise InvalidValue if a grid of ``count`` nodes (inf included) exceeds MAX_NODES."""
+    """Raise InvalidValue if a grid of ``count`` nodes (inf included) exceeds MAX_NODES.
+
+    A ``Grid`` checks its count, ``Grid.from_span`` and ``window_grid`` check
+    span/h + 1 before they round anything, and ``applications.sweep_phases``
+    checks a phase count, so an oversized grid is rejected before any array
+    is made.
+    """
     if count > MAX_NODES:
         raise InvalidValue(f"a grid of {count:.9g} nodes exceeds the limit of {MAX_NODES} nodes")
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform time grid: node j sits at t0 + j*h, j = 0..count-1."""
+    """Uniform time grid: node j sits at t0 + j*h, j = 0..count-1.
+
+    A non-finite t0 or h, an h <= 0, and a count that is not a whole number
+    from 2 to MAX_NODES raise InvalidValue.
+    """
 
     t0: float
     h: float
@@ -52,7 +62,11 @@ class Grid:
 
     @classmethod
     def from_span(cls, t0, span, h):
-        """Grid covering [t0, t0+span]; span must be a positive integer multiple of h > 0."""
+        """Grid covering [t0, t0+span]; span must be a positive integer multiple of h > 0.
+
+        A non-finite span or step raises InvalidValue, as does a span that
+        is not such a multiple.
+        """
         if not (math.isfinite(span) and math.isfinite(h)):
             raise InvalidValue(f"span {span} and step {h} must be finite")
         steps = _whole_steps(span, h)
@@ -70,7 +84,13 @@ def _whole_steps(span, h):
 
 
 def window_grid(r, h):
-    """Grid of a reset or sweep window [0, r]; the one rule is that r/h is a whole number >= 2."""
+    """Grid of a reset or sweep window [0, r]; the one rule is that r/h is a whole number >= 2.
+
+    Any other r or h, a non-finite or non-positive one included, raises one
+    InvalidValue, "window length r=... must be an integer multiple (>= 2) of
+    h=...", after the node limit's own InvalidValue when r/h + 1 exceeds
+    MAX_NODES.  An observer's reset window and a sweep's window both follow it.
+    """
     steps = _whole_steps(r, h)
     if steps < 2:
         raise InvalidValue(f"window length r={r} must be an integer multiple (>= 2) of h={h}")
@@ -86,7 +106,8 @@ def rk4_step(field, t, s, h):
 
     The step sizes multiply as 0-d arrays and 2k as k + k: the same IEEE
     operations as with Python floats and 2.0 * k, but cheaper numpy operands.
-    The sum is ((k1 + 2 k2) + 2 k3) + k4.
+    The sum is ((k1 + 2 k2) + 2 k3) + k4.  No array that ``field`` returned
+    is written into, so a field may return one constant array every call.
     """
     half, full, sixth = _step_constants(h)
     t_mid = t + 0.5 * h
@@ -145,7 +166,7 @@ def integrate_rk4(field, init, grid, check=_require_finite):
 
 
 def trapezoid(samples, grid):
-    """Composite trapezoid rule for one sample per grid node."""
+    """Composite trapezoid rule for one sample per grid node (else DimensionMismatch)."""
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != grid.count:
         raise DimensionMismatch(
@@ -159,7 +180,10 @@ def trapezoid(samples, grid):
 
 
 def cumulative_trapezoid(samples, grid):
-    """Running trapezoid integral; node j holds the integral over [t0, t_j]."""
+    """Running trapezoid integral; node j holds the integral over [t0, t_j].
+
+    Takes one sample per grid node, else DimensionMismatch.
+    """
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != grid.count:
         raise DimensionMismatch(
@@ -200,7 +224,9 @@ def require_pivot(smallest, trace, n):
     ``smallest`` is the smallest squared Cholesky pivot of an n x n Gram
     matrix with the given trace.  Raises NotPositiveDefinite(smallest) unless
     it is positive and above REL_THRESHOLD * trace/n; a factorization that
-    stopped early reports a pivot <= 0, so it always raises.
+    stopped early reports a pivot <= 0, so it always raises.  ``spd_solve``
+    (every reset and certificate) and the frequency closed form decide
+    through it.
     """
     if not (smallest > 0 and smallest > REL_THRESHOLD * trace / n):
         raise NotPositiveDefinite(smallest)
@@ -210,7 +236,8 @@ def spd_solve(Q, rhs):
     """Solve Q x = rhs for symmetric positive definite Q via Cholesky.
 
     Returns (x, smallest_pivot).  Raises NotPositiveDefinite unless
-    ``require_pivot`` accepts the smallest pivot.
+    ``require_pivot`` accepts the smallest pivot, and DimensionMismatch for a
+    Q that is not square or an rhs of another length.
     """
     Q = np.asarray(Q, dtype=float)
     rhs = np.asarray(rhs, dtype=float)

@@ -12,12 +12,13 @@ error).  Two variants:
 
 Every run, streamed or replayed, starts at ``observer_init``: the initial
 estimate at the first measurement y0.  Leaving the model domain raises
-DomainExit with the stream or trace node.
+DomainExit with the stream or trace node, the same node on both paths.
 
 A reset window is degenerate when ``numerics.require_pivot``, the one rule,
 finds the smallest squared Cholesky pivot of its Gram matrix Q at or below
 REL_THRESHOLD * trace(Q)/n.  A degenerate window is always held: the reset is
-skipped, and the flowed estimate is kept until the next window.
+skipped, and the flowed estimate is kept until the next window.  The hold
+decision is ``window.end_state``'s: it gives None for such a window.
 
 Both flows step with ``numerics.rk4_step`` and hold the input of the left
 node over the step, as ``window.compute_window`` does (the plant instead
@@ -40,12 +41,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainExit, InvalidValue, NonFiniteState, NotPositiveDefinite
+from .errors import DimensionMismatch, DomainExit, InvalidValue, NonFiniteState
 from .model import check_point_evaluators, point_rate
 from .numerics import Grid, all_finite, rk4_step, window_grid
 # compute_window is looked up on its module, where perfbench/spans.py times it
 from . import window as _window
-from .window import IoWindow, apply_P, end_state
+from .window import IoWindow, apply_P, end_state  # perfbench/spans.py wraps observer.apply_P
 
 FULL = "full"
 REDUCED = "reduced"
@@ -53,6 +54,14 @@ REDUCED = "reduced"
 
 @dataclass(frozen=True)
 class ObserverConfig:
+    """Window length r, step h and variant (reduced by default) of an observer.
+
+    ``steps_per_window`` (M = r/h) is derived once, by ``numerics.window_grid``:
+    it is not a constructor argument and takes no part in == or the hash.  An
+    r that is not a whole multiple (>= 2) of h raises that rule's InvalidValue,
+    and an r/h + 1 above MAX_NODES the node limit's first.
+    """
+
     r: float
     h: float
     mode: str = REDUCED
@@ -87,6 +96,8 @@ class ObserverSnapshot(NamedTuple):
 
 @dataclass(frozen=True)
 class EstimateTrace:
+    """A replayed run: the estimate and the reset flags at every trace node."""
+
     grid: Grid
     z: np.ndarray  # (count, n)
     w: np.ndarray  # (count, k); the measurements in reduced mode
@@ -106,7 +117,9 @@ def observer_init(spec, config, z0, w0=None, t0=0.0, *, y0, u0=None):
     requires ``w0``, which may differ from y0; reduced mode ignores it, as w
     is the measurement there.  z0, y0, w0 and u0 (zeros by default) must have
     shapes (n,), (k,), (k,) and (m,), else DimensionMismatch; the evaluators'
-    shapes are checked here, once per run, at (y0, u0).
+    shapes are checked here, once per run, at (y0, u0).  A non-finite y0
+    raises NonFiniteState, and an initial state (z0, w0) outside the model
+    domain DomainExit, both at node 0.
     """
     z0, y0 = _vector(z0), _vector(y0)
     if config.mode == REDUCED:
@@ -121,8 +134,9 @@ def observer_init(spec, config, z0, w0=None, t0=0.0, *, y0, u0=None):
             raise DimensionMismatch(f"{name} has shape {value.shape}, expected ({size},)")
     if not all_finite(y0):
         raise NonFiniteState(0, f"non-finite measurement at the initial node (y={y0})")
-    if not spec.in_domain(z0, y0):
-        raise DomainExit(0, f"initial estimate (z0={z0}, y={y0}) outside the model domain")
+    if not spec.in_domain(z0, w0):  # the state (z, w) every step checks; w0 is y0 in reduced mode
+        named = "y" if config.mode == REDUCED else "w0"
+        raise DomainExit(0, f"initial estimate (z0={z0}, {named}={w0}) outside the model domain")
     check_point_evaluators(spec, y0, u0)
     return ObserverSnapshot(z0, w0, 0, float(t0), config, (y0, u0, None), None)
 
@@ -158,8 +172,9 @@ def _reduced_flow_step(spec, h, z, left, y_prev, y_new, u):
     y is interpolated linearly and u holds over the step, so the two midpoint
     stages share one evaluation of A and b.  ``left`` is the previous step's
     (u, A, b) at y_prev; A and b are reused when that u has the same bits as
-    this step's, which keeps the arithmetic bit-identical.  Returns the new z
-    and (u, A, b) at y_new for the next step.
+    this step's, which keeps the arithmetic bit-identical, so a step makes 4
+    evaluator calls instead of 6.  Returns the new z and (u, A, b) at y_new
+    for the next step.
     """
     if left is not None and left[0].tobytes() == u.tobytes():
         A1, b1 = left[1], left[2]
@@ -186,7 +201,9 @@ def observer_step(spec, config, snap, y_meas, u):
     chain, and only at the reset nodes (every M-th node from
     ``observer_init``) is the chain read into the window fed to the
     reconstruction operator.  A non-finite measurement, flow or reset window
-    raises NonFiniteState with the stream node.
+    raises NonFiniteState with the stream node; in reduced mode the flow's
+    test covers z only, as w is the measurement, already tested.  A state
+    (z, w) outside the model domain raises DomainExit with the stream node.
     """
     link = snap.link
     if config is not snap.config and config != snap.config:
@@ -223,7 +240,7 @@ def observer_step(spec, config, snap, y_meas, u):
         window = IoWindow(Grid(0.0, config.h, M + 1),
                           *_window_samples((y_meas, u, link), M + 1))
         link = (y_meas, u, None)  # the next window starts at this node
-        z_reset = _reset(node - M, apply_P, spec, window)
+        z_reset = _at_trace_nodes(node - M, apply_P, spec, window)  # None: a held window
         reset_applied = z_reset is not None
         if reset_applied:
             z, w = z_reset, y_meas
@@ -231,7 +248,7 @@ def observer_step(spec, config, snap, y_meas, u):
             degenerate_events += 1
 
     if not spec.in_domain(z, w):
-        raise _left_domain(node, t_new, z)
+        raise _left_domain(node, t_new, z, None if config.mode == REDUCED else w)
     return ObserverSnapshot(z, w, node, snap.t0, snap.config, link, right,
                             degenerate_events, reset_applied)
 
@@ -246,21 +263,13 @@ def _at_trace_nodes(start, window_fn, *args):
         raise type(exc)(start + exc.index) from exc
 
 
-def _reset(start, reconstruct, *args):
-    """Reset state ``reconstruct(*args)`` of the window from node ``start``, or
-    None when the window is degenerate, which holds it."""
-    try:
-        return _at_trace_nodes(start, reconstruct, *args)
-    except NotPositiveDefinite:
-        return None
-
-
 def _diverged(node, t):
     return NonFiniteState(node, f"observer flow diverged at t = {t:.6g}")
 
 
-def _left_domain(node, t, z):
-    return DomainExit(node, f"observer state left the model domain at t = {t:.6g} (z={z})")
+def _left_domain(node, t, z, w=None):
+    state = f"z={z}" if w is None else f"z={z}, w={w}"
+    return DomainExit(node, f"observer state left the model domain at t = {t:.6g} ({state})")
 
 
 def run_observer(spec, config, trace, z0, w0=None):
@@ -319,7 +328,7 @@ def run_observer(spec, config, trace, z0, w0=None):
             if bad.size:
                 raise _diverged(end, t[end])
             if b - a == M:
-                z_reset = _reset(a, end_state, wc)
+                z_reset = _at_trace_nodes(a, end_state, wc)  # None: a held window
                 if z_reset is None:
                     degen_flags[b] = 1
                 else:

@@ -12,7 +12,11 @@ from .numerics import Grid, all_finite, integrate_rk4
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation span, step, initial state (x0 (n,), y0 (k,)) and the grid over [0, t_end]."""
+    """Simulation span, step, initial state (x0 (n,), y0 (k,)) and the grid over [0, t_end].
+
+    The grid is built with the config, so a t_end that is not a positive
+    integer multiple of h raises InvalidValue there, before any step.
+    """
 
     t_end: float
     h: float
@@ -79,7 +83,8 @@ def simulate_plant(spec, u, cfg):
     field samples it at every RK4 stage time.  Before any step, u(0) must
     have shape (m,) and the initial states in ``cfg`` shapes (n,) and (k,),
     else DimensionMismatch.  The per-point evaluators' shapes are checked
-    once, at node 0, by ``model.check_point_evaluators``.
+    once, at node 0, by ``model.check_point_evaluators``; each RK4 stage then
+    calls the four evaluators once, 16 calls a step.
 
     Domain membership and finiteness are checked at every node; the earliest
     failing node raises DomainExit (leaving the open model domain) or

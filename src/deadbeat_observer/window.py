@@ -58,7 +58,12 @@ class _GramOverflow(NonFiniteState):
 
 @dataclass(frozen=True)
 class IoWindow:
-    """Sampled (y, u) history over [0, r] in window-local time."""
+    """Sampled (y, u) history over [0, r] in window-local time.
+
+    The samples are (count, k) and (count, m), or (count,) for one channel,
+    as ``model.sampled_input`` takes them; another count raises
+    DimensionMismatch.
+    """
 
     grid: Grid
     y_samples: np.ndarray  # (count, k), or (count,) for k = 1
@@ -192,8 +197,15 @@ def reconstruct_initial(gs):
 
 
 def end_state(wc):
-    """Phi(r) Q^{-1} v + theta(r) of a computed window (raises NotPositiveDefinite)."""
-    x0_hat = reconstruct_initial(gram(wc))
+    """Phi(r) Q^{-1} v + theta(r) of a computed window, or None when it is degenerate.
+
+    None is the hold decision: an observer keeps its flowed estimate on a
+    window that ``numerics.require_pivot`` finds degenerate.
+    """
+    try:
+        x0_hat = reconstruct_initial(gram(wc))
+    except NotPositiveDefinite:
+        return None
     return wc.phi[-1] @ x0_hat + wc.theta[-1]
 
 
@@ -201,7 +213,8 @@ def apply_P(spec, window):
     """Reconstruction operator: unmeasured state at the end of the window.
 
     For a noiseless window of a strongly observable plant this equals the true
-    state at the window end, up to integration error.
+    state at the window end, up to integration error; a degenerate window
+    gives None, as ``end_state`` does.
     """
     return end_state(compute_window(spec, window))
 
@@ -212,14 +225,13 @@ def observability_certificate(gs):
     Decided exactly as a reset is, by ``spd_solve``.  Both
     verdicts carry the eigenvalues of Q and the smallest Cholesky pivot;
     Degenerate also carries the approximate null direction (eigenvector of
-    the smallest eigenvalue; e0 when Q is zero), the only use of ``eigh``.
+    the smallest eigenvalue; e0 when Q is zero).  One ``eigh`` gives both.
     """
-    eigenvalues = np.linalg.eigvalsh(gs.Q)
+    eigenvalues, eigenvectors = np.linalg.eigh(gs.Q)
     try:
         _, smallest_pivot = spd_solve(gs.Q, gs.v)
     except NotPositiveDefinite as exc:
-        null = (np.linalg.eigh(gs.Q)[1][:, 0] if np.trace(gs.Q) > 0
-                else np.eye(len(gs.Q))[0])
+        null = eigenvectors[:, 0] if np.trace(gs.Q) > 0 else np.eye(len(gs.Q))[0]
         return Degenerate(null, eigenvalues, exc.smallest_pivot)
     return StronglyObservableOnWindow(eigenvalues, smallest_pivot)
 
@@ -305,6 +317,10 @@ def indistinguishing_input(ex, x0, y0, grid):
     on the grid.  Returns (u_samples, y_samples).  The window recorded by
     driving the true plant with this input has a singular Gram matrix.
     x0 must have shape (2,) and y0 shape (1,) or (), else DimensionMismatch.
+    kappa must keep the sign it has at y0 and stay above 1e-9 in magnitude,
+    at y0, at every RK4 stage and at every node, else KappaVanished; so a
+    kappa that crosses zero inside a step is caught at the stage that sees the
+    other sign.
     """
     x0 = np.asarray(x0, dtype=float)
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))

@@ -93,6 +93,32 @@ def test_init_rejects_out_of_domain_estimate():
     assert exc.value.index == 0
 
 
+def test_full_init_checks_the_domain_at_the_output_estimate():
+    # the full-order state is (z, w): w0 = 400 K lies above Tmax = 350 K while
+    # y0 = 315 K does not, so the estimate is rejected at node 0 on both paths
+    spec = apps.reactor_spec(apps.canonical_reactor_params())
+    cfg = ObserverConfig(r=1 / 3, h=1 / 750, mode=FULL)
+    with pytest.raises(DomainExit, match=r"w0=\[400\.\]") as exc:
+        observer_init(spec, cfg, z0=[0.5, 1.0], w0=[400.0], y0=[315.0])
+    assert exc.value.index == 0
+    trace = simulate_plant(spec, None, SimConfig(t_end=1 / 3, h=1 / 750, x0=[0.5, 1.0],
+                                                 y0=[315.0]))
+    with pytest.raises(DomainExit) as exc:
+        run_observer(spec, cfg, trace, z0=[0.5, 1.0], w0=[400.0])
+    assert exc.value.index == 0
+
+
+def test_full_step_leaving_the_domain_names_the_output_estimate():
+    # w' = z = 1 carries the output estimate from 0.95 past the bound w < 1 in one step
+    plant = make_lti(np.zeros((1, 1)), np.zeros(1), np.ones((1, 1)), np.zeros(1))
+    spec = dataclasses.replace(plant, in_domain=lambda x, y: y[0] < 1.0)
+    cfg = ObserverConfig(r=1.0, h=0.1, mode=FULL)
+    snap = observer_init(spec, cfg, z0=[1.0], w0=[0.95], y0=[0.0])
+    with pytest.raises(DomainExit, match=r"\(z=\[1\.\], w=\[1\.05\]\)") as exc:
+        observer_step(spec, cfg, snap, [0.0], [0.0])
+    assert exc.value.index == 1
+
+
 def test_init_requires_the_initial_measurement():
     spec = scalar_oracle_spec()
     cfg = ObserverConfig(r=1.0, h=0.1)

@@ -25,6 +25,7 @@ from deadbeat_observer.window import (
     apply_P,
     compute_window,
     determinant_condition,
+    end_state,
     gram,
     indistinguishing_input,
     observability_certificate,
@@ -314,6 +315,18 @@ def test_reconstruct_singular_gram():
     gs = GramSummary(Q=np.zeros((2, 2)), v=np.zeros(2))
     with pytest.raises(NotPositiveDefinite):
         reconstruct_initial(gs)
+
+
+def test_degenerate_window_ends_in_none_and_its_reconstruction_raises():
+    # C = 0: the output carries nothing of x, so Q = 0 and the window is held
+    spec = make_lti(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 1)), np.zeros(1))
+    grid = Grid(0.0, 0.01, 101)
+    window = IoWindow(grid=grid, y_samples=np.ones(grid.count), u_samples=np.zeros(grid.count))
+    wc = compute_window(spec, window)
+    assert end_state(wc) is None
+    assert apply_P(spec, window) is None
+    with pytest.raises(NotPositiveDefinite):
+        reconstruct_initial(gram(wc))
 
 
 def test_apply_P_scalar_oracle():
