@@ -29,7 +29,6 @@ from .window import (
     WindowComputation,
     apply_P,
     compute_window,
-    determinant_condition,
     gram,
     indistinguishing_input,
     observability_certificate,

@@ -28,7 +28,6 @@ from .window import (
     Example26Spec,
     IoWindow,
     compute_window,
-    determinant_condition,
     gram,
     indistinguishing_input,
     observability_certificate,
@@ -387,8 +386,7 @@ def cmd_observability(cfg, prefix):
 
     The eigenvalues and the smallest pivot come from the certificate; the
     condition estimate is the largest eigenvalue over the smallest (null when
-    the smallest is not positive or the quotient overflows).  ``det_nodes``
-    are n evenly spaced nodes of the window.
+    the smallest is not positive or the quotient overflows).
     """
     spec, kind, extras = build_system(cfg)
     obs_cfg = build_observer_config(cfg)
@@ -424,11 +422,6 @@ def cmd_observability(cfg, prefix):
     }
     if isinstance(verdict, Degenerate):
         report["null_direction"] = [float(v) for v in verdict.null_direction]
-    if spec.k == 1:
-        report["det_nodes"] = [round(i * (trace.grid.count - 1) / max(spec.n - 1, 1))
-                               for i in range(spec.n)]
-        report["determinant_condition"] = determinant_condition(spec, window, wc,
-                                                                report["det_nodes"])
     write_json(f"{prefix}_observability.json", report)
     print(f"certificate: {report['certificate']}  "
           f"(smallest eigenvalue {eigvals[0]:.6e}, trace {report['trace']:.6e})")

@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, KappaVanished, NonFiniteState, NotPositiveDefinite
-from .model import SystemSpec, as_channels, check_point_evaluators, eval_coefficients
+from .model import SystemSpec, as_channels, eval_coefficients
 # cholesky_pivots is not called here; perfbench/spans.py counts calls through this name
 from .numerics import Grid, all_finite, cholesky_pivots, spd_solve, trapezoid
 
@@ -260,31 +260,6 @@ def observability_certificate(gs):
         null = eigenvectors[:, 0] if np.trace(gs.Q) > 0 else np.eye(len(gs.Q))[0]
         return Degenerate(null, eigenvalues, exc.smallest_pivot)
     return StronglyObservableOnWindow(eigenvalues, smallest_pivot)
-
-
-def determinant_condition(spec, window, wc, node_indices):
-    """Determinant of the stacked rows C'(t_i) Phi(t_i) (single-output plants).
-
-    A nonzero value certifies that the window's generating input strongly
-    distinguishes the generating state.  The per-point evaluators are checked
-    once, at the first requested node, so a spec that breaks their contract
-    raises DimensionMismatch, as do a plant with k != 1 and a node index
-    outside the window.
-    """
-    if spec.k != 1:
-        raise DimensionMismatch(f"determinant condition requires k = 1, got k = {spec.k}")
-    n = spec.n
-    if len(node_indices) != n:
-        raise DimensionMismatch(f"need exactly {n} node indices, got {len(node_indices)}")
-    count = window.grid.count
-    if not all(0 <= j < count for j in node_indices):
-        raise DimensionMismatch(f"node indices {list(node_indices)} outside 0..{count - 1}")
-    first = node_indices[0]
-    check_point_evaluators(spec, window.y_samples[first], window.u_samples[first])
-    rows = np.empty((n, n))
-    for i, j in enumerate(node_indices):
-        rows[i] = spec.eval_C(window.y_samples[j])[:, 0] @ wc.phi[j]
-    return float(np.linalg.det(rows))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ and names the moved files in CHANGES.md.  Before that,
 
 reruns the runs at the git revision REV (from ``git archive``, in a temporary
 directory) and in the working tree, each in a fresh process, and prints for
-every output CSV the largest relative move between the two.
+every output CSV the largest relative move between the two, and for every
+output JSON each key that was added, removed or changed.
 """
 
 import contextlib
@@ -108,9 +109,20 @@ def differences(old, new):
             lines.append(f"file {PREFIX}{suffix} moved")
             before, after = old["json"].get(suffix), new["json"].get(suffix)
             if isinstance(before, dict) and isinstance(after, dict):
-                for field in sorted(set(before) | set(after)):
-                    if before.get(field) != after.get(field):
-                        lines.append(f"  {field}: {before.get(field)!r} -> {after.get(field)!r}")
+                lines += [f"  {move}" for move in key_moves(before, after)]
+    return lines
+
+
+def key_moves(before, after):
+    """One line per key of two JSON objects that was added, removed or changed."""
+    lines = []
+    for field in sorted(set(before) | set(after)):
+        if field not in after:
+            lines.append(f"{field} removed")
+        elif field not in before:
+            lines.append(f"{field} added: {after[field]!r}")
+        elif before[field] != after[field]:
+            lines.append(f"{field}: {before[field]!r} -> {after[field]!r}")
     return lines
 
 
@@ -150,7 +162,8 @@ def outputs(name, root, out):
 
 def against(rev):
     """Print, for every run and output CSV, the largest relative move from ``rev`` to
-    the working tree, and every exit code or output file that only one side has."""
+    the working tree; for every output JSON, each key that moved; and every exit code
+    or output file that only one side has."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "rev").mkdir()
@@ -168,6 +181,9 @@ def against(rev):
                     print(f"{name} {PREFIX}{suffix}: only {side}")
                 elif suffix.endswith(".csv"):
                     print(f"{name} {PREFIX}{suffix}: {csv_move(old[suffix], new[suffix])}")
+                else:
+                    for move in key_moves(json.loads(old[suffix]), json.loads(new[suffix])):
+                        print(f"{name} {PREFIX}{suffix}: {move}")
 
 
 if __name__ == "__main__":

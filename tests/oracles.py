@@ -13,6 +13,11 @@ tests that compare them with that construction (criterion 7 among them):
   * ``scalar_oracle_spec``: the canonical scalar test system;
   * ``indistinguishable_partner``: the state that example 2.6's constructed
     input does not distinguish from the generating one;
+  * ``determinant_condition``: the determinant of the output rows C'(t_i) Phi(t_i)
+    at n window nodes.  Its certificate holds in exact arithmetic only: it has
+    no threshold, and on a window that the Gram matrix calls degenerate it
+    reads integration error.  The package decides a window by
+    ``require_pivot`` on its Gram matrix alone;
   * ``pointwise_coefficients``: a system's window coefficients filled point
     by point from its per-point evaluators, the reference of every
     ``eval_batch``; ``pointwise_spec`` builds a test system whose batch is it.
@@ -185,6 +190,31 @@ def indistinguishable_partner(ex, x0, y0, xi1):
     x0 = np.asarray(x0, dtype=float)
     ratio = ex.c1(float(y0)) / ex.c2(float(y0))
     return np.array([xi1, x0[1] + ratio * (x0[0] - xi1)])
+
+
+def determinant_condition(spec, window, wc, node_indices):
+    """Determinant of the stacked rows C'(t_i) Phi(t_i) (single-output plants).
+
+    A nonzero value certifies that the window's generating input strongly
+    distinguishes the generating state.  The per-point evaluators are checked
+    once, at the first requested node, so a spec that breaks their contract
+    raises DimensionMismatch, as do a plant with k != 1 and a node index
+    outside the window.
+    """
+    if spec.k != 1:
+        raise DimensionMismatch(f"determinant condition requires k = 1, got k = {spec.k}")
+    n = spec.n
+    if len(node_indices) != n:
+        raise DimensionMismatch(f"need exactly {n} node indices, got {len(node_indices)}")
+    count = window.grid.count
+    if not all(0 <= j < count for j in node_indices):
+        raise DimensionMismatch(f"node indices {list(node_indices)} outside 0..{count - 1}")
+    first = node_indices[0]
+    check_point_evaluators(spec, window.y_samples[first], window.u_samples[first])
+    rows = np.empty((n, n))
+    for i, j in enumerate(node_indices):
+        rows[i] = spec.eval_C(window.y_samples[j])[:, 0] @ wc.phi[j]
+    return float(np.linalg.det(rows))
 
 
 def pointwise_coefficients(spec, Y, U):

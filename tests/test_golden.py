@@ -8,6 +8,9 @@ import json
 
 import pytest
 
+from deadbeat_observer.errors import NotPositiveDefinite
+from deadbeat_observer.numerics import require_pivot
+
 import golden
 
 
@@ -31,3 +34,25 @@ def test_csv_move_is_the_largest_relative_move():
     assert golden.csv_move(old, "t,x\n0.0,1.0\n1.0,-2.0\n2.0,3.0\n") == float("inf")
     assert golden.csv_move(old, "t,y\n0.0,1.0\n1.0,-2.0\n2.0,nan\n") == "header or row count moved"
     assert golden.csv_move(old, "t,x\n0.0,1.0\n") == "header or row count moved"
+
+
+def test_key_moves_names_each_added_removed_and_changed_key():
+    old = {"certificate": "degenerate", "det_nodes": [0, 2000], "trace": 0.25}
+    assert golden.key_moves(old, old) == []
+    assert golden.key_moves(old, {"certificate": "degenerate", "trace": 0.5, "r": None}) == [
+        "det_nodes removed", "r added: None", "trace: 0.25 -> 0.5"]
+
+
+def test_each_observability_record_agrees_with_its_own_numbers():
+    # the certificate is the one rule, require_pivot, on the report's own pivot and trace
+    reports = [json.loads(golden.record_path(name).read_text())["json"].get("_observability.json")
+               for name in golden.run_names() if name.endswith("_observability")]
+    reports = [report for report in reports if report and "certificate" in report]
+    assert len(reports) == 9
+    for report in reports:
+        try:
+            require_pivot(report["smallest_pivot"], report["trace"], len(report["eigenvalues"]))
+            degenerate = False
+        except NotPositiveDefinite:
+            degenerate = True
+        assert degenerate == (report["certificate"] == "degenerate"), report["system"]

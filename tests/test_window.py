@@ -15,7 +15,7 @@ from deadbeat_observer.errors import (
     NonFiniteState,
     NotPositiveDefinite,
 )
-from deadbeat_observer.model import make_lti
+from deadbeat_observer.model import make_lti, sampled_input
 from deadbeat_observer.numerics import Grid, cumulative_trapezoid
 from deadbeat_observer.plant import SimConfig, simulate_plant
 from deadbeat_observer.window import (
@@ -26,7 +26,6 @@ from deadbeat_observer.window import (
     StronglyObservableOnWindow,
     apply_P,
     compute_window,
-    determinant_condition,
     end_state,
     gram,
     indistinguishing_input,
@@ -34,7 +33,12 @@ from deadbeat_observer.window import (
     reconstruct_initial,
 )
 
-from oracles import indistinguishable_partner, pointwise_coefficients, scalar_oracle_spec
+from oracles import (
+    determinant_condition,
+    indistinguishable_partner,
+    pointwise_coefficients,
+    scalar_oracle_spec,
+)
 
 
 def scalar_window(r=1.0, h=1e-3, x0=2.0, y0=0.0):
@@ -513,6 +517,24 @@ def test_determinant_condition_checks_the_evaluators_once():
     listed = dataclasses.replace(spec, eval_C=lambda y: spec.eval_C(y).tolist())
     with pytest.raises(DimensionMismatch, match="eval_C"):
         determinant_condition(listed, window, wc, [0, 50])
+
+
+def test_determinant_condition_on_a_degenerate_window_is_integration_error():
+    # the plant driven by example 2.6's indistinguishing input, as the observability
+    # report simulates it: the Gram matrix is degenerate at both steps, while the
+    # determinant at the window's end nodes halves with h, so it measures the
+    # plant's first-order hold of the sampled input, not observability
+    ex = canonical_planar_example()
+    spec = ex.to_system_spec()
+    determinants = []
+    for h in (1e-3, 5e-4):
+        grid = Grid.from_span(0.0, 1.0, h)
+        u_s, _ = indistinguishing_input(ex, np.array([0.5, -0.3]), 0.2, grid)
+        window = recorded_window(spec, sampled_input(grid, u_s), 1.0, h, [0.5, -0.3], [0.2])
+        wc = compute_window(spec, window)
+        assert isinstance(observability_certificate(gram(wc)), Degenerate)
+        determinants.append(determinant_condition(spec, window, wc, [0, grid.count - 1]))
+    assert 1.9 <= determinants[0] / determinants[1] <= 2.1
 
 
 def test_indistinguishing_input_output_trajectory():
