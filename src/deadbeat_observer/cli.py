@@ -14,13 +14,15 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import applications as apps
+# build_scalar_spec calls make_lti here, as perfbench/spans.py counts cli.make_lti's specs too
+from . import model as _model
 from .errors import (
     DeadbeatError,
     DomainExit,
     InvalidValue,
     NonFiniteState,
 )
-from .model import make_lti, sampled_input, SystemSpec
+from .model import make_lti, sampled_input
 from .observer import FULL, ObserverConfig, run_observer
 from .plant import SensorModel, SimConfig, corrupt, simulate_plant
 from .window import (
@@ -73,7 +75,7 @@ _SYSTEM_FIELDS = {
     "frequency": {"scenario": dict.fromkeys(("amplitude", "omega", "phase"), _NUMBER)},
     "reactor": {"params": _LATER},  # "canonical" or an object
     "lti": {"A": _MATRIX, "b": _VECTOR, "C": _MATRIX, "f": _VECTOR},
-    "scalar": dict.fromkeys(("a0", "f0", "input_gain", "c0", "c1"), _NUMBER),
+    "scalar": dict.fromkeys(("a0", "f0", "c0"), _NUMBER),
     "example26": {},
 }
 
@@ -154,27 +156,9 @@ def canonical_example26():
 
 
 def build_scalar_spec(sys_cfg):
-    """Scalar plant x' = a0 x, y' = f0 + g u + (c0 + c1 y) x."""
-    a0 = sys_cfg.get("a0", 0.0)
-    f0 = sys_cfg.get("f0", 0.0)
-    g = sys_cfg.get("input_gain", 0.0)
-    c0 = sys_cfg.get("c0", 1.0)
-    c1 = sys_cfg.get("c1", 0.0)
-    A, b = np.array([[a0]]), np.zeros(1)
-
-    def eval_batch(Y, U):
-        N = Y.shape[0]
-        return (np.full((N, 1, 1), a0), np.zeros((N, 1)),
-                (c0 + c1 * Y[:, :1])[:, :, None], f0 + g * U[:, :1])
-
-    return SystemSpec(
-        n=1, k=1, m=1,
-        eval_A=lambda y, u: A,
-        eval_b=lambda y, u: b,
-        eval_C=lambda y: np.array([[c0 + c1 * y[0]]]),
-        eval_f=lambda y, u: np.array([f0 + g * u[0]]),
-        eval_batch=eval_batch,
-    )
+    """The one-state LTI plant x' = a0 x, y' = f0 + c0 x."""
+    get = sys_cfg.get
+    return _model.make_lti([[get("a0", 0.0)]], [0.0], [[get("c0", 1.0)]], [get("f0", 0.0)])
 
 
 def build_system(cfg):

@@ -11,6 +11,8 @@ tests that compare them with that construction (criterion 7 among them):
     window r = (Tmax - Tmin)/a it guarantees;
   * ``scalar_observer_P``: the single-fraction formula of scalar plants;
   * ``scalar_oracle_spec``: the canonical scalar test system;
+  * ``scalar_spec``: the plant x' = a0 x, y' = f0 + g u + (c0 + c1 y) x, the
+    suite's only plant with both an output-dependent C and an input gain;
   * ``indistinguishable_partner``: the state that example 2.6's constructed
     input does not distinguish from the generating one;
   * ``determinant_condition``: the determinant of the output rows C'(t_i) Phi(t_i)
@@ -180,6 +182,30 @@ def scalar_observer_P(window, a_eval, f_eval, c_eval):
 def scalar_oracle_spec():
     """The canonical test system x' = 0, y' = x (n = k = 1)."""
     return make_lti(np.zeros((1, 1)), np.zeros(1), np.ones((1, 1)), np.zeros(1))
+
+
+def scalar_spec(sys_cfg):
+    """Scalar plant x' = a0 x, y' = f0 + g u + (c0 + c1 y) x."""
+    a0 = sys_cfg.get("a0", 0.0)
+    f0 = sys_cfg.get("f0", 0.0)
+    g = sys_cfg.get("input_gain", 0.0)
+    c0 = sys_cfg.get("c0", 1.0)
+    c1 = sys_cfg.get("c1", 0.0)
+    A, b = np.array([[a0]]), np.zeros(1)
+
+    def eval_batch(Y, U):
+        N = Y.shape[0]
+        return (np.full((N, 1, 1), a0), np.zeros((N, 1)),
+                (c0 + c1 * Y[:, :1])[:, :, None], f0 + g * U[:, :1])
+
+    return SystemSpec(
+        n=1, k=1, m=1,
+        eval_A=lambda y, u: A,
+        eval_b=lambda y, u: b,
+        eval_C=lambda y: np.array([[c0 + c1 * y[0]]]),
+        eval_f=lambda y, u: np.array([f0 + g * u[0]]),
+        eval_batch=eval_batch,
+    )
 
 
 def indistinguishable_partner(ex, x0, y0, xi1):

@@ -29,7 +29,8 @@ from deadbeat_observer.window import (
     reconstruct_initial,
 )
 
-from oracles import indistinguishable_partner, reactor_gains, scalar_observer_P, scalar_oracle_spec
+from oracles import (indistinguishable_partner, reactor_gains, scalar_observer_P,
+                     scalar_oracle_spec, scalar_spec)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -257,7 +258,6 @@ def test_criterion_7_closed_form_cross_validation():
         worst = max(worst, rel(gains.state_estimate, apply_P(spec, window)))
 
     # scalar plant: single-fraction formula vs generic reconstruction
-    from deadbeat_observer.cli import build_scalar_spec
     for _ in range(20):
         a0 = float(rng.uniform(-1.0, 1.0))
         f0 = float(rng.uniform(-0.5, 0.5))
@@ -265,8 +265,7 @@ def test_criterion_7_closed_form_cross_validation():
         c1 = float(rng.uniform(-0.3, 0.3))
         g = float(rng.uniform(-0.5, 0.5))
         u_val = float(rng.uniform(-0.5, 0.5))
-        spec_s = build_scalar_spec({"a0": a0, "f0": f0, "input_gain": g,
-                                    "c0": c0, "c1": c1})
+        spec_s = scalar_spec({"a0": a0, "f0": f0, "input_gain": g, "c0": c0, "c1": c1})
         u = np.array([u_val])
         trace = simulate_plant(spec_s, lambda t: u,
                                SimConfig(t_end=1.0, h=5e-4,

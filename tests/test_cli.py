@@ -24,7 +24,7 @@ def write_config(tmp_path, payload, name="config.json"):
 
 def scalar_config(prefix, **overrides):
     cfg = {
-        "system": {"kind": "scalar", "a0": 0.0, "f0": 0.0, "c0": 1.0, "c1": 0.0},
+        "system": {"kind": "scalar", "a0": 0.0, "f0": 0.0, "c0": 1.0},
         "sim": {"t_end": 1.5, "h": 0.005, "x0": [2.0], "y0": [0.0]},
         "observer": {"r": 0.5, "mode": "reduced", "z0": [0.0]},
         "output_prefix": prefix,
@@ -112,7 +112,7 @@ def test_unreadable_config_path(tmp_path, capsys):
 def test_non_finite_number_is_a_config_error(tmp_path, capsys, literal):
     # the literal goes in as text: json.dumps cannot write an overflowing one
     text = json.dumps(scalar_config(str(tmp_path / "bad"), sensor={"amplitude": 0.5}))
-    for field in ('"amplitude": 0.5', '"c1": 0.0'):
+    for field in ('"amplitude": 0.5', '"c0": 1.0'):
         path = tmp_path / "config.json"
         path.write_text(text.replace(field, field.split(":")[0] + f": {literal}"))
         assert main(["simulate", str(path)]) == EXIT_CONFIG
@@ -701,6 +701,9 @@ def add_field(section, key, value=1.0):
     ("frequency_clean", "simulate", add_field("system", "relaxed_domain", True),
      "system.relaxed_domain"),
     ("scalar_oracle", "observability", add_field("system", "c_1"), "system.c_1"),
+    # the scalar kind is the LTI plant x' = a0 x, y' = f0 + c0 x
+    ("scalar_oracle", "simulate", add_field("system", "c1", 0.0), "system.c1"),
+    ("scalar_oracle", "simulate", add_field("system", "input_gain", 0.0), "system.input_gain"),
     ("example26", "observability", add_field("system", "a1"), "system.a1"),
     ("reactor", "simulate", add_field("sim", "t_edn"), "sim.t_edn"),
     ("reactor", "simulate", add_field("observer", "mdoe", "full"), "observer.mdoe"),
@@ -713,7 +716,8 @@ def add_field(section, key, value=1.0):
     ("reactor_lumped", "simulate", add_field("system.params", "a_margn"),
      "system.params.a_margn"),
     ("scalar_oracle", "simulate", add_field("sensor", "amplitud", 0.1), "sensor.amplitud"),
-], ids=["top", "det_nodes", "reactor", "relaxed_domain", "scalar", "example26", "sim",
+], ids=["top", "det_nodes", "reactor", "relaxed_domain", "scalar", "scalar-c1",
+        "scalar-input_gain", "example26", "sim",
         "observer-mode", "observer-on_degenerate", "input", "sweep", "scenario", "params",
         "sensor"])
 def test_unknown_section_field_is_a_config_error(tmp_path, capsys, name, command, edit, field):

@@ -132,7 +132,7 @@ def run(name, command, path, value):
 @example(case=("reactor_lumped", "simulate", ("system", "params", "E2"), 1e300))
 @example(case=("reactor_lumped", "observability", ("system", "params", "J2"), 1e-153))
 @example(case=("scalar_oracle", "simulate", ("system", "a0"), 1e300))
-@example(case=("scalar_oracle", "simulate", ("system", "c1"), 1e300))
+@example(case=("scalar_oracle", "simulate", ("system", "c0"), 1e300))
 @example(case=("scalar_oracle", "simulate", ("sim", "x0", 0), 1e300))
 # sections of another JSON type, each now a config error
 @example(case=("scalar_oracle", "simulate", ("sensor",), "x"))

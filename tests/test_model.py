@@ -15,7 +15,7 @@ from deadbeat_observer.model import (
 )
 from deadbeat_observer.numerics import Grid
 
-from oracles import pointwise_coefficients, scalar_oracle_spec
+from oracles import pointwise_coefficients, scalar_oracle_spec, scalar_spec
 
 
 def test_eval_rhs_frequency_system():
@@ -127,8 +127,9 @@ BATCH_FACTORIES = {
                              np.array([0.1, 0.2, -0.3]),
                              np.array([[1.0, 0.0], [0.5, -1.0], [0.0, 2.0]]),
                              np.array([0.3, -0.1])), -2.0, 2.0),
-    "scalar": (lambda: build_scalar_spec({"a0": -0.4, "f0": 0.2, "input_gain": 0.7,
-                                          "c0": 1.1, "c1": -0.3}), -2.0, 2.0),
+    "scalar": (lambda: build_scalar_spec({"a0": -0.4, "f0": 0.2, "c0": 1.1}), -2.0, 2.0),
+    "scalar_spec": (lambda: scalar_spec({"a0": -0.4, "f0": 0.2, "input_gain": 0.7,
+                                         "c0": 1.1, "c1": -0.3}), -2.0, 2.0),
     "example26": (lambda: canonical_example26().to_system_spec(), -2.0, 2.0),
 }
 

@@ -6,7 +6,6 @@ import pytest
 
 from deadbeat_observer import applications as apps
 from deadbeat_observer import numerics, observer, window
-from deadbeat_observer.cli import build_scalar_spec
 from deadbeat_observer.errors import (
     DimensionMismatch,
     DomainExit,
@@ -24,7 +23,7 @@ from deadbeat_observer.observer import (
 )
 from deadbeat_observer.plant import SimConfig, Trace, simulate_plant
 
-from oracles import pointwise_spec, scalar_oracle_spec
+from oracles import pointwise_spec, scalar_oracle_spec, scalar_spec
 
 
 def test_config_validation():
@@ -335,7 +334,7 @@ def replay_cases():
     trace = simulate_plant(spec, None, SimConfig(t_end=2.3, h=scn.h, x0=x0, y0=y0))
     cases.append(("frequency, full", spec, ObserverConfig(r=1.0, h=scn.h, mode=FULL),
                   trace, [1.0, -4.0], y0))
-    spec = build_scalar_spec({"a0": -0.4, "f0": 0.2, "input_gain": 0.7, "c0": 1.1, "c1": -0.3})
+    spec = scalar_spec({"a0": -0.4, "f0": 0.2, "input_gain": 0.7, "c0": 1.1, "c1": -0.3})
     trace = simulate_plant(spec, lambda t: np.array([np.sin(7.0 * t)]),
                            SimConfig(t_end=1.3, h=0.005, x0=[1.5], y0=[0.2]))
     for mode in (REDUCED, FULL):
@@ -467,7 +466,7 @@ def test_evaluator_shapes_checked_before_any_step(wrong):
 def test_plant_samples_stage_times_and_observer_holds_left_input():
     # y' = u(t) = t^3 and x' = 0; RK4 with u sampled at its stage times is
     # Simpson's rule, exact for a cubic, while the observer holds u(t_j)
-    spec = build_scalar_spec({"a0": 0.0, "f0": 0.0, "input_gain": 1.0, "c0": 0.0})
+    spec = scalar_spec({"a0": 0.0, "f0": 0.0, "input_gain": 1.0, "c0": 0.0})
     signal = lambda t: np.array([t ** 3])
     trace = simulate_plant(spec, signal, SimConfig(t_end=0.5, h=0.05, x0=[0.0], y0=[0.0]))
     t = trace.grid.times()
@@ -771,7 +770,7 @@ def test_step_rejects_a_measurement_of_another_width():
 
 
 def test_step_rejects_an_input_of_another_width():
-    spec = build_scalar_spec({"input_gain": 1.0})  # m = 1
+    spec = scalar_spec({"input_gain": 1.0})  # m = 1
     config = ObserverConfig(r=1.0, h=0.1)
     snap = observer_init(spec, config, z0=[0.0], y0=[0.0])
     with pytest.raises(DimensionMismatch, match="input of shape \\(2,\\)"):

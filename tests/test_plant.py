@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deadbeat_observer import applications as apps
-from deadbeat_observer.cli import build_scalar_spec, canonical_example26
+from deadbeat_observer.cli import canonical_example26
 from deadbeat_observer.errors import DimensionMismatch, DomainExit, InvalidValue, NonFiniteState
 from deadbeat_observer.model import make_lti, sampled_input
 from deadbeat_observer.numerics import Grid, integrate_rk4
@@ -17,7 +17,7 @@ from deadbeat_observer.plant import (
 )
 from deadbeat_observer.window import indistinguishing_input
 
-from oracles import pointwise_spec, scalar_oracle_spec
+from oracles import pointwise_spec, scalar_oracle_spec, scalar_spec
 
 
 def test_simulate_scalar_oracle():
@@ -215,8 +215,7 @@ def single_plant_cases():
     cases.append(("frequency", apps.freq_spec(), None,
                   SimConfig(t_end=0.5, h=scn.h, x0=x0, y0=y0)))
     cases.append(("scalar plant under sin(7t)",
-                  build_scalar_spec({"a0": -0.4, "f0": 0.2, "input_gain": 0.7,
-                                     "c0": 1.1, "c1": -0.3}),
+                  scalar_spec({"a0": -0.4, "f0": 0.2, "input_gain": 0.7, "c0": 1.1, "c1": -0.3}),
                   lambda t: np.array([np.sin(7.0 * t)]),
                   SimConfig(t_end=1.0, h=0.005, x0=[1.5], y0=[0.2])))
     ex = canonical_example26()
