@@ -235,10 +235,10 @@ def _closed_form_rows(rows, grid):
     unit-window grid and its times are built once per call; each row is then
     reconstructed on arrays of its own length, so a sweep's working arrays
     stay a few times the size of one row whatever its phase count.  A row
-    raises NonFiniteState at its first non-finite sample or
-    NotPositiveDefinite through ``require_pivot`` before the next row is
-    taken, as a loop over the windows would.  See ``freq_closed_form`` for
-    the formula.
+    raises NonFiniteState at its first non-finite sample or at its last node
+    when z2 overflows, or NotPositiveDefinite through ``require_pivot``,
+    before the next row is taken, as a loop over the windows would.  See
+    ``freq_closed_form`` for the formula.
     """
     r = grid.span
     unit = Grid(0.0, grid.h / r, grid.count)
@@ -261,7 +261,11 @@ def _closed_form_rows(rows, grid):
         require_pivot(min(den, 1.0 / 3.0), 1.0 / 3.0 + I_pp, 2)
         z2 = (I_yp - 3.0 * I_tp * I_yt) / den
         z1 = (3.0 * (I_pp - Y[-1] * I_tp) * I_yt + (Y[-1] - 3.0 * I_tp) * I_yp) / den
-        yield float(z1) * s / r, float(z2) / r / r
+        z2 = float(z2) / r / r
+        if not math.isfinite(z2):  # the scaling back by 1/r^2 overflowed
+            raise NonFiniteState(grid.count - 1, "non-finite reconstruction of the window "
+                                 f"ending at window node {grid.count - 1}")
+        yield float(z1) * s / r, z2
 
 
 def freq_closed_form(window):
@@ -271,8 +275,8 @@ def freq_closed_form(window):
     the generic Gram least-squares solution for this particular plant.  They
     are formed in units where the window is [0, 1] and max|y| is 1, so that
     no product overflows for a finite signal; with s = max|y|, z1 is scaled
-    back by s/r and z2 by 1/r^2.  A non-finite sample raises NonFiniteState
-    at its window node.
+    back by s/r and z2 by 1/r^2.  NonFiniteState is raised at a non-finite
+    sample's window node, or at the last node when z2 overflows there.
     """
     return next(_closed_form_rows([window.y_samples[:, 0]], window.grid))
 
@@ -375,11 +379,12 @@ def horizon_scenarios(scenarios):
 def horizon_sweep(scenarios):
     """Relative frequency-estimation error as a function of the window length.
 
-    ``scenarios`` are one signal over several window lengths, each ``replace(scn, r=r, h=h)``
-    at one step h, or at r/2000 with h None.  Returns (r_values, omega_hats, rel_errors).
+    ``scenarios`` are one signal at several window lengths r, each ``replace(scn, r=r, h=h)``
+    at one h (r/2000 when None).  Returns (r_values, omega_hats, rel_errors, max_rel_error).
     """
     scenarios = horizon_scenarios(scenarios)
     omegas = np.array([estimate_frequency(scn) for scn in scenarios])
     omega = scenarios[0].omega
-    return np.array([scn.r for scn in scenarios]), omegas, np.abs(omegas - omega) / omega
+    errors = np.abs(omegas - omega) / omega
+    return np.array([scn.r for scn in scenarios]), omegas, errors, float(np.max(errors))
 

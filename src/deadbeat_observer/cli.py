@@ -68,7 +68,7 @@ _FIELDS = {
     "observer": {"r": _NUMBER, "mode": _STRING, "z0": _VECTOR, "w0": _VECTOR},
     "sensor": {f.name: _NUMBER for f in fields(SensorModel)},
     "input": {"value": _VECTOR},
-    "sweep": {"mode": _STRING, "phases": _VECTOR, "r_values": _LIST},
+    "sweep": {"phases": _VECTOR, "r_values": _LIST},
     "output_prefix": _STRING,
 }
 _SYSTEM_FIELDS = {
@@ -310,7 +310,7 @@ def cmd_simulate(cfg, prefix):
 
 
 def cmd_sweep(cfg, prefix, mode):
-    """Phase or horizon sweep of the config's frequency signal.
+    """Phase or horizon sweep of the config's frequency signal, as ``mode`` (``--mode``) says.
 
     Each quantity has one setting, which every command reads: a window is
     [0, ``observer.r``] (1 s when absent) in a phase sweep and [0, r] for each
@@ -320,7 +320,7 @@ def cmd_sweep(cfg, prefix, mode):
     ``sweep.r_values`` that is present obeys its sweep's rule whichever sweep
     runs, and a rule it breaks is a config error that names it.
     """
-    spec, kind, extras = build_system(cfg)
+    _, kind, extras = build_system(cfg)
     if kind != "frequency":
         raise ConfigError("sweeps require `system.kind` = \"frequency\"")
     sensor = build_sensor(cfg)
@@ -332,13 +332,10 @@ def cmd_sweep(cfg, prefix, mode):
                       noise_frequency=sensor.frequency)
 
     sweep_cfg = cfg.get("sweep", {})
-    mode = mode or sweep_cfg.get("mode", "phase")
     r_values = sweep_cfg.get("r_values")
     if mode == "phase":
         r = cfg.get("observer", {}).get("r", scn.r)  # the scenario's own r = 1 without one
         phase_window = window("observer", r)
-    elif mode != "horizon":
-        raise ConfigError(f"unknown sweep mode {mode!r}")
     elif r_values is None:
         raise ConfigError("missing field `sweep.r_values` for horizon sweeps")
     # each sweep field present obeys its sweep's rule, whichever sweep runs
@@ -346,14 +343,9 @@ def cmd_sweep(cfg, prefix, mode):
     if r_values is not None:
         scenarios = _built("sweep.r_values", apps.horizon_scenarios,
                            [window("sweep.r_values", r) for r in r_values])
-    if mode == "phase":
-        values, omegas, errors, max_err = apps.phase_sweep(phase_window, phases)
-        label = "phase"
-    else:
-        values, omegas, errors = apps.horizon_sweep(scenarios)
-        max_err = float(np.max(errors))
-        label = "r"
-
+    values, omegas, errors, max_err = (apps.phase_sweep(phase_window, phases) if mode == "phase"
+                                       else apps.horizon_sweep(scenarios))
+    label = "phase" if mode == "phase" else "r"
     write_csv(f"{prefix}_sweep.csv", [label, "omega_hat", "rel_error"], [values, omegas, errors])
     write_json(f"{prefix}_sweep_summary.json", {
         "mode": mode,
@@ -424,8 +416,8 @@ def main(argv=None):
         p.add_argument("--out-prefix", default=None,
                        help="override the output file prefix")
         if name == "sweep":
-            p.add_argument("--mode", choices=("phase", "horizon"), default=None,
-                           help="sweep kind (default: the config's `sweep.mode`, else phase)")
+            p.add_argument("--mode", choices=("phase", "horizon"), default="phase",
+                           help="sweep kind (default: phase)")
     args = parser.parse_args(argv)
 
     try:

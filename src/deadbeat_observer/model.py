@@ -52,21 +52,15 @@ class SystemSpec:
     in_domain: Callable = field(default=lambda x, y: True)
 
 
-def as_channels(samples):
-    """Samples as a float array of one row per node; (count,) samples are one channel."""
-    samples = np.asarray(samples, dtype=float)
-    return samples[:, None] if samples.ndim == 1 else samples
-
-
 def sampled_input(grid, values):
     """Input u(t) that holds the sample of the most recent node of ``grid``.
 
     That node is floor((t - t0)/h + 1e-9), clamped to the grid: a time less
     than 1e-9 steps short of a node holds that node's sample, and a time
-    before the grid the first sample.  ``values`` is (count, m), or (count,)
-    for m = 1; another count raises DimensionMismatch.
+    before the grid the first sample.  ``values`` is (count, m), one row per
+    node; any other shape raises DimensionMismatch.
     """
-    values = as_channels(values)
+    values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] != grid.count:
         raise DimensionMismatch(
             f"input samples of shape {values.shape} for a {grid.count}-node grid")

@@ -55,9 +55,8 @@ class SensorModel:
         """``y_true`` as this sensor reads it at the node times ``t``.
 
         ``y_true`` has the node axis second to last and the channels last; the
-        noise depends on the node time only, so a leading axis (one row per
-        sweep phase, say) gets the same per-node noise on every channel.  A
-        clean sensor returns a copy.
+        noise depends on the node time only, so any leading axis gets the same
+        per-node noise on every channel.  A clean sensor returns a copy.
         """
         noise = self.noise(t)
         if noise is None:

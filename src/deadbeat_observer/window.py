@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, KappaVanished, NonFiniteState, NotPositiveDefinite
-from .model import SystemSpec, as_channels, eval_coefficients
+from .model import SystemSpec, eval_coefficients
 # cholesky_pivots is not called here; perfbench/spans.py counts calls through this name
 from .numerics import Grid, all_finite, cholesky_pivots, spd_solve, trapezoid
 
@@ -65,17 +65,17 @@ class _GramOverflow(NonFiniteState):
 class IoWindow:
     """Sampled (y, u) history over [0, r] in window-local time.
 
-    The samples are (count, k) and (count, m), or (count,) for one channel,
-    as ``model.sampled_input`` takes them; another count raises
+    The samples are (count, k) and (count, m), one row per node, as
+    ``model.sampled_input`` takes them; any other shape raises
     DimensionMismatch.
     """
 
     grid: Grid
-    y_samples: np.ndarray  # (count, k), or (count,) for k = 1
-    u_samples: np.ndarray  # (count, m), or (count,) for m = 1
+    y_samples: np.ndarray  # (count, k)
+    u_samples: np.ndarray  # (count, m)
 
     def __post_init__(self):
-        y, u = as_channels(self.y_samples), as_channels(self.u_samples)
+        y, u = np.asarray(self.y_samples, dtype=float), np.asarray(self.u_samples, dtype=float)
         if y.ndim != 2 or u.ndim != 2 or {y.shape[0], u.shape[0]} != {self.grid.count}:
             raise DimensionMismatch(
                 f"window samples of shapes {y.shape} and {u.shape} do not match "

@@ -3,7 +3,9 @@
 One record per run of ``simulate``, ``observability``, ``sweep --mode phase``
 and ``sweep --mode horizon`` on each ``configs/*.json``.  A record holds the
 exit code, stdout, stderr, the warnings raised, the SHA-256 of every output
-file and the summary, sweep-summary and observability JSON in full.
+file and the summary, sweep-summary and observability JSON in full.  Each JSON
+output is read by a strict parser, so a ``NaN`` or ``Infinity`` in one fails
+the run.
 ``tests/test_golden.py`` reruns the runs in-process and compares.
 
 The bytes depend on numpy and its BLAS; the records pin numpy 2.4 on x86-64.
@@ -46,6 +48,13 @@ COMMANDS = {
 PREFIX = "out"
 
 
+def strict_json(text):
+    """JSON ``text`` parsed strictly: ``NaN``, ``Infinity`` and ``-Infinity`` raise ValueError."""
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
 def run_names():
     """``<config>_<command>`` for every shipped config and command, sorted."""
     return sorted(f"{config.stem}_{command}" for config in CONFIG_DIR.glob("*.json")
@@ -82,7 +91,7 @@ def run(name):
             data = path.read_bytes()
             files[suffix] = hashlib.sha256(data).hexdigest()
             if path.suffix == ".json":
-                documents[suffix] = json.loads(data)
+                documents[suffix] = strict_json(data)
     return {
         "argv": COMMANDS[command][:1] + [f"configs/{config}.json"] + COMMANDS[command][1:],
         "exit_code": code,

@@ -10,6 +10,7 @@ from deadbeat_observer.errors import (
     DimensionMismatch,
     DomainExit,
     InvalidValue,
+    NonFiniteState,
     NonNegativeZ2,
     NotPositiveDefinite,
 )
@@ -327,6 +328,16 @@ def test_freq_closed_form_singular_window():
         apps.freq_closed_form(window)
 
 
+@pytest.mark.filterwarnings("error")
+def test_freq_closed_form_whose_z2_overflows_raises_at_the_last_node():
+    # on [0, 1e-156] the unit-window z2 is finite, but z2 / r^2 exceeds the float range
+    scn = apps.FrequencyScenario(noise_amplitude=0.2, noise_frequency=1e300, r=1e-156, h=5e-160)
+    (window,) = apps._windows_from_scenario(scn, [0.0])
+    with pytest.raises(NonFiniteState, match="non-finite reconstruction") as info:
+        apps.freq_closed_form(window)
+    assert info.value.index == 2000 == window.grid.count - 1
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_freq_domain_excludes_only_the_origin():
     spec = apps.freq_spec()
@@ -456,8 +467,8 @@ def test_phase_sweep_defaults_to_64_phases():
 def test_horizon_sweep_error_drops_with_window_length():
     scn = apps.FrequencyScenario(phase=1.9, noise_amplitude=0.2,
                                  noise_frequency=10.0)
-    r_vals, _, errors = apps.horizon_sweep([dataclasses.replace(scn, r=r, h=None)
-                                            for r in (1.0, 3.0)])
+    r_vals, _, errors, _ = apps.horizon_sweep([dataclasses.replace(scn, r=r, h=None)
+                                               for r in (1.0, 3.0)])
     assert errors[1] < errors[0]
 
 

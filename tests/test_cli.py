@@ -384,25 +384,55 @@ def test_sweep_of_an_overflowing_signal_is_a_runtime_error(tmp_path, capsys):
     assert not list(tmp_path.glob("inf_*"))
 
 
-def test_sweep_mode_comes_from_the_config(tmp_path):
+def test_sweep_mode_comes_from_the_command_line(tmp_path):
     cfg = {
         "system": {"kind": "frequency", "scenario": {}},
         "sim": {"h": 0.002},
         "observer": {"r": 1.0},
-        "sweep": {"mode": "horizon", "r_values": [0.5, 1.0], "phases": 3},
+        "sweep": {"r_values": [0.5, 1.0], "phases": 3},
         "output_prefix": str(tmp_path / "s"),
     }
     cfg_path = write_config(tmp_path, cfg)
     csv = tmp_path / "s_sweep.csv"
-    for argv, label, rows in ((["sweep", cfg_path], "r", 2),
-                              (["sweep", cfg_path, "--mode", "phase"], "phase", 3)):
+    for argv, label, rows in ((["sweep", cfg_path], "phase", 3),
+                              (["sweep", cfg_path, "--mode", "horizon"], "r", 2)):
         assert main(argv) == EXIT_OK
         lines = csv.read_text().split("\n")
         assert lines[0] == f"{label},omega_hat,rel_error"
         assert len(lines) == rows + 2
-    del cfg["sweep"]["mode"]
-    assert main(["sweep", write_config(tmp_path, cfg)]) == EXIT_OK
-    assert csv.read_text().startswith("phase,")
+
+
+def test_sweep_of_a_shipped_config_without_mode_is_a_phase_sweep(tmp_path):
+    # figure4 lists r_values, but only --mode horizon makes its sweep a horizon sweep
+    prefix = str(tmp_path / "fig4")
+    assert main(["sweep", str(CONFIG_DIR / "figure4.json"), "--out-prefix", prefix]) == EXIT_OK
+    lines = (tmp_path / "fig4_sweep.csv").read_text().splitlines()
+    assert lines[0] == "phase,omega_hat,rel_error"
+    assert len(lines) == 1 + 64
+    summary = json.loads((tmp_path / "fig4_sweep_summary.json").read_text())
+    assert summary["mode"] == "phase"
+
+
+def overflowing_reconstruction_config(prefix):
+    """A window of 2000 steps of h = 5e-160: z2 overflows when scaled back by 1/r^2."""
+    return {"system": {"kind": "frequency",
+                       "scenario": {"amplitude": 2.0, "omega": 3.0, "phase": 0.0}},
+            "sim": {"h": 5e-160},
+            "observer": {"r": 1e-156},
+            "sensor": {"amplitude": 0.2, "frequency": 1e300},
+            "sweep": {"phases": [0.0, 0.4188790204786391], "r_values": [1e-156]},
+            "output_prefix": prefix}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["phase", "horizon"])
+def test_sweep_whose_reconstruction_overflows_is_a_runtime_error(tmp_path, capsys, mode):
+    cfg = overflowing_reconstruction_config(str(tmp_path / "big"))
+    assert main(["sweep", write_config(tmp_path, cfg), "--mode", mode]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err == ("error: runtime failure: non-finite reconstruction of the window "
+                   "ending at window node 2000\n")
+    assert not list(tmp_path.glob("*_sweep*"))
 
 
 def test_input_of_the_wrong_width_is_an_error(tmp_path, capsys):
@@ -583,12 +613,12 @@ def test_h_override_sets_the_frequency_scenario_step(tmp_path):
         (tmp_path / "given_sweep.csv").read_bytes()
 
 
-def outputs_of(command, cfg, tmp_path):
-    """{file name: bytes} of the outputs of one run of ``command`` on ``cfg``."""
+def outputs_of(command, cfg, tmp_path, flags=()):
+    """{file name: bytes} of the outputs of one run of ``command`` on ``cfg`` with ``flags``."""
     out = tmp_path / f"{command}_{len(list(tmp_path.iterdir()))}"
     out.mkdir()
     cfg = dict(cfg, output_prefix=str(out / "run"))
-    assert main([command, write_config(out, cfg)]) == EXIT_OK
+    assert main([command, write_config(out, cfg), *flags]) == EXIT_OK
     return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "config.json"}
 
 
@@ -608,7 +638,7 @@ def test_sim_h_steps_every_window_of_a_horizon_sweep(tmp_path):
     # figure4 has no sim.h, so each r is stepped at r/2000; 0.002 is r/2000 of no r_values entry
     def rows(edit):
         cfg = shipped_config("figure4", "unused", edit)
-        csv = outputs_of("sweep", cfg, tmp_path)["run_sweep.csv"].decode()
+        csv = outputs_of("sweep", cfg, tmp_path, ["--mode", "horizon"])["run_sweep.csv"].decode()
         return [row.split(",") for row in csv.splitlines()[1:]]
 
     shipped, stepped = rows(lambda cfg: None), rows(set_path("sim.h", 0.002))
@@ -629,13 +659,6 @@ def test_scenario_is_the_signal_alone(tmp_path, capsys, key):
         assert capsys.readouterr().err == (f"error: invalid config: unknown field "
                                            f"`system.scenario.{key}`\n")
     assert not list(tmp_path.glob("old_*"))
-
-
-def test_unknown_sweep_mode_in_config(tmp_path, capsys):
-    cfg = frequency_sweep_config(str(tmp_path / "x"))
-    cfg["sweep"]["mode"] = "amplitude"
-    assert main(["sweep", write_config(tmp_path, cfg)]) == EXIT_CONFIG
-    assert "unknown sweep mode 'amplitude'" in capsys.readouterr().err
 
 
 def test_unknown_input_kind(tmp_path, capsys):
@@ -711,6 +734,7 @@ def add_field(section, key, value=1.0):
      "observer.on_degenrate"),
     ("scalar_oracle", "simulate", add_field("input", "values", [1.0]), "input.values"),
     ("figure1", "sweep", add_field("sweep", "phase", 8), "sweep.phase"),
+    ("figure4", "sweep", add_field("sweep", "mode", "horizon"), "sweep.mode"),
     ("figure1", "sweep", add_field("system.scenario", "noise_amplitud", 0.1),
      "system.scenario.noise_amplitud"),
     ("reactor_lumped", "simulate", add_field("system.params", "a_margn"),
@@ -718,8 +742,8 @@ def add_field(section, key, value=1.0):
     ("scalar_oracle", "simulate", add_field("sensor", "amplitud", 0.1), "sensor.amplitud"),
 ], ids=["top", "det_nodes", "reactor", "relaxed_domain", "scalar", "scalar-c1",
         "scalar-input_gain", "example26", "sim",
-        "observer-mode", "observer-on_degenerate", "input", "sweep", "scenario", "params",
-        "sensor"])
+        "observer-mode", "observer-on_degenerate", "input", "sweep", "sweep-mode", "scenario",
+        "params", "sensor"])
 def test_unknown_section_field_is_a_config_error(tmp_path, capsys, name, command, edit, field):
     cfg = shipped_config(name, str(tmp_path / "typo"), edit)
     assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
@@ -819,7 +843,9 @@ def test_config_value_of_the_wrong_type_or_range_is_a_config_error(tmp_path, cap
     edits = [set_path(*pair) for pair in (zip(path, value) if isinstance(path, tuple)
                                           else [(path, value)])]
     cfg = shipped_config(name, str(tmp_path / "bad"), lambda cfg: [edit(cfg) for edit in edits])
-    assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    # figure4's sweep runs as shipped, a horizon sweep; the other sweeps are phase sweeps
+    flags = ["--mode", "horizon"] if (name, command) == ("figure4", "sweep") else []
+    assert main([command, write_config(tmp_path, cfg), *flags]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: invalid config: {message}\n"
     assert not list(tmp_path.glob("bad_*"))
 

@@ -106,6 +106,8 @@ def mistyped_field(name, path, value):
 
 
 def run(name, command, path, value):
+    # figure4's sweep runs as shipped, a horizon sweep; the other sweeps are phase sweeps
+    flags = ["--mode", "horizon"] if (name, command) == ("figure4", "sweep") else []
     cfg = json.loads(json.dumps(CONFIGS[name]))
     *parents, last = path
     leaf(cfg, parents)[last] = value
@@ -114,7 +116,7 @@ def run(name, command, path, value):
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(cfg))
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([command, str(config), "--out-prefix", str(Path(tmp) / "out")])
+            code = main([command, str(config), "--out-prefix", str(Path(tmp) / "out"), *flags])
     return code, stderr.getvalue()
 
 

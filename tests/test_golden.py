@@ -27,6 +27,14 @@ def test_run_matches_record(name):
     assert not moved, f"{name} moved:\n" + "\n".join(moved)
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_strict_json_rejects_a_non_finite_constant(constant):
+    # every JSON output of a golden run is read this way: the README promises strict JSON
+    assert golden.strict_json('{"max_rel_error": 0.5}') == {"max_rel_error": 0.5}
+    with pytest.raises(ValueError, match=constant):
+        golden.strict_json(f'{{"max_rel_error": {constant}}}')
+
+
 def test_csv_move_is_the_largest_relative_move():
     old = "t,x\n0.0,1.0\n1.0,-2.0\n2.0,nan\n"
     assert golden.csv_move(old, old) == 0.0

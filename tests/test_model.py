@@ -107,15 +107,15 @@ def test_make_lti_constant_across_probes():
 def test_input_signals():
     # a recorded input holds the sample of the previous node
     grid = Grid.from_span(0.0, 1.0, 0.25)
-    for values in (np.arange(5.0), np.arange(5.0).reshape(-1, 1)):
-        u = sampled_input(grid, values)
-        # the 1e-9 guard puts a time just short of a node on that node; a time
-        # before the grid holds the first sample
-        for t, held in ((0.0, 0.0), (0.1, 0.0), (0.25 - 1e-12, 1.0), (0.26, 1.0),
-                        (1.0, 4.0), (2.0, 4.0), (-0.5, 0.0)):
-            assert np.array_equal(u(t), [held])
+    u = sampled_input(grid, np.arange(5.0).reshape(-1, 1))
+    # the 1e-9 guard puts a time just short of a node on that node; a time
+    # before the grid holds the first sample
+    for t, held in ((0.0, 0.0), (0.1, 0.0), (0.25 - 1e-12, 1.0), (0.26, 1.0),
+                    (1.0, 4.0), (2.0, 4.0), (-0.5, 0.0)):
+        assert np.array_equal(u(t), [held])
     assert sampled_input(grid, np.ones((5, 2)))(0.5).shape == (2,)
-    for values in (np.arange(4.0), np.ones((6, 1)), np.ones((5, 1, 1))):
+    # samples are one row per node: a (count,) array is not one channel
+    for values in (np.arange(5.0), np.arange(4.0), np.ones((6, 1)), np.ones((5, 1, 1))):
         with pytest.raises(DimensionMismatch, match="input samples"):
             sampled_input(grid, values)
 

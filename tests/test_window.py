@@ -267,13 +267,12 @@ def sinusoid_window():
     return grid, y, np.zeros((grid.count, 1))
 
 
-def test_window_takes_one_dimensional_samples_as_one_channel():
+def test_window_of_one_dimensional_samples_is_a_dimension_mismatch():
+    # samples are one row per node: a (count,) array is not one channel
     grid, y, u = sinusoid_window()
-    flat = IoWindow(grid=grid, y_samples=y[:, 0], u_samples=u[:, 0])
-    assert flat.y_samples.shape == flat.u_samples.shape == (101, 1)
-    spec = apps.freq_spec()
-    assert np.array_equal(apply_P(spec, flat),
-                          apply_P(spec, IoWindow(grid=grid, y_samples=y, u_samples=u)))
+    for y_s, u_s in ((y[:, 0], u), (y, u[:, 0]), (y[:, 0], u[:, 0])):
+        with pytest.raises(DimensionMismatch, match="window samples"):
+            IoWindow(grid=grid, y_samples=y_s, u_samples=u_s)
 
 
 @pytest.mark.parametrize("widths", [(3, 1), (1, 2), (0, 1), (1, 0)],
@@ -379,7 +378,8 @@ def test_degenerate_window_ends_in_none_and_its_reconstruction_raises():
     # C = 0: the output carries nothing of x, so Q = 0 and the window is held
     spec = make_lti(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 1)), np.zeros(1))
     grid = Grid(0.0, 0.01, 101)
-    window = IoWindow(grid=grid, y_samples=np.ones(grid.count), u_samples=np.zeros(grid.count))
+    window = IoWindow(grid=grid, y_samples=np.ones((grid.count, 1)),
+                      u_samples=np.zeros((grid.count, 1)))
     wc = compute_window(spec, window)
     assert end_state(wc) is None
     assert apply_P(spec, window) is None
