@@ -59,11 +59,10 @@ _VECTOR = ("a number or a list of numbers", lambda v: _NUMBER[1](v) or _LIST[1](
 _MATRIX = ("a list of lists of numbers of one length",
            lambda v: isinstance(v, list) and all(map(_LIST[1], v)) and len(set(map(len, v))) < 2)
 _STRING = ("a string", lambda v: isinstance(v, str))
-_LATER = ("", lambda v: True)  # checked by load_config
 
-# Each field's type, or the table of its nested section; in `system`, per kind besides `kind`
+# Each field's type, or the table of its nested section. load_config adds `system` (`kind` and
+# its fields) and drops `sim.x0`/`y0` for a frequency plant and `observer.w0` in reduced mode
 _FIELDS = {
-    "system": _LATER,
     "sim": {"t_end": _NUMBER, "h": _NUMBER, "x0": _VECTOR, "y0": _VECTOR},
     "observer": {"r": _NUMBER, "mode": _STRING, "z0": _VECTOR, "w0": _VECTOR},
     "sensor": {f.name: _NUMBER for f in fields(SensorModel)},
@@ -73,7 +72,7 @@ _FIELDS = {
 }
 _SYSTEM_FIELDS = {
     "frequency": {"scenario": dict.fromkeys(("amplitude", "omega", "phase"), _NUMBER)},
-    "reactor": {"params": _LATER},  # "canonical" or an object
+    "reactor": {"params": {f.name: _NUMBER for f in fields(apps.ReactorParams)}},  # all required
     "lti": {"A": _MATRIX, "b": _VECTOR, "C": _MATRIX, "f": _VECTOR},
     "scalar": dict.fromkeys(("a0", "f0", "c0"), _NUMBER),
     "example26": {},
@@ -117,23 +116,21 @@ def _finite_float(text):
 
 
 def load_config(path):
-    """Parse a JSON config (every number a float) and check every section: a section that
-    is not an object, an unknown field or kind, a field of the wrong JSON type and a non-finite
-    or overflowing number raise ConfigError, so the build_* functions only read it."""
+    """Parse a JSON config (every number a float), read `system.kind` first, then check it all
+    in one pass: a section that is not an object, an unknown field or kind, a field of the wrong
+    type and a non-finite or overflowing number raise ConfigError; build_* only read the config."""
     with open(path) as fh:
         cfg = json.load(fh, parse_constant=_reject_constant,
                         parse_float=_finite_float, parse_int=_finite_float)
-    _check_fields("config", cfg, _FIELDS)
-    system = _object("system", _require(cfg, "system"))
+    system = _object("system", _require(_object("config", cfg), "system"))
     kind = _require(system, "kind", "system")
     if not isinstance(kind, str) or kind not in _SYSTEM_FIELDS:
         raise ConfigError(f"unknown system.kind {kind!r}")
-    _check_fields("system", system, {"kind": _STRING, **_SYSTEM_FIELDS[kind]})
-    if kind == "reactor" and system.get("params", "canonical") != "canonical":
-        params = {f.name: _NUMBER for f in fields(apps.ReactorParams)}
-        _check_fields("system.params", system["params"], params)
-        for key in params:  # every parameter is required
-            _require(system["params"], key, "system.params")
+    full = isinstance(cfg.get("observer"), dict) and cfg["observer"].get("mode") == FULL
+    sim = {k: t for k, t in _FIELDS["sim"].items() if kind != "frequency" or k in ("t_end", "h")}
+    obs = {k: t for k, t in _FIELDS["observer"].items() if full or k != "w0"}
+    _check_fields("config", cfg, {**_FIELDS, "system": {"kind": _STRING, **_SYSTEM_FIELDS[kind]},
+                                  "sim": sim, "observer": obs})
     return cfg
 
 
@@ -171,9 +168,10 @@ def build_system(cfg):
                                     **sys_cfg.get("scenario", {}))
         return apps.freq_spec(), kind, extras
     if kind == "reactor":
-        params = sys_cfg.get("params", "canonical")
-        p = (apps.canonical_reactor_params() if params == "canonical"
-             else _built("system.params", apps.ReactorParams, **params))
+        params = sys_cfg.get("params")  # the twelve fields, in ReactorParams' order
+        p = (apps.canonical_reactor_params() if params is None else _built(
+            "system.params", apps.ReactorParams,
+            *(_require(params, key, "system.params") for key in _SYSTEM_FIELDS[kind]["params"])))
         return apps.reactor_spec(p), kind, extras
     if kind == "lti":
         blocks = (_require(sys_cfg, key, "system") for key in _SYSTEM_FIELDS["lti"])
@@ -197,17 +195,17 @@ def build_sensor(cfg):
 
 
 def build_input(cfg):
-    """The `input` section as a function of time, or None (the zero input) without one."""
+    """The required `input.value` as a constant of time; None (the zero input) without `input`."""
     inp = cfg.get("input")
     if inp is None:
         return None
-    value = np.atleast_1d(np.asarray(inp.get("value", [0.0]), dtype=float))
+    value = np.atleast_1d(np.asarray(_require(inp, "value", "input"), dtype=float))
     return lambda t: value
 
 
 def _initial_state(sim, extras, kind):
-    """(x0, y0) of the `sim` section; a frequency scenario supplies them when x0 is absent."""
-    if kind == "frequency" and "x0" not in sim:
+    """(x0, y0): a frequency plant's from its scenario, any other's from the `sim` section."""
+    if kind == "frequency":
         return extras["scenario"].initial_state()
     return _require(sim, "x0", "sim"), _require(sim, "y0", "sim")
 
@@ -265,9 +263,10 @@ def write_json(path, payload):
 def cmd_simulate(cfg, prefix):
     """Plant run and observer replay: the trace, estimate and summary files.
 
-    ``observer.z0``, and ``observer.w0`` in full mode, are required before
-    the plant runs.  The summary's ``max_post_window_relative_error`` is null
-    when no node follows the first window or the error is not finite.
+    ``observer.z0``, ``observer.w0`` in full mode (the only mode with one)
+    and, but for a frequency plant, ``sim.x0`` and ``sim.y0`` are required
+    before the plant runs.  The summary's ``max_post_window_relative_error``
+    is null when no node follows the first window or the error is not finite.
     """
     spec, kind, extras = build_system(cfg)
     sim_cfg = sim_section(cfg, extras, kind)

@@ -103,6 +103,13 @@ def test_unknown_system_kind(tmp_path, capsys):
     assert "pendulum" in capsys.readouterr().err
 
 
+def test_a_bad_system_kind_is_reported_before_other_sections(tmp_path, capsys):
+    # the kind sets which fields the other sections may hold, so it is read first
+    cfg_path = write_config(tmp_path, {"system": {"kind": "bogus"}, "sim": 5})
+    assert main(["simulate", cfg_path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: invalid config: unknown system.kind 'bogus'\n"
+
+
 def test_unreadable_config_path(tmp_path, capsys):
     assert main(["simulate", str(tmp_path / "nope.json")]) == EXIT_CONFIG
     assert "cannot read config" in capsys.readouterr().err
@@ -123,7 +130,7 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, literal):
 def test_runtime_error_exit_code(tmp_path, capsys):
     prefix = str(tmp_path / "hot")
     cfg = {
-        "system": {"kind": "reactor", "params": "canonical"},
+        "system": {"kind": "reactor"},
         "sim": {"t_end": 0.5, "h": 0.001, "x0": [0.8, 0.5], "y0": [500.0]},
         "observer": {"r": 0.25, "z0": [0.5, 1.0]},
         "output_prefix": prefix,
@@ -740,10 +747,17 @@ def add_field(section, key, value=1.0):
     ("reactor_lumped", "simulate", add_field("system.params", "a_margn"),
      "system.params.a_margn"),
     ("scalar_oracle", "simulate", add_field("sensor", "amplitud", 0.1), "sensor.amplitud"),
+    # a frequency plant starts from its scenario, and w0 is a full-mode field
+    *[(name, command, edit, field) for command in ("simulate", "observability")
+      for name, edit, field in [
+          ("frequency_clean", lambda cfg: cfg["sim"].update(x0=[0.0, -16.0], y0=[1.0]), "sim.x0"),
+          ("frequency_clean", add_field("sim", "y0", [1.0]), "sim.y0"),
+          ("reactor", add_field("observer", "w0", [1e9]), "observer.w0")]],
 ], ids=["top", "det_nodes", "reactor", "relaxed_domain", "scalar", "scalar-c1",
         "scalar-input_gain", "example26", "sim",
         "observer-mode", "observer-on_degenerate", "input", "sweep", "sweep-mode", "scenario",
-        "params", "sensor"])
+        "params", "sensor", *[f"{field}-{command}" for command in ("simulate", "observability")
+                              for field in ("frequency-x0-y0", "frequency-y0", "reduced-w0")]])
 def test_unknown_section_field_is_a_config_error(tmp_path, capsys, name, command, edit, field):
     cfg = shipped_config(name, str(tmp_path / "typo"), edit)
     assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
@@ -831,12 +845,14 @@ def set_path(path, value):
      "`sweep.phases`: a phase count must be a whole number >= 1, got 0.0"),
     ("figure1", "sweep", "sweep.r_values", [],
      "`sweep.r_values`: a horizon sweep needs at least one scenario"),
+    ("reactor", "simulate", "system.params", "canonical", "`system.params` must be an object"),
+    ("scalar_oracle", "simulate", "input", {}, "missing field `input.value`"),
 ], ids=["phases-nested", "phases-zero", "phases-negative", "phases-fraction", "phases-empty",
         "r_values-empty", "r_values-negative", "h-true", "a0-string", "z0-object", "input-nested",
         "omega-list", "k1-null", "t_end-multiple", "scenario-h-sweep", "scenario-h-simulate",
         "t_end-unindexable", "phases-unindexable", "t_end-unallocatable", "h-inf-nodes",
         "r-oversized", "r_values-multiple", "sweep-one-step", "phases-in-horizon-mode",
-        "r_values-in-phase-mode"])
+        "r_values-in-phase-mode", "params-canonical", "input-empty"])
 def test_config_value_of_the_wrong_type_or_range_is_a_config_error(tmp_path, capsys, name,
                                                                    command, path, value, message):
     # a tuple of paths sets each to its own value

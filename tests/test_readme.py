@@ -6,7 +6,8 @@ package, every criterion it cites is a ``test_criterion_N_*`` of
 config and a command.  Every ``deadbeat-obs`` command of the README has a
 golden record that exits 0.  The library tour: one row per module, every
 Python name of a row resolves in its module, and the README keeps its size
-caps.  The exception table lists every exception class of ``errors``.
+caps.  The exception table lists every exception class of ``errors``, and the
+config schema names every section, field and system kind that ``cli`` reads.
 """
 
 import ast
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from deadbeat_observer import errors
+from deadbeat_observer import cli, errors
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -112,6 +113,24 @@ def test_the_exception_table_lists_every_exception():
     classes = {name for name, obj in vars(errors).items()
                if isinstance(obj, type) and issubclass(obj, Exception)}
     assert {row[0].strip("`") for row in rows} == classes
+
+
+def field_names(table):
+    """The keys of a table of config field types, those of its nested tables included."""
+    names = set(table)
+    for value in table.values():
+        if isinstance(value, dict):
+            names |= field_names(value)
+    return names
+
+
+def test_the_config_schema_names_every_section_field_and_kind():
+    (schema,) = re.findall(r"```jsonc\n(.*?)```", README, re.S)
+    words = set(re.findall(r"\w+", schema))
+    assert field_names(cli._FIELDS) <= words, field_names(cli._FIELDS) - words
+    assert field_names(cli._SYSTEM_FIELDS) <= words, field_names(cli._SYSTEM_FIELDS) - words
+    (kinds,) = re.findall(r'"kind": "([^"]*)"', schema)
+    assert sorted(kinds.split(" | ")) == sorted(cli._SYSTEM_FIELDS)
 
 
 def test_the_python_example_reconstructs_the_state_after_one_window():
