@@ -15,9 +15,10 @@ import numpy as np
 
 from .errors import InvalidValue, NonFiniteState, NonNegativeZ2
 from .model import SystemSpec
+# simulate_plant, corrupt and trapezoid are not called here; perfbench/spans.py times calls
+# through these names
 from .numerics import (Grid, cumulative_trapezoid, require_node_count, require_pivot, trapezoid,
                        window_grid)
-# simulate_plant and corrupt are not called here; perfbench/spans.py times calls through these names
 from .plant import SensorModel, corrupt, simulate_plant
 from .window import IoWindow
 
@@ -231,40 +232,57 @@ def freq_spec():
 def _closed_form_rows(rows, grid):
     """Closed-form window reconstructions (z1, z2), one per output row on ``grid``.
 
-    ``rows`` gives the (count,) output samples of one window at a time.  The
-    unit-window grid and its times are built once per call; each row is then
-    reconstructed on arrays of its own length, so a sweep's working arrays
-    stay a few times the size of one row whatever its phase count.  A row
-    raises NonFiniteState at its first non-finite sample or at its last node
-    when z2 overflows, or NotPositiveDefinite through ``require_pivot``,
-    before the next row is taken, as a loop over the windows would.  See
-    ``freq_closed_form`` for the formula.
+    ``rows`` gives the (count,) output samples of one window at a time; a
+    row is only read.  Each call allocates its working memory once, twelve
+    rows of ``count`` values whatever the number of rows, and reuses it for
+    every row: the scaled row (then its rise from the first sample), its two
+    running integrals, the times, the four products and their trapezoid
+    midpoints.  The four integrals are taken at once, with the operations
+    of one ``numerics.trapezoid`` call each, in its order, but for halving
+    each midpoint by a product with 0.5, which rounds to the same double as
+    its quotient by 2; so every bit is that of four such calls.  A row
+    raises NonFiniteState at its first non-finite sample or at its last
+    node when z2 overflows, or NotPositiveDefinite through
+    ``require_pivot``, before the next row is taken, as a loop over the
+    windows would.  See ``freq_closed_form`` for the formula.
     """
-    r = grid.span
-    unit = Grid(0.0, grid.h / r, grid.count)
-    t = unit.times()
-    for y in rows:
-        s = float(np.max(np.abs(y)))  # non-finite just when a sample is
+    r, n = grid.span, grid.count
+    unit = Grid(0.0, grid.h / r, n)
+    # One allocation per call, so that calls reuse its pages: as several arrays, the
+    # working rows of a 10001-node window were unmapped and faulted in again every call
+    work = np.empty(12 * n - 4)
+    nodes = work[:8 * n].reshape(8, n)
+    mids = work[8 * n:].reshape(4, n - 1)  # the products' trapezoid midpoints
+    y, Y = nodes[:2]  # y is the scaled row, then its rise y - y[0]
+    t_phi, products = nodes[2:4], nodes[4:]  # products: phi phi, t phi, t dy, phi dy
+    t_phi[0] = unit.times()
+    phi = t_phi[1]
+    phi_t, pp_tp, ty_py = t_phi[::-1], products[:2], products[2:]
+    later, earlier = products[:, 1:], products[:, :-1]
+    for row in rows:
+        s = float(max(row.max(), -row.min()))  # max|row|; non-finite just when a sample is
         if not math.isfinite(s):
-            bad = np.flatnonzero(~np.isfinite(y))[0]
+            bad = np.flatnonzero(~np.isfinite(row))[0]
             raise NonFiniteState(int(bad), f"non-finite output sample at window node {bad}")
         s = s or 1.0
-        y = y / s
-        Y = cumulative_trapezoid(y, unit)
-        phi = cumulative_trapezoid(Y, unit)
-        dy = y - y[0]
-        I_pp = trapezoid(phi * phi, unit)
-        I_tp = trapezoid(t * phi, unit)
-        I_yt = trapezoid(dy * t, unit)
-        I_yp = trapezoid(dy * phi, unit)
+        np.divide(row, s, out=y)
+        cumulative_trapezoid(y, unit, Y)
+        cumulative_trapezoid(Y, unit, phi)
+        np.subtract(y, y[0], out=y)
+        np.multiply(phi_t, phi, out=pp_tp)
+        np.multiply(t_phi, y, out=ty_py)
+        np.add(later, earlier, out=mids)  # trapezoid of each product, at once
+        mids *= unit.h
+        mids *= 0.5  # x * 0.5 is x / 2 to the bit, and cheaper
+        I_pp, I_tp, I_yt, I_yp = mids.sum(axis=1).tolist()
         den = I_pp - 3.0 * I_tp ** 2  # second Cholesky pivot of [[1/3, I_tp], [I_tp, I_pp]]
         require_pivot(min(den, 1.0 / 3.0), 1.0 / 3.0 + I_pp, 2)
         z2 = (I_yp - 3.0 * I_tp * I_yt) / den
         z1 = (3.0 * (I_pp - Y[-1] * I_tp) * I_yt + (Y[-1] - 3.0 * I_tp) * I_yp) / den
         z2 = float(z2) / r / r
         if not math.isfinite(z2):  # the scaling back by 1/r^2 overflowed
-            raise NonFiniteState(grid.count - 1, "non-finite reconstruction of the window "
-                                 f"ending at window node {grid.count - 1}")
+            raise NonFiniteState(n - 1, "non-finite reconstruction of the window "
+                                 f"ending at window node {n - 1}")
         yield float(z1) * s / r, z2
 
 
@@ -302,16 +320,20 @@ def _measured_rows(scn, basis, phases):
     Each row is the exact sinusoid A sin(w t + phase) on the scenario's grid,
     expanded as A (cos(phase) sin(w t) + sin(phase) cos(w t)) so that the
     phase enters as the plant's initial state does, plus the sensor's noise
-    as ``SensorModel.measure`` adds it.  Rows are made one at a time, when
-    taken.  No numpy warning is raised: a sample that overflows is
-    non-finite, and the closed form rejects its window.
+    as ``SensorModel.measure`` adds it.  Every row is written in place into
+    one buffer, beside one scratch row, both made once per call, so a row
+    holds only until the next is taken.  No numpy warning is raised: a
+    sample that overflows is non-finite, and the closed form rejects its
+    window.
     """
     t, sin_wt, cos_wt, noise = basis
     phases = np.asarray(phases, dtype=float)
+    y, part = np.empty((2, t.size))
     for c, s in zip(np.cos(phases).tolist(), np.sin(phases).tolist()):
         with np.errstate(over="ignore", invalid="ignore"):
-            y = c * sin_wt
-            y += s * cos_wt
+            np.multiply(c, sin_wt, out=y)
+            np.multiply(s, cos_wt, out=part)
+            y += part
             y *= scn.amplitude
             if noise is not None:
                 y += noise
@@ -321,7 +343,7 @@ def _measured_rows(scn, basis, phases):
 def _windows_from_scenario(scn, phases):
     """The measured window [0, r] of the scenario's signal for each phase."""
     u = np.zeros((scn.grid.count, 1))
-    return [IoWindow(grid=scn.grid, y_samples=y[:, None], u_samples=u)
+    return [IoWindow(grid=scn.grid, y_samples=y[:, None].copy(), u_samples=u)
             for y in _measured_rows(scn, _sweep_basis(scn), phases)]
 
 
@@ -357,10 +379,11 @@ def phase_sweep(scn, phases=None):
     ``phases`` is read by ``sweep_phases``.  Returns (phases, omega_hats,
     rel_errors, max_rel_error), one window each.  The signal's basis and the
     sensor's noise are made once per sweep; each phase's row is then made
-    and reconstructed before the next, so that memory grows with the phase
-    count only by the results.  The first failing phase in phase order
-    raises what ``freq_closed_form`` or ``omega_hat`` would raise for its
-    window alone.
+    and reconstructed in the same few one-row buffers before the next, so
+    that its working memory is a fixed handful of rows whatever the phase
+    count, and only the results grow with it.  The first failing phase in
+    phase order raises what ``freq_closed_form`` or ``omega_hat`` would
+    raise for its window alone.
     """
     phi_grid = sweep_phases(phases)
     rows = _measured_rows(scn, _sweep_basis(scn), phi_grid)

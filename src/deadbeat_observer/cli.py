@@ -118,7 +118,8 @@ def _finite_float(text):
 def load_config(path):
     """Parse a JSON config (every number a float), read `system.kind` first, then check it all
     in one pass: a section that is not an object, an unknown field or kind, a field of the wrong
-    type and a non-finite or overflowing number raise ConfigError; build_* only read the config."""
+    type, an `input` without its `value` and a non-finite or overflowing number raise
+    ConfigError, whichever command runs; build_* only read the config."""
     with open(path) as fh:
         cfg = json.load(fh, parse_constant=_reject_constant,
                         parse_float=_finite_float, parse_int=_finite_float)
@@ -131,6 +132,8 @@ def load_config(path):
     obs = {k: t for k, t in _FIELDS["observer"].items() if full or k != "w0"}
     _check_fields("config", cfg, {**_FIELDS, "system": {"kind": _STRING, **_SYSTEM_FIELDS[kind]},
                                   "sim": sim, "observer": obs})
+    if "input" in cfg:
+        _require(cfg["input"], "value", "input")
     return cfg
 
 
@@ -195,11 +198,11 @@ def build_sensor(cfg):
 
 
 def build_input(cfg):
-    """The required `input.value` as a constant of time; None (the zero input) without `input`."""
+    """`input.value` as a constant of time; None (the zero input) without `input`."""
     inp = cfg.get("input")
     if inp is None:
         return None
-    value = np.atleast_1d(np.asarray(_require(inp, "value", "input"), dtype=float))
+    value = np.atleast_1d(np.asarray(inp["value"], dtype=float))
     return lambda t: value
 
 

@@ -179,21 +179,23 @@ def trapezoid(samples, grid):
     return float(total) if samples.ndim == 1 else total
 
 
-def cumulative_trapezoid(samples, grid):
-    """Running trapezoid integral; node j holds the integral over [t0, t_j].
+def cumulative_trapezoid(samples, grid, out):
+    """Running trapezoid integral, written into and returned as ``out``.
 
-    Takes one sample per grid node, else DimensionMismatch.
+    Node j of ``out`` holds the integral over [t0, t_j].  Takes one sample
+    per grid node, else DimensionMismatch; ``out`` has the samples' shape
+    and shares no memory with them.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != grid.count:
         raise DimensionMismatch(
             f"got {samples.shape[0]} samples for a {grid.count}-node grid"
         )
-    mid = samples[1:] + samples[:-1]  # 0.5 h (a + b) in place, the same bits
-    mid *= 0.5 * grid.h
-    out = np.empty_like(samples)
     out[0] = 0.0
-    np.cumsum(mid, axis=0, out=out[1:])
+    running = out[1:]
+    np.add(samples[1:], samples[:-1], out=running)  # 0.5 h (a + b) in place, the same bits
+    running *= 0.5 * grid.h
+    np.cumsum(running, axis=0, out=running)
     return out
 
 

@@ -22,18 +22,31 @@ tests that compare them with that construction (criterion 7 among them):
     ``require_pivot`` on its Gram matrix alone;
   * ``pointwise_coefficients``: a system's window coefficients filled point
     by point from its per-point evaluators, the reference of every
-    ``eval_batch``; ``pointwise_spec`` builds a test system whose batch is it.
+    ``eval_batch``; ``pointwise_spec`` builds a test system whose batch is it;
+  * ``cumulative_trapezoid``: the package's running integral into a new
+    array, as the oracles take it;
+  * ``closed_form_rows``: the frequency plant's closed-form reconstruction
+    written with one fresh array per quantity and one ``trapezoid`` call per
+    integral, the bit-for-bit reference of ``applications._closed_form_rows``.
 
 Test modules import them as ``from oracles import ...``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from deadbeat_observer.errors import DimensionMismatch, DomainExit
+from deadbeat_observer import numerics
+from deadbeat_observer.errors import DimensionMismatch, DomainExit, NonFiniteState
 from deadbeat_observer.model import SystemSpec, check_point_evaluators, make_lti
-from deadbeat_observer.numerics import cumulative_trapezoid, require_pivot, spd_solve, trapezoid
+from deadbeat_observer.numerics import Grid, require_pivot, spd_solve, trapezoid
+
+
+def cumulative_trapezoid(samples, grid):
+    """``numerics.cumulative_trapezoid`` of ``samples`` into a new array."""
+    samples = np.asarray(samples, dtype=float)
+    return numerics.cumulative_trapezoid(samples, grid, np.empty_like(samples))
 
 
 @dataclass(frozen=True)
@@ -266,3 +279,39 @@ def pointwise_spec(**fields):
     of the per-point evaluators it is built with."""
     spec = SystemSpec(eval_batch=lambda Y, U: pointwise_coefficients(spec, Y, U), **fields)
     return spec
+
+
+def closed_form_rows(rows, grid):
+    """Closed-form window reconstructions (z1, z2), one per output row on ``grid``.
+
+    The reference of ``applications._closed_form_rows``: the same formula
+    and the same IEEE operations in the same order, each quantity a fresh
+    array and each integral its own ``trapezoid`` call.  It raises what the
+    package's kernel raises, at the same row and node.
+    """
+    r = grid.span
+    unit = Grid(0.0, grid.h / r, grid.count)
+    t = unit.times()
+    for y in rows:
+        s = float(np.max(np.abs(y)))  # non-finite just when a sample is
+        if not math.isfinite(s):
+            bad = np.flatnonzero(~np.isfinite(y))[0]
+            raise NonFiniteState(int(bad), f"non-finite output sample at window node {bad}")
+        s = s or 1.0
+        y = y / s
+        Y = cumulative_trapezoid(y, unit)
+        phi = cumulative_trapezoid(Y, unit)
+        dy = y - y[0]
+        I_pp = trapezoid(phi * phi, unit)
+        I_tp = trapezoid(t * phi, unit)
+        I_yt = trapezoid(dy * t, unit)
+        I_yp = trapezoid(dy * phi, unit)
+        den = I_pp - 3.0 * I_tp ** 2  # second Cholesky pivot of [[1/3, I_tp], [I_tp, I_pp]]
+        require_pivot(min(den, 1.0 / 3.0), 1.0 / 3.0 + I_pp, 2)
+        z2 = (I_yp - 3.0 * I_tp * I_yt) / den
+        z1 = (3.0 * (I_pp - Y[-1] * I_tp) * I_yt + (Y[-1] - 3.0 * I_tp) * I_yp) / den
+        z2 = float(z2) / r / r
+        if not math.isfinite(z2):  # the scaling back by 1/r^2 overflowed
+            raise NonFiniteState(grid.count - 1, "non-finite reconstruction of the window "
+                                 f"ending at window node {grid.count - 1}")
+        yield float(z1) * s / r, z2

@@ -32,6 +32,7 @@ from oracles import (
     HypothesisFailsAt,
     HypothesisHolds,
     check_hypothesis,
+    closed_form_rows,
     min_window_reactor,
     pointwise_spec,
     reactor_gains,
@@ -435,6 +436,70 @@ def test_phase_sweep_raises_what_the_first_failing_window_raises(ks):
     with pytest.raises(expected[0]) as info:
         apps.phase_sweep(scn, phases)
     assert str(info.value) == expected[1]
+
+
+# The scenarios of configs/figure1.json, figure2.json and figure3.json
+FIGURE_SCENARIOS = {
+    "figure1": dict(noise_frequency=10.0, h=5e-4),
+    "figure2": dict(noise_frequency=100.0, h=5e-4),
+    "figure3": dict(noise_frequency=1000.0, h=1e-4),
+}
+
+
+def figure_scenario(name):
+    return apps.FrequencyScenario(amplitude=2.0, omega=3.0, noise_amplitude=0.2, r=1.0,
+                                  **FIGURE_SCENARIOS[name])
+
+
+def reference_omegas(scn, phases):
+    """ω̂ of each phase by the reference closed form, on rows that are each a fresh array."""
+    _, sin_wt, cos_wt, noise = apps._sweep_basis(scn)
+    rows = []
+    for c, s in zip(np.cos(phases).tolist(), np.sin(phases).tolist()):
+        y = c * sin_wt
+        y += s * cos_wt
+        y *= scn.amplitude
+        rows.append(y + noise)
+    return np.array([apps.omega_hat(z2) for _, z2 in closed_form_rows(rows, scn.grid)])
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE_SCENARIOS))
+def test_phase_sweep_is_bit_identical_to_the_reference_closed_form(name):
+    # the golden files pin 13 digits; every bit of every ω̂ is pinned here
+    scn = figure_scenario(name)
+    rng = np.random.default_rng(40)
+    for count in (16, 16, 64):
+        phases = rng.uniform(0.0, 2.0 * np.pi, count)
+        _, omegas, _, _ = apps.phase_sweep(scn, phases)
+        assert omegas.tobytes() == reference_omegas(scn, phases).tobytes()
+
+
+def test_freq_closed_form_on_criterion_7_windows_is_bit_identical_and_reads_only():
+    rng = np.random.default_rng(7)  # criterion 7's frequency windows, drawn as it draws them
+    for _ in range(20):
+        scn = apps.FrequencyScenario(amplitude=float(rng.uniform(1.0, 3.0)),
+                                     omega=float(rng.uniform(1.0, 5.0)),
+                                     phase=float(rng.uniform(0.0, 2.0 * np.pi)),
+                                     h=2e-4)
+        (window,) = apps._windows_from_scenario(scn, [scn.phase])
+        samples = window.y_samples.tobytes()
+        z = apps.freq_closed_form(window)
+        assert window.y_samples.tobytes() == samples
+        ref = next(closed_form_rows([window.y_samples[:, 0]], window.grid))
+        assert np.array(z).tobytes() == np.array(ref).tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweeps_after_a_failing_sweep_and_across_grids_equal_fresh_sweeps():
+    phases = np.random.default_rng(41).uniform(0.0, 2.0 * np.pi, 16)
+    scenarios = [figure_scenario(name) for name in ("figure1", "figure3")]  # 2001, 10001 nodes
+    fresh = [apps.phase_sweep(scn, phases)[1].tobytes() for scn in scenarios]
+    overflowing = apps.FrequencyScenario(amplitude=1e308, omega=3.0, noise_amplitude=1.5e308,
+                                         noise_frequency=1.0, r=1.0, h=5e-4)
+    with pytest.raises(NonFiniteState):
+        apps.phase_sweep(overflowing, [25 * np.pi / 20, 30 * np.pi / 20])
+    for scn, omegas in zip(scenarios * 3, fresh * 3):
+        assert apps.phase_sweep(scn, phases)[1].tobytes() == omegas
 
 
 def test_phase_sweep_count_over_the_node_limit_is_rejected_before_any_array():

@@ -888,6 +888,18 @@ def test_missing_required_value_is_a_config_error(tmp_path, capsys, name, edit, 
     assert not list(tmp_path.glob("bad_*"))
 
 
+@pytest.mark.parametrize("name, command", [
+    ("example26", "simulate"), ("example26", "observability"), ("figure1", "sweep"),
+])
+def test_an_input_without_its_value_is_a_config_error_for_every_command(tmp_path, capsys, name,
+                                                                         command):
+    # observability of example26 runs under the constructed input and a sweep under none
+    cfg = shipped_config(name, str(tmp_path / "bad"), set_path("input", {}))
+    assert main([command, write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: invalid config: missing field `input.value`\n"
+    assert not list(tmp_path.glob("bad_*"))
+
+
 @pytest.mark.parametrize("A, C, code, message", [
     ([[0.0, 1.0], [0.0]], [[1.0], [0.0]], EXIT_CONFIG,
      "invalid config: `system.A` must be a list of lists of numbers of one length"),

@@ -261,7 +261,7 @@ def test_trapezoid_length_mismatch():
 def test_cumulative_trapezoid_length_mismatch():
     g = Grid.from_span(0.0, 1.0, 0.1)
     with pytest.raises(DimensionMismatch, match="got 10 samples for a 11-node grid"):
-        cumulative_trapezoid(np.zeros(g.count - 1), g)
+        cumulative_trapezoid(np.zeros(g.count - 1), g, np.empty(g.count - 1))
 
 
 def test_trapezoid_linearity():
@@ -278,9 +278,19 @@ def test_trapezoid_linearity():
 def test_cumulative_trapezoid_matches_total():
     g = Grid.from_span(0.0, 1.0, 1e-3)
     t = g.times()
-    cum = cumulative_trapezoid(t * t, g)
+    cum = cumulative_trapezoid(t * t, g, np.empty(g.count))
     assert cum[0] == 0.0
     assert cum[-1] == pytest.approx(trapezoid(t * t, g), abs=1e-14)
+
+
+def test_cumulative_trapezoid_writes_the_running_sum_of_half_step_midpoints_into_out():
+    g = Grid.from_span(0.0, 1.0, 1e-3)
+    samples = np.random.default_rng(40).normal(size=(g.count, 3))
+    mid = samples[1:] + samples[:-1]
+    mid *= 0.5 * g.h
+    out = np.full_like(samples, np.nan)
+    assert cumulative_trapezoid(samples, g, out) is out
+    assert out.tobytes() == np.concatenate([np.zeros((1, 3)), np.cumsum(mid, axis=0)]).tobytes()
 
 
 def test_spd_solve_identity():

@@ -16,7 +16,7 @@ from deadbeat_observer.errors import (
     NotPositiveDefinite,
 )
 from deadbeat_observer.model import make_lti, sampled_input
-from deadbeat_observer.numerics import Grid, cumulative_trapezoid
+from deadbeat_observer.numerics import Grid
 from deadbeat_observer.plant import SimConfig, simulate_plant
 from deadbeat_observer.window import (
     Degenerate,
@@ -34,6 +34,7 @@ from deadbeat_observer.window import (
 )
 
 from oracles import (
+    cumulative_trapezoid,
     determinant_condition,
     indistinguishable_partner,
     pointwise_coefficients,
